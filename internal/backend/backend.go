@@ -77,15 +77,16 @@ type AppCacheRequest struct {
 
 // ObjectStore is the storage surface the backend consumes. *store.Store is
 // the production implementation; resilience tests substitute a fault-
-// injecting wrapper (internal/resilience/faultinject).
+// injecting wrapper (internal/resilience/faultinject). Commit is the only
+// mutation: a group of writes that lands all-or-nothing under the trace
+// identity ctx carries. Token-gated writes Verify first.
 type ObjectStore interface {
 	Sign(prefix string, perm store.Permission, ttl time.Duration) string
 	Verify(tok, p string, perm store.Permission) error
-	Put(tok, p string, data []byte) error
 	Get(tok, p string) ([]byte, error)
-	PutInternal(p string, data []byte)
 	GetInternal(p string) ([]byte, error)
 	List(prefix string) []string
+	Commit(ctx context.Context, entries []store.Entry) error
 }
 
 // Both the in-memory store and the snapshot+WAL durable store satisfy the
@@ -154,24 +155,6 @@ func (s *Server) awaitReplication(ctx context.Context, w http.ResponseWriter) bo
 		return false
 	}
 	return true
-}
-
-// storeErrer is the optional health surface a store may expose:
-// DurableStore latches a durability failure and reports it here, because
-// PutInternal has no error slot of its own.
-type storeErrer interface {
-	Err() error
-}
-
-// storeErr reports the store's latched failure, if the configured store
-// exposes one. The ingest handlers consult it after their PutInternal
-// phase-2 commits — an index entry that never reached the WAL must turn
-// into a 5xx, not a 202 — and /api/health reports it as status "down".
-func (s *Server) storeErr() error {
-	if h, ok := s.Store.(storeErrer); ok {
-		return h.Err()
-	}
-	return nil
 }
 
 // Server is the Autotune Backend.
@@ -358,35 +341,6 @@ func (s *Server) handleFlightRec(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, flightrec.Snapshot{Node: s.NodeName, Reason: "live", Events: evs})
 }
 
-// The optional context-carrying store surfaces: a DurableStore that traces
-// its WAL commit path implements these, so the request's span identity
-// reaches the wal_append/wal_fsync spans. Plain stores (and fault-injection
-// wrappers) fall back to the untraced methods.
-type ctxPutter interface {
-	PutCtx(ctx context.Context, tok, p string, data []byte) error
-}
-type ctxInternalPutter interface {
-	PutInternalCtx(ctx context.Context, p string, data []byte)
-}
-type ctxBatchPutter interface {
-	PutBatchCtx(ctx context.Context, entries []store.BatchEntry) error
-}
-
-func (s *Server) storePut(ctx context.Context, tok, p string, data []byte) error {
-	if cp, ok := s.Store.(ctxPutter); ok {
-		return cp.PutCtx(ctx, tok, p, data)
-	}
-	return s.Store.Put(tok, p, data)
-}
-
-func (s *Server) storePutInternal(ctx context.Context, p string, data []byte) {
-	if cp, ok := s.Store.(ctxInternalPutter); ok {
-		cp.PutInternalCtx(ctx, p, data)
-		return
-	}
-	s.Store.PutInternal(p, data)
-}
-
 // Close stops the streaming jobs after draining the queue. Closing flips
 // closed under the updater lock and wakes the updater; there is no channel
 // to close, so an ingest racing Close either enqueues before the flag (and
@@ -489,11 +443,23 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := s.Store.Put(r.Header.Get(SASTokenHeader), p, blob); err != nil {
+	if err := s.Store.Verify(r.Header.Get(SASTokenHeader), p, store.PermWrite); err != nil {
+		http.Error(w, err.Error(), storeStatus(err))
+		return
+	}
+	if err := s.Store.Commit(r.Context(), []store.Entry{{Path: p, Data: blob}}); err != nil {
 		http.Error(w, err.Error(), storeStatus(err))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// validSegment reports whether v may stand as one segment of a store key.
+// Users and signatures are spliced into index/<user>/<sig>/… and
+// models/<user>/<sig>.model: a '/' would alias another tenant's keys, and
+// "." or ".." would be cleaned away by path.Join and escape the folder.
+func validSegment(v string) bool {
+	return v != "" && v != "." && v != ".." && !strings.Contains(v, "/")
 }
 
 // handleEvents ingests a JSON-lines batch of execution traces for one query
@@ -502,8 +468,8 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	user, signature, jobID := q.Get("user"), q.Get("signature"), q.Get("job_id")
-	if user == "" || signature == "" || jobID == "" {
-		http.Error(w, "user, signature, job_id required", http.StatusBadRequest)
+	if !validSegment(user) || !validSegment(signature) || jobID == "" {
+		http.Error(w, "user, signature (one path segment each) and job_id required", http.StatusBadRequest)
 		return
 	}
 	if !s.checkOwnership(w, "events", signature) {
@@ -535,18 +501,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	seq := s.nextSeq(jobID)
 	p := store.EventPath(jobID, seq)
-	if err := s.storePut(r.Context(), r.Header.Get(SASTokenHeader), p, body); err != nil {
+	err = s.Store.Verify(r.Header.Get(SASTokenHeader), p, store.PermWrite)
+	if err == nil {
+		err = s.Store.Commit(r.Context(), []store.Entry{{Path: p, Data: body}})
+	}
+	if err != nil {
 		s.releaseAdmit(1)
 		http.Error(w, err.Error(), storeStatus(err))
 		return
 	}
 	// Track signature → event files so the updater can find training data.
-	// PutInternal cannot return an error, so a durable store that failed to
-	// log the entry is only visible through its latched Err — check it
-	// before acknowledging, or the unindexed event file would be silently
-	// orphaned (and eventually reaped) behind a 202.
-	s.storePutInternal(r.Context(), signatureIndexPath(user, signature, jobID, seq), nil)
-	if err := s.storeErr(); err != nil {
+	// A failed index commit must be a 5xx: behind a 202 the unindexed event
+	// file would be silently orphaned (and eventually reaped).
+	if err := s.Store.Commit(r.Context(), []store.Entry{{Path: signatureIndexPath(user, signature, jobID, seq)}}); err != nil {
 		s.releaseAdmit(1)
 		http.Error(w, fmt.Sprintf("store: index commit not persisted: %v", err), http.StatusInternalServerError)
 		return
@@ -561,14 +528,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleEventLog ingests a RAW Spark event log: the Embedding ETL parses
 // the listener events, extracts plans/configs/durations, computes workload
-// embeddings, and persists the digested traces — then the Model Updater is
-// triggered exactly as for pre-digested events. The signature is derived
-// from each execution's plan, so one log may feed several signatures.
+// embeddings, and the digested traces are committed exactly as a batch of
+// pre-digested events is. The signature is derived from each execution's
+// plan, so one log may feed several signatures. Raw event logs are accepted
+// on any node — the signatures inside are unknown until the ETL runs, so
+// clients cannot route them.
 func (s *Server) handleEventLog(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	user, jobID := q.Get("user"), q.Get("job_id")
-	if user == "" || jobID == "" {
-		http.Error(w, "user and job_id required", http.StatusBadRequest)
+	if !validSegment(user) || jobID == "" {
+		http.Error(w, "user (one path segment) and job_id required", http.StatusBadRequest)
 		return
 	}
 	start := s.clock().Now()
@@ -588,10 +557,6 @@ func (s *Server) handleEventLog(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "event log contains no complete executions", http.StatusUnprocessableEntity)
 		return
 	}
-	if ok, retry := s.admitTenant(user, float64(len(runs))); !ok {
-		s.shedRateLimited(w, "eventlog", user, retry)
-		return
-	}
 	// Group digested traces by plan signature.
 	bySig := map[string][]flighting.Trace{}
 	for _, run := range runs {
@@ -603,70 +568,7 @@ func (s *Server) handleEventLog(w http.ResponseWriter, r *http.Request) {
 		tr[0].QueryID = sig
 		bySig[sig] = append(bySig[sig], tr[0])
 	}
-	// Walk signatures in a stable order so sequence assignment is
-	// deterministic for a given log.
-	sigs := make([]string, 0, len(bySig))
-	for sig := range bySig {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	// One updater slot per signature, reserved atomically up front so the
-	// whole log is admitted or shed as a unit.
-	if !s.tryAdmit(len(sigs)) {
-		s.shedQueueFull(w, "eventlog", user)
-		return
-	}
-	// Two-phase ingest so a mid-loop store failure cannot leave some
-	// signature batches persisted+enqueued and others lost behind a 5xx.
-	// Phase 1 stages every event file; only after all writes succeed does
-	// phase 2 commit the index entries and enqueue model updates. Staged
-	// files without index entries are invisible to the Model Updater and
-	// reaped by the retention sweep.
-	tok := r.Header.Get(SASTokenHeader)
-	type staged struct {
-		sig string
-		seq int
-	}
-	var commits []staged
-	for _, sig := range sigs {
-		if err := r.Context().Err(); err != nil {
-			s.releaseAdmit(len(sigs))
-			http.Error(w, "request deadline exceeded", http.StatusServiceUnavailable)
-			return
-		}
-		var buf bytes.Buffer
-		if err := flighting.WriteTraces(&buf, bySig[sig]); err != nil {
-			s.releaseAdmit(len(sigs))
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		seq := s.nextSeq(jobID)
-		if err := s.storePut(r.Context(), tok, store.EventPath(jobID, seq), buf.Bytes()); err != nil {
-			s.releaseAdmit(len(sigs))
-			http.Error(w, err.Error(), storeStatus(err))
-			return
-		}
-		commits = append(commits, staged{sig: sig, seq: seq})
-	}
-	for _, c := range commits {
-		s.storePutInternal(r.Context(), signatureIndexPath(user, c.sig, jobID, c.seq), nil)
-		s.enqueueReserved(updateJob{user: user, signature: c.sig, trace: telemetry.SpanFrom(r.Context())})
-	}
-	// Same phase-2 durability check as handleEvents: if any index commit
-	// hit a latched store failure, surface a 5xx so the client retries
-	// instead of trusting a 202 for entries that never reached the WAL.
-	if err := s.storeErr(); err != nil {
-		http.Error(w, fmt.Sprintf("store: index commit not persisted: %v", err), http.StatusInternalServerError)
-		return
-	}
-	// Raw event logs are accepted on any node — the signatures inside are
-	// unknown until the ETL runs, so clients cannot route them — but the
-	// acknowledgement is still replication-gated.
-	if !s.awaitReplication(r.Context(), w) {
-		return
-	}
-	admitted = len(runs)
-	w.WriteHeader(http.StatusAccepted)
+	admitted = s.ingestGroups(w, r, "eventlog", user, jobID, bySig, len(runs))
 }
 
 // BatchResponse acknowledges a batched ingest: how many signatures were
@@ -676,24 +578,14 @@ type BatchResponse struct {
 	Events     int `json:"events"`
 }
 
-// batchPutter is the optional group-commit surface a store may expose.
-// Both store flavors implement it; wrappers (fault injection) that don't
-// fall back to the two-phase per-entry path.
-type batchPutter interface {
-	PutBatch([]store.BatchEntry) error
-}
-
 // handleEventBatch ingests pre-digested traces spanning many query
 // signatures in ONE call: the body is the same JSON-lines trace format as
-// /api/events, but each trace's queryId names its signature. The whole
-// batch — every event file and every index entry — is committed as a
-// single store group commit (one WAL append + one fsync), so a 202 means
-// the entire batch is durable and a crash can never surface part of it.
+// /api/events, but each trace's queryId names its signature.
 func (s *Server) handleEventBatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	user, jobID := q.Get("user"), q.Get("job_id")
-	if user == "" || jobID == "" {
-		http.Error(w, "user and job_id required", http.StatusBadRequest)
+	if !validSegment(user) || jobID == "" {
+		http.Error(w, "user (one path segment) and job_id required", http.StatusBadRequest)
 		return
 	}
 	start := s.clock().Now()
@@ -715,8 +607,8 @@ func (s *Server) handleEventBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bySig := map[string][]flighting.Trace{}
 	for i, tr := range traces {
-		if tr.QueryID == "" {
-			http.Error(w, fmt.Sprintf("trace %d has no queryId (the batch signature key)", i), http.StatusBadRequest)
+		if !validSegment(tr.QueryID) {
+			http.Error(w, fmt.Sprintf("trace %d needs a queryId (the batch signature key) that is one path segment", i), http.StatusBadRequest)
 			return
 		}
 		bySig[tr.QueryID] = append(bySig[tr.QueryID], tr)
@@ -725,105 +617,80 @@ func (s *Server) handleEventBatch(w http.ResponseWriter, r *http.Request) {
 	// all-or-nothing, so a partially misrouted batch is bounced before any
 	// admission state is touched (the router partitions batches by owner).
 	if s.fleet != nil {
-		misrouted := make([]string, 0, len(bySig))
-		for sig := range bySig {
-			misrouted = append(misrouted, sig)
-		}
-		sort.Strings(misrouted)
-		for _, sig := range misrouted {
+		for _, sig := range sortedKeys(bySig) {
 			if !s.checkOwnership(w, "events_batch", sig) {
 				return
 			}
 		}
 	}
-	if ok, retry := s.admitTenant(user, float64(len(traces))); !ok {
-		s.shedRateLimited(w, "events_batch", user, retry)
-		return
-	}
-	// Verify the write token against the job's event folder BEFORE burning
-	// sequence numbers or updater slots.
-	tok := r.Header.Get(SASTokenHeader)
-	if err := s.Store.Verify(tok, "events/"+jobID+"/", store.PermWrite); err != nil {
-		http.Error(w, err.Error(), storeStatus(err))
-		return
-	}
+	admitted = s.ingestGroups(w, r, "events_batch", user, jobID, bySig, len(traces))
+}
+
+// sortedKeys returns the signatures of a grouped ingest in stable order.
+func sortedKeys(bySig map[string][]flighting.Trace) []string {
 	sigs := make([]string, 0, len(bySig))
 	for sig := range bySig {
 		sigs = append(sigs, sig)
 	}
 	sort.Strings(sigs)
+	return sigs
+}
+
+// ingestGroups is the tail /api/events/batch and /api/eventlog share. The
+// whole request — every signature's event file and index entry — is ONE
+// store commit (one WAL append + one fsync), so a 202 means all of it is
+// durable and a crash or store fault can never surface part of it. It
+// returns the event count to account as admitted: events on a 202, else 0.
+func (s *Server) ingestGroups(w http.ResponseWriter, r *http.Request, endpoint, user, jobID string, bySig map[string][]flighting.Trace, events int) int {
+	if ok, retry := s.admitTenant(user, float64(events)); !ok {
+		s.shedRateLimited(w, endpoint, user, retry)
+		return 0
+	}
+	// Verify the write token against the job's event folder BEFORE burning
+	// sequence numbers or updater slots.
+	if err := s.Store.Verify(r.Header.Get(SASTokenHeader), "events/"+jobID+"/", store.PermWrite); err != nil {
+		http.Error(w, err.Error(), storeStatus(err))
+		return 0
+	}
+	// One updater slot per signature, reserved atomically up front so the
+	// request is admitted or shed as a unit. Signatures are walked in stable
+	// order so sequence assignment is deterministic for a given body.
+	sigs := sortedKeys(bySig)
 	if !s.tryAdmit(len(sigs)) {
-		s.shedQueueFull(w, "events_batch", user)
-		return
+		s.shedQueueFull(w, endpoint, user)
+		return 0
 	}
-	// Render every signature's event file and its index entry into one
-	// entry list, in stable signature order.
-	entries := make([]store.BatchEntry, 0, 2*len(sigs))
-	type staged struct {
-		sig string
-		seq int
-	}
-	commits := make([]staged, 0, len(sigs))
+	entries := make([]store.Entry, 0, 2*len(sigs))
 	for _, sig := range sigs {
 		var buf bytes.Buffer
 		if err := flighting.WriteTraces(&buf, bySig[sig]); err != nil {
 			s.releaseAdmit(len(sigs))
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return 0
 		}
 		seq := s.nextSeq(jobID)
 		entries = append(entries,
-			store.BatchEntry{Path: store.EventPath(jobID, seq), Data: buf.Bytes()},
-			store.BatchEntry{Path: signatureIndexPath(user, sig, jobID, seq)},
+			store.Entry{Path: store.EventPath(jobID, seq), Data: buf.Bytes()},
+			store.Entry{Path: signatureIndexPath(user, sig, jobID, seq)},
 		)
-		commits = append(commits, staged{sig: sig, seq: seq})
 	}
-	if bs, ok := s.Store.(ctxBatchPutter); ok {
-		// Group commit: event files + index entries behind one WAL record.
-		if err := bs.PutBatchCtx(r.Context(), entries); err != nil {
-			s.releaseAdmit(len(sigs))
-			http.Error(w, fmt.Sprintf("store: batch commit not persisted: %v", err), storeStatus(err))
-			return
-		}
-	} else if bs, ok := s.Store.(batchPutter); ok {
-		// Group commit without the context surface (wrapped batch stores).
-		if err := bs.PutBatch(entries); err != nil {
-			s.releaseAdmit(len(sigs))
-			http.Error(w, fmt.Sprintf("store: batch commit not persisted: %v", err), storeStatus(err))
-			return
-		}
-	} else {
-		// Two-phase fallback for stores without group commit (wrapped
-		// stores): stage event files, then commit index entries, with the
-		// same latched-failure check as the other ingest paths.
-		for i := 0; i < len(entries); i += 2 {
-			if err := s.storePut(r.Context(), tok, entries[i].Path, entries[i].Data); err != nil {
-				s.releaseAdmit(len(sigs))
-				http.Error(w, err.Error(), storeStatus(err))
-				return
-			}
-		}
-		for i := 1; i < len(entries); i += 2 {
-			s.storePutInternal(r.Context(), entries[i].Path, nil)
-		}
-		if err := s.storeErr(); err != nil {
-			s.releaseAdmit(len(sigs))
-			http.Error(w, fmt.Sprintf("store: index commit not persisted: %v", err), http.StatusInternalServerError)
-			return
-		}
+	if err := s.Store.Commit(r.Context(), entries); err != nil {
+		s.releaseAdmit(len(sigs))
+		http.Error(w, fmt.Sprintf("store: batch commit not persisted: %v", err), storeStatus(err))
+		return 0
 	}
-	for _, c := range commits {
-		s.enqueueReserved(updateJob{user: user, signature: c.sig, trace: telemetry.SpanFrom(r.Context())})
+	for _, sig := range sigs {
+		s.enqueueReserved(updateJob{user: user, signature: sig, trace: telemetry.SpanFrom(r.Context())})
 	}
 	if !s.awaitReplication(r.Context(), w) {
-		return
+		return 0
 	}
-	admitted = len(traces)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	if err := json.NewEncoder(w).Encode(BatchResponse{Signatures: len(sigs), Events: len(traces)}); err != nil {
+	if err := json.NewEncoder(w).Encode(BatchResponse{Signatures: len(sigs), Events: events}); err != nil {
 		s.logf("backend: encode batch response: %v", err)
 	}
+	return events
 }
 
 // nextSeq allocates the next event-file sequence number for a job. The
@@ -965,20 +832,30 @@ func (s *Server) retrain(j updateJob) {
 		s.logfCtx(j.trace, "backend: marshal %s/%s: %v", user, signature, err)
 		return
 	}
-	s.Store.PutInternal(store.ModelPath(user, signature), blob)
+	// The updater runs outside any request: its writes are untraced.
+	ctx := context.Background()
+	err = s.Store.Commit(ctx, []store.Entry{{Path: store.ModelPath(user, signature), Data: blob}})
+	elapsed := s.clock().Now().Sub(started)
+	if err == nil {
+		err = s.persistBestCost(ctx, user, signature, best)
+	}
+	if err != nil {
+		// A retrain whose model or best-cost record is not durable is not done.
+		status = "error"
+		s.logfCtx(j.trace, "backend: persist retrain %s/%s: %v", user, signature, err)
+		return
+	}
 	s.tele.retrains.Inc()
-	s.tele.retrainSeconds.Observe(s.clock().Now().Sub(started).Seconds())
+	s.tele.retrainSeconds.Observe(elapsed.Seconds())
 	//rocklint:allow metriccardinality -- best-cost gauge is partitioned by the model store's own user/signature set; DESIGN.md §8 blesses these labels on model gauges
 	s.tele.bestCost.With(user, signature).Set(best)
-	s.persistBestCost(j.trace, user, signature, best)
 	s.logfCtx(j.trace, "backend: retrained %s/%s on %d traces", user, signature, len(traces))
 }
 
 // bestCostRecord is the durable form of one rockhopper_model_best_cost_ms
 // gauge sample, persisted so a restarted daemon re-registers the series
 // instead of showing a false improvement to zero. The identifying fields
-// live in the blob, not the path, because user and signature are free-form
-// and may contain '/'.
+// live in the blob as well as the path, so restore never parses a key.
 type bestCostRecord struct {
 	User      string  `json:"user"`
 	Signature string  `json:"signature"`
@@ -993,13 +870,12 @@ func bestCostPath(user, signature string) string {
 	return bestCostPrefix + user + "/" + signature
 }
 
-func (s *Server) persistBestCost(sc telemetry.SpanContext, user, signature string, best float64) {
+func (s *Server) persistBestCost(ctx context.Context, user, signature string, best float64) error {
 	blob, err := json.Marshal(bestCostRecord{User: user, Signature: signature, BestMs: best})
 	if err != nil {
-		s.logfCtx(sc, "backend: encode best-cost record %s/%s: %v", user, signature, err)
-		return
+		return fmt.Errorf("encode best-cost record: %w", err)
 	}
-	s.Store.PutInternal(bestCostPath(user, signature), blob)
+	return s.Store.Commit(ctx, []store.Entry{{Path: bestCostPath(user, signature), Data: blob}})
 }
 
 func (s *Server) handleGetAppCache(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -82,7 +83,9 @@ func TestTokenValidation(t *testing.T) {
 
 func TestObjectAccessNeedsValidToken(t *testing.T) {
 	srv, hs := newServer(t)
-	srv.Store.PutInternal("models/u/sig.model", []byte("blob"))
+	if err := srv.Store.Commit(context.Background(), []store.Entry{{Path: "models/u/sig.model", Data: []byte("blob")}}); err != nil {
+		t.Fatal(err)
+	}
 	// No token.
 	resp := doJSON(t, "GET", hs.URL+"/api/object?path=models/u/sig.model", nil, nil)
 	if resp.StatusCode != http.StatusForbidden {
@@ -119,6 +122,23 @@ func TestEventsValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing params: status = %d", resp.StatusCode)
+	}
+
+	// A user or signature that is not one path segment would alias another
+	// tenant's index and model keys, or escape models/ altogether.
+	for _, bad := range badSegments {
+		for _, q := range []string{"user=" + bad + "&signature=s", "user=u&signature=" + bad} {
+			req, _ = http.NewRequest("POST", hs.URL+"/api/events?job_id=j&"+q, strings.NewReader(""))
+			req.Header.Set(SASTokenHeader, tok)
+			resp, err = http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: status = %d, want 400", q, resp.StatusCode)
+			}
+		}
 	}
 
 	// Corrupt payload must be rejected before persisting.

@@ -17,7 +17,6 @@ import (
 
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
-	"github.com/rockhopper-db/rockhopper/internal/resilience/faultinject"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
 	"github.com/rockhopper-db/rockhopper/internal/store"
 	"github.com/rockhopper-db/rockhopper/internal/telemetry"
@@ -273,92 +272,152 @@ func TestEventBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestEventBatchValidation pins the endpoint's reject paths: missing params,
-// empty body, and traces without a queryId signature key.
+// badSegments are the user / signature / queryId values every ingest
+// endpoint must refuse: spliced into index/<user>/<sig>/… and
+// models/<user>/<sig>.model they would alias another tenant's keys ("a/b")
+// or be cleaned out of the path ("." and "..").
+var badSegments = []string{"", ".", "..", "a/b", "/"}
+
+// TestEventBatchValidation pins the endpoint's reject paths: missing or
+// non-segment params, empty body, and traces whose queryId signature key is
+// missing or not one path segment.
 func TestEventBatchValidation(t *testing.T) {
 	srv, hs := newServer(t)
-	if code, _, _ := postBatch(srv, hs.URL, "", "j", sigTraces([]string{"s"}, 1, 3)); code != http.StatusBadRequest {
-		t.Errorf("missing user status = %d, want 400", code)
+	for _, bad := range badSegments {
+		if code, _, _ := postBatch(srv, hs.URL, bad, "j", sigTraces([]string{"s"}, 1, 3)); code != http.StatusBadRequest {
+			t.Errorf("user %q status = %d, want 400", bad, code)
+		}
+		if code, _, _ := postBatch(srv, hs.URL, "u", "j", sigTraces([]string{"s", bad}, 1, 3)); code != http.StatusBadRequest {
+			t.Errorf("queryId %q status = %d, want 400", bad, code)
+		}
 	}
 	if code, _, _ := postBatch(srv, hs.URL, "u", "j", nil); code != http.StatusUnprocessableEntity {
 		t.Errorf("empty batch status = %d, want 422", code)
 	}
-	bad := sigTraces([]string{"s"}, 2, 3)
-	bad[1].QueryID = ""
-	if code, _, _ := postBatch(srv, hs.URL, "u", "j", bad); code != http.StatusBadRequest {
-		t.Errorf("unsigned trace status = %d, want 400", code)
-	}
 	// Nothing was persisted by the rejects.
-	if got := len(srv.Store.List("events/")); got != 0 {
-		t.Errorf("rejected batches left %d event files", got)
+	if got := len(srv.Store.List("")); got != 0 {
+		t.Errorf("rejected batches left %d objects", got)
 	}
 }
 
-// TestEventBatchFallbackStore routes the batch through a store wrapper with
-// no PutBatch, exercising the two-phase per-entry path.
-func TestEventBatchFallbackStore(t *testing.T) {
-	wrapped := &faultinject.Store{Inner: store.New([]byte("key"))}
-	srv := New(sparksim.QuerySpace(), wrapped, secret, 1)
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { hs.Close(); srv.Close() })
-
-	if _, ok := srv.Store.(batchPutter); ok {
-		t.Fatal("faultinject wrapper unexpectedly exposes PutBatch; the fallback path is untested")
+// TestEventLogValidation is the /api/eventlog counterpart: the user must be
+// one path segment (signatures are derived server-side), and a log with no
+// complete execution is a 422.
+func TestEventLogValidation(t *testing.T) {
+	srv, hs := newServer(t)
+	for _, bad := range badSegments {
+		if code, _ := postEventLog(t, srv, hs.URL, bad, rawTwoSigLog(t)); code != http.StatusBadRequest {
+			t.Errorf("user %q status = %d, want 400", bad, code)
+		}
 	}
-	code, br, err := postBatch(srv, hs.URL, "u", "j", sigTraces([]string{"sigA", "sigB"}, 4, 3))
+	if code, _ := postEventLog(t, srv, hs.URL, "u", nil); code != http.StatusUnprocessableEntity {
+		t.Errorf("empty log status = %d, want 422", code)
+	}
+	if got := len(srv.Store.List("")); got != 0 {
+		t.Errorf("rejected logs left %d objects", got)
+	}
+}
+
+// postEventLog ships a raw event log to POST /api/eventlog.
+func postEventLog(t *testing.T, srv *Server, hs, user string, log []byte) (int, BatchResponse) {
+	t.Helper()
+	req, err := http.NewRequest("POST", hs+"/api/eventlog?user="+user+"&job_id=j", bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code != http.StatusAccepted || br.Signatures != 2 || br.Events != 8 {
-		t.Fatalf("fallback batch: code=%d resp=%+v, want 202 with 2/8", code, br)
+	req.Header.Set(SASTokenHeader, srv.Store.Sign("events/", store.PermWrite, srv.TokenTTL))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv.Flush()
-	if got := tenantEventCount(t, srv.Store, "u"); got != 8 {
-		t.Errorf("fallback indexed events = %d, want 8", got)
+	defer resp.Body.Close()
+	var br BatchResponse
+	if resp.StatusCode == http.StatusAccepted {
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, br
+}
+
+// TestEventBatchCrashAtomicity tears the WAL mid-record under each
+// multi-signature endpoint: the client gets a 5xx (not a 202), and recovery
+// surfaces none of the request — no event files, no index entries.
+// All-or-nothing.
+func TestEventBatchCrashAtomicity(t *testing.T) {
+	posts := map[string]func(t *testing.T, srv *Server, hs string) int{
+		"events_batch": func(t *testing.T, srv *Server, hs string) int {
+			code, _, err := postBatch(srv, hs, "u", "j", sigTraces([]string{"sigA", "sigB"}, 4, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return code
+		},
+		"eventlog": func(t *testing.T, srv *Server, hs string) int {
+			code, _ := postEventLog(t, srv, hs, "u", rawTwoSigLog(t))
+			return code
+		},
+	}
+	for name, post := range posts {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			armed := true
+			st, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{
+				NoSync: true,
+				Hooks: func(p store.CrashPoint) error {
+					if p == store.CrashMidRecord && armed {
+						armed = false
+						return fmt.Errorf("injected crash")
+					}
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := New(sparksim.QuerySpace(), st, secret, 1)
+			hs := httptest.NewServer(srv.Handler())
+			t.Cleanup(func() { hs.Close(); srv.Close() })
+
+			if code := post(t, srv, hs.URL); code < 500 {
+				t.Fatalf("torn commit status = %d, want 5xx", code)
+			}
+			// Recover from disk: the torn record is discarded wholesale.
+			rec, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{NoSync: true})
+			if err != nil {
+				t.Fatalf("recovery open: %v", err)
+			}
+			defer rec.Close()
+			if got := rec.List(""); len(got) != 0 {
+				t.Errorf("recovered store holds %v from a torn commit, want nothing", got)
+			}
+		})
 	}
 }
 
-// TestEventBatchCrashAtomicity tears the WAL mid-batch-record: the client
-// gets a 5xx (not a 202), and recovery surfaces none of the batch — no event
-// files, no index entries. All-or-nothing.
-func TestEventBatchCrashAtomicity(t *testing.T) {
-	dir := t.TempDir()
-	armed := true
-	st, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{
-		NoSync: true,
-		Hooks: func(p store.CrashPoint) error {
-			if p == store.CrashMidRecord && armed {
-				armed = false
-				return fmt.Errorf("injected crash")
-			}
-			return nil
-		},
-	})
+// TestEventLogIsOneCommit pins the record count of the unified tail: a
+// two-signature event log is exactly one WAL append (two event files and two
+// index entries in one group commit), and is acknowledged like a batch.
+func TestEventLogIsOneCommit(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	st, err := store.OpenDurable(t.TempDir(), []byte("key"), store.DurableOptions{NoSync: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := New(sparksim.QuerySpace(), st, secret, 1)
 	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { hs.Close(); srv.Close() })
+	t.Cleanup(func() { hs.Close(); srv.Close(); st.Close() })
 
-	code, _, err := postBatch(srv, hs.URL, "u", "j", sigTraces([]string{"sigA", "sigB"}, 4, 3))
-	if err != nil {
-		t.Fatal(err)
+	code, br := postEventLog(t, srv, hs.URL, "u", rawTwoSigLog(t))
+	if code != http.StatusAccepted || br.Signatures != 2 || br.Events != 6 {
+		t.Fatalf("two-signature log: code=%d resp=%+v, want 202 with 2/6", code, br)
 	}
-	if code < 500 {
-		t.Fatalf("torn batch status = %d, want 5xx", code)
+	srv.Flush() // three traces per signature: the retrains skip, so no model writes
+	if got := reg.Counter("rockhopper_wal_appends_total", "").With().Value(); got != 1 {
+		t.Errorf("two-signature log cost %v WAL appends, want 1", got)
 	}
-	// Recover from disk: the torn record is discarded wholesale.
-	rec, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{NoSync: true})
-	if err != nil {
-		t.Fatalf("recovery open: %v", err)
-	}
-	defer rec.Close()
-	if got := len(rec.List("events/")); got != 0 {
-		t.Errorf("recovered store has %d event files from a torn batch, want 0", got)
-	}
-	if got := len(rec.List("index/")); got != 0 {
-		t.Errorf("recovered store has %d index entries from a torn batch, want 0", got)
+	if ev, idx := st.List("events/j/"), st.List("index/u/"); len(ev) != 2 || len(idx) != 2 {
+		t.Errorf("committed %d event files / %d index entries, want 2 / 2", len(ev), len(idx))
 	}
 }
 

@@ -2,9 +2,12 @@ package backend
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
 	"github.com/rockhopper-db/rockhopper/internal/stats"
 	"github.com/rockhopper-db/rockhopper/internal/store"
+	"github.com/rockhopper-db/rockhopper/internal/telemetry"
 	"github.com/rockhopper-db/rockhopper/internal/workloads"
 )
 
@@ -80,11 +84,72 @@ func TestRetrainSeqBeyondMillion(t *testing.T) {
 	if err := flighting.WriteTraces(&buf, traceBatch(8, 3)); err != nil {
 		t.Fatal(err)
 	}
-	srv.Store.PutInternal(store.EventPath(jobID, seq), buf.Bytes())
-	srv.Store.PutInternal(signatureIndexPath(user, sig, jobID, seq), nil)
+	if err := srv.Store.Commit(context.Background(), []store.Entry{
+		{Path: store.EventPath(jobID, seq), Data: buf.Bytes()},
+		{Path: signatureIndexPath(user, sig, jobID, seq)},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	srv.retrain(updateJob{user: user, signature: sig})
 	if _, err := srv.Store.GetInternal(store.ModelPath(user, sig)); err != nil {
 		t.Fatalf("retrain dropped the seq=%d index entry: %v", seq, err)
+	}
+}
+
+// TestRetrainSurfacesFailedModelWrite: a retrain whose model (or best-cost)
+// commit fails is not done. It must finish its span with status "error", log
+// under the ingest's trace, and stay out of rockhopper_updater_retrains_total
+// — the old PutInternal had no error slot and reported the retrain complete.
+func TestRetrainSurfacesFailedModelWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		failWrite int // 1 = the model commit, 2 = the best-cost commit
+		wantModel bool
+	}{{"model", 1, false}, {"best_cost", 2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := newServer(t)
+			var logs bytes.Buffer
+			srv.Logger = log.New(&logs, "", 0)
+			var buf bytes.Buffer
+			if err := flighting.WriteTraces(&buf, traceBatch(8, 3)); err != nil {
+				t.Fatal(err)
+			}
+			inner := srv.Store
+			if err := inner.Commit(context.Background(), []store.Entry{
+				{Path: store.EventPath("j", 0), Data: buf.Bytes()},
+				{Path: signatureIndexPath("u", "s", "j", 0)},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			fail := make([]bool, tc.failWrite)
+			fail[tc.failWrite-1] = true
+			srv.Store = &faultinject.Store{
+				Inner: inner,
+				Plan:  &faultinject.ForOps{Plan: &faultinject.Script{Fail: fail}, Ops: []string{"store.Commit"}},
+			}
+			sc := telemetry.SpanContext{TraceID: 0xfa11, SpanID: 0x1}
+			srv.retrain(updateJob{user: "u", signature: "s", trace: sc})
+
+			if got := srv.tele.retrains.Value(); got != 0 {
+				t.Errorf("retrains_total = %v after a failed write, want 0", got)
+			}
+			if _, err := inner.GetInternal(store.ModelPath("u", "s")); (err == nil) != tc.wantModel {
+				t.Errorf("model present = %v, want %v", err == nil, tc.wantModel)
+			}
+			if !strings.Contains(logs.String(), "[trace "+sc.String()+"] backend: persist retrain u/s") {
+				t.Errorf("failure not logged under the trace: %q", logs.String())
+			}
+			spans := srv.tele.spans.Snapshot()
+			if len(spans) != 1 || spans[0].Name != "retrain" || spans[0].Status != "error" {
+				t.Errorf("retrain span = %+v, want one with status error", spans)
+			}
+
+			// The store heals: the next retrain completes and counts.
+			srv.retrain(updateJob{user: "u", signature: "s"})
+			if got := srv.tele.retrains.Value(); got != 1 {
+				t.Errorf("retrains_total = %v after the healed retrain, want 1", got)
+			}
+		})
 	}
 }
 
@@ -123,13 +188,11 @@ func TestEventLogPartialIngestAtomicity(t *testing.T) {
 	st := store.New([]byte("key"))
 	srv := New(sparksim.QuerySpace(), st, secret, 1)
 	t.Cleanup(srv.Close)
-	// First store.Put fails, everything after succeeds: with two signature
-	// batches this is exactly the mid-loop fault (one would have survived
-	// under the old code — here the first, since batches commit in sorted
-	// signature order).
+	// First store.Commit fails, everything after succeeds: the two signature
+	// batches are one commit, so the fault takes both or neither.
 	srv.Store = &faultinject.Store{
 		Inner: st,
-		Plan:  &faultinject.ForOps{Plan: &faultinject.FailN{N: 1}, Ops: []string{"store.Put"}},
+		Plan:  &faultinject.ForOps{Plan: &faultinject.FailN{N: 1}, Ops: []string{"store.Commit"}},
 	}
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)

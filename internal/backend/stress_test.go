@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -48,7 +49,9 @@ func TestServerConcurrentStress(t *testing.T) {
 	t.Parallel()
 	srv, hs := newServer(t)
 	space := sparksim.QuerySpace()
-	srv.Store.PutInternal("models/u/warm.model", []byte("blob"))
+	if err := srv.Store.Commit(context.Background(), []store.Entry{{Path: "models/u/warm.model", Data: []byte("blob")}}); err != nil {
+		t.Fatal(err)
+	}
 
 	var tracesBuf bytes.Buffer
 	if err := flighting.WriteTraces(&tracesBuf, []flighting.Trace{{

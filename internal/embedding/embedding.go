@@ -21,7 +21,6 @@ package embedding
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
 )
@@ -43,9 +42,7 @@ func (s Scheme) String() string {
 	return "plain"
 }
 
-// Embedder converts plans to fixed-width vectors. An Embedder must not be
-// copied after first use of EmbedSig (it carries a mutex-guarded memo
-// table); Embed alone keeps the embedder stateless.
+// Embedder converts plans to fixed-width vectors. It is stateless.
 type Embedder struct {
 	Scheme Scheme
 	// InputThresholds and OutputThresholds are ascending row-count
@@ -58,17 +55,6 @@ type Embedder struct {
 	// structures" direction the paper flags as future work (citing Eraser's
 	// richer plan encodings).
 	Structural bool
-
-	// Per-signature embedding memo (EmbedSig): production ingest re-embeds
-	// the same recurring jobs on every run, so the plan walk is paid once
-	// per signature and guarded by a cheap structural fingerprint.
-	mu   sync.RWMutex
-	memo map[string]memoEntry
-}
-
-type memoEntry struct {
-	fp  uint64
-	vec []float64
 }
 
 // Default thresholds: the experiments in Section 6.2 fine-tune the
@@ -158,64 +144,6 @@ func (e *Embedder) Embed(plan *sparksim.Plan) []float64 {
 		out[base+2] = float64(leaves)
 	}
 	return out
-}
-
-// memoCap bounds the per-signature memo so unbounded distinct signatures
-// (an adversarial or misconfigured ingest feed) cannot grow it without
-// limit; past the cap EmbedSig degrades to plain Embed.
-const memoCap = 1 << 12
-
-// EmbedSig returns the embedding of plan memoized under the signature sig.
-// The returned slice is shared between callers and MUST be treated as
-// read-only. A cheap structural fingerprint guards each hit, so a signature
-// whose plan changes (schema drift, replanning) is re-embedded rather than
-// served a stale vector. Safe for concurrent use.
-func (e *Embedder) EmbedSig(sig string, plan *sparksim.Plan) []float64 {
-	if sig == "" || plan == nil {
-		return e.Embed(plan)
-	}
-	fp := planFingerprint(plan)
-	e.mu.RLock()
-	ent, ok := e.memo[sig]
-	e.mu.RUnlock()
-	if ok && ent.fp == fp {
-		return ent.vec
-	}
-	vec := e.Embed(plan)
-	e.mu.Lock()
-	if e.memo == nil {
-		e.memo = make(map[string]memoEntry, 16)
-	}
-	if _, exists := e.memo[sig]; exists || len(e.memo) < memoCap {
-		e.memo[sig] = memoEntry{fp: fp, vec: vec}
-	}
-	e.mu.Unlock()
-	return vec
-}
-
-// planFingerprint hashes the plan's structure and cardinalities (FNV-1a over
-// a preorder walk) without allocating; it is the staleness guard for the
-// EmbedSig memo, not a cryptographic digest.
-func planFingerprint(plan *sparksim.Plan) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	plan.Walk(func(n *sparksim.Node) {
-		mix(uint64(n.Op))
-		mix(math.Float64bits(n.InRows))
-		mix(math.Float64bits(n.OutRows))
-		mix(math.Float64bits(n.RowBytes))
-		mix(uint64(len(n.Children)))
-	})
-	return h
 }
 
 // structuralFeatures computes tree depth, the longest root-to-leaf chain of

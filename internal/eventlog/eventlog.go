@@ -188,10 +188,7 @@ func Parse(r io.Reader, space *sparksim.Space) ([]Run, error) {
 }
 
 // ETL converts parsed runs into surrogate training traces, computing each
-// plan's workload embedding — the Embedding ETL streaming job. Embeddings
-// are memoized per query signature (EmbedSig), so the recurring jobs that
-// dominate production ingest pay the plan walk once; the resulting vectors
-// are shared and must be treated as read-only.
+// plan's workload embedding — the Embedding ETL streaming job.
 func ETL(runs []Run, embedder *embedding.Embedder) []flighting.Trace {
 	if embedder == nil {
 		embedder = defaultETLEmbedder
@@ -203,7 +200,7 @@ func ETL(runs []Run, embedder *embedding.Embedder) []flighting.Trace {
 		}
 		out = append(out, flighting.Trace{
 			QueryID:   run.QueryID,
-			Embedding: embedder.EmbedSig(run.QueryID, run.Plan),
+			Embedding: embedder.Embed(run.Plan),
 			Config:    run.Config,
 			DataSize:  run.InputBytes,
 			TimeMs:    run.DurationMs,
@@ -212,6 +209,5 @@ func ETL(runs []Run, embedder *embedding.Embedder) []flighting.Trace {
 	return out
 }
 
-// defaultETLEmbedder is shared across ETL calls so its signature memo
-// survives between ingest batches.
+// defaultETLEmbedder is the embedder ETL uses when the caller passes none.
 var defaultETLEmbedder = embedding.NewVirtual()

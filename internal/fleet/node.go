@@ -444,7 +444,7 @@ func (n *Node) Promote(dead string) {
 			c = len(export)
 		}
 		//rocklint:allow deadlockcycle -- promotion absorb is deliberately exclusive: n.mu serializes Promote so a dead owner's replica is folded in exactly once, and the chunked fsync-bounded batches keep each critical section short
-		if err := n.primary.PutBatchAtCtx(ctx, export[:c]); err != nil {
+		if err := n.primary.Commit(ctx, export[:c]); err != nil {
 			n.logf("fleet: absorb of %s halted: %v", dead, err)
 			status = "error"
 			return // not marked promoted; the next Promote retries
@@ -537,7 +537,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if sp != nil {
 		ctx = telemetry.WithSpan(ctx, sp.Context())
 	}
-	seq, err := rs.ApplyReplicatedCtx(ctx, frames)
+	seq, err := rs.ApplyReplicated(ctx, frames)
 	if err != nil {
 		sp.Finish("error")
 	} else {
@@ -671,7 +671,7 @@ type StorePeer struct {
 
 // Replicate implements Peer.
 func (p StorePeer) Replicate(ctx context.Context, frames []byte) (uint64, error) {
-	seq, err := p.Store.ApplyReplicatedCtx(ctx, frames)
+	seq, err := p.Store.ApplyReplicated(ctx, frames)
 	if errors.Is(err, store.ErrReplicaGap) {
 		return seq, fmt.Errorf("%w: %v", ErrPeerGap, err)
 	}

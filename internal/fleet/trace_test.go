@@ -137,7 +137,7 @@ func verifyTree(t *testing.T, tree telemetry.TraceTree) {
 		t.Errorf("root = %q, want client_send", got)
 	}
 	nodes := make(map[string]bool)
-	followerApplies := 0
+	applyNodes := make(map[string]bool)
 	for _, sp := range tree.Spans() {
 		if sp.Node != "" {
 			nodes[sp.Node] = true
@@ -152,13 +152,16 @@ func verifyTree(t *testing.T, tree telemetry.TraceTree) {
 			t.Errorf("span %s finished without a status", sp.Name)
 		}
 		if sp.Name == "replica_apply" {
-			followerApplies++
+			applyNodes[sp.Node] = true
 		}
 	}
 	if len(nodes) != 3 {
 		t.Errorf("tree spans %d nodes %v, want all 3", len(nodes), nodes)
 	}
-	if followerApplies != 2 {
-		t.Errorf("tree has %d replica_apply spans, want one per follower (2)", followerApplies)
+	// /api/events commits two records (event file, index entry); whether a
+	// follower applies them in one shipment or two is the replicator's race,
+	// so count the followers that applied, not the applies.
+	if len(applyNodes) != 2 {
+		t.Errorf("replica_apply spans on %d node(s) %v, want both followers", len(applyNodes), applyNodes)
 	}
 }

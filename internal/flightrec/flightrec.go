@@ -69,10 +69,10 @@ type Recorder struct {
 	dir  string
 	now  func() time.Time
 
+	ring *telemetry.Ring[Event]
+
+	// mu makes "assign Seq, then record" one step, so ring order is Seq order.
 	mu      sync.Mutex
-	buf     []Event
-	next    int
-	full    bool
 	seq     uint64
 	dumpSeq int
 	dumped  map[string]bool
@@ -90,7 +90,7 @@ func New(n int, node, dir string, now func() time.Time) *Recorder {
 		node:   node,
 		dir:    dir,
 		now:    now,
-		buf:    make([]Event, n),
+		ring:   telemetry.NewRing[Event](n),
 		dumped: make(map[string]bool),
 	}
 }
@@ -125,11 +125,7 @@ func (r *Recorder) Eventf(level Level, component string, sc telemetry.SpanContex
 	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	if r.next == 0 {
-		r.full = true
-	}
+	r.ring.Record(ev)
 	r.mu.Unlock()
 }
 
@@ -138,19 +134,7 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsLocked()
-}
-
-func (r *Recorder) eventsLocked() []Event {
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return r.ring.Snapshot()
 }
 
 // Dump snapshots the ring to the data directory, named by reason and a
@@ -175,7 +159,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		Node:      r.node,
 		Reason:    reason,
 		WrittenAt: r.now().UnixNano(),
-		Events:    r.eventsLocked(),
+		Events:    r.ring.Snapshot(),
 	}
 	path := filepath.Join(r.dir, fmt.Sprintf("flightrec-%s-%03d.json", reason, r.dumpSeq))
 	fn := r.onDump

@@ -222,13 +222,15 @@ func DefaultRules() []Rule {
 		// disk) and the session upload path both turn a dropped error into
 		// silently lost data.
 		UnusedResult{Funcs: []string{
+			"(*" + module + "/internal/store.Store).Commit",
 			"(*" + module + "/internal/store.Store).Put",
 			"(*" + module + "/internal/store.Store).PutBatch",
+			"(*" + module + "/internal/store.DurableStore).Commit",
 			"(*" + module + "/internal/store.DurableStore).Put",
 			"(*" + module + "/internal/store.DurableStore).PutBatch",
 			"(*" + module + "/internal/store.DurableStore).Delete",
 			"(*" + module + "/internal/store.DurableStore).Compact",
-			"(" + module + "/internal/backend.ObjectStore).Put",
+			"(" + module + "/internal/backend.ObjectStore).Commit",
 			"(*" + module + "/internal/client.Session).Complete",
 			module + "/internal/client.FinishApp",
 		}},

@@ -7,18 +7,18 @@ import (
 
 // UnusedResult flags statement-position calls to functions whose error
 // result must not be dropped. The durability contract makes this a
-// correctness rule, not a style rule: DurableStore.Put returns nil only
+// correctness rule, not a style rule: DurableStore.Commit returns nil only
 // after the WAL record is on disk, so a caller that discards the error has
 // acknowledged a mutation that may not survive a crash. The watch list is
 // resolved through go/types (types.Func.FullName), so aliases, embedding,
 // and interface dispatch are all seen through — a dropped
-// ObjectStore.Put is a finding even though the concrete store is only
+// ObjectStore.Commit is a finding even though the concrete store is only
 // known at runtime. An explicit `_ =` discard is a conscious decision and
 // is not flagged.
 type UnusedResult struct {
 	// Funcs are the watched callees as types.Func.FullName strings, e.g.
-	// "(*path/to/store.Store).Put" for a pointer method,
-	// "(path/to/backend.ObjectStore).Put" for an interface method, and
+	// "(*path/to/store.Store).Commit" for a pointer method,
+	// "(path/to/backend.ObjectStore).Commit" for an interface method, and
 	// "path/to/client.FinishApp" for a package-level function.
 	Funcs []string
 }

@@ -110,9 +110,6 @@ func deriveRatios(rep *Report) {
 	if okS && okB && batch > 0 {
 		rep.Derived["wal_batch_amortization_512"] = single * 512 / batch
 	}
-	// The embedding memo's win is allocation-freeness, not ns/op (the
-	// fingerprint guard walks the plan just as Embed does), so it gets no
-	// derived ratio; its raw results carry the alloc counts Compare enforces.
 }
 
 // Regression is one comparison failure.

@@ -54,7 +54,6 @@ func Specs(short bool) []Spec {
 		Spec{Name: fmt.Sprintf("wal_batch_append_%d", walBatchEntries), Fn: benchWALBatchAppend},
 		Spec{Name: "wal_replay", Fn: benchWALReplay},
 		Spec{Name: "embedding_compute", Fn: benchEmbeddingCompute},
-		Spec{Name: "embedding_memoized", Fn: benchEmbeddingMemoized},
 		Spec{Name: "tuner_iteration", Fn: benchTunerIteration},
 	)
 	return specs
@@ -354,7 +353,7 @@ func replayOnce(b *testing.B, walBytes []byte) {
 }
 
 // benchEmbeddingCompute measures one full virtual-operator embedding of a
-// benchmark plan — the cost EmbedSig's memo avoids on repeat signatures.
+// benchmark plan — what the Embedding ETL pays per ingested run.
 func benchEmbeddingCompute(b *testing.B) {
 	q, err := rockhopper.NewBenchmarkQuery("tpcds", 7, 99)
 	if err != nil {
@@ -365,24 +364,6 @@ func benchEmbeddingCompute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vec := e.Embed(q.Plan)
-		sink += vec[0]
-	}
-	_ = sink
-}
-
-// benchEmbeddingMemoized measures the per-run cost for a recurrent
-// signature: a fingerprint check plus a map hit.
-func benchEmbeddingMemoized(b *testing.B) {
-	q, err := rockhopper.NewBenchmarkQuery("tpcds", 7, 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := embedding.NewVirtual()
-	e.EmbedSig("tpcds-q7", q.Plan) // populate the memo
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vec := e.EmbedSig("tpcds-q7", q.Plan)
 		sink += vec[0]
 	}
 	_ = sink

@@ -8,6 +8,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"sync"
@@ -30,7 +31,7 @@ type Decision struct {
 }
 
 // Plan decides the fate of each operation. op names the operation, e.g.
-// "GET /api/object" or "store.Put"; plans may ignore it or filter on it.
+// "GET /api/object" or "store.Commit"; plans may ignore it or filter on it.
 type Plan interface {
 	Decide(op string) Decision
 }
@@ -169,16 +170,15 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 type ObjectStore interface {
 	Sign(prefix string, perm store.Permission, ttl time.Duration) string
 	Verify(tok, p string, perm store.Permission) error
-	Put(tok, p string, data []byte) error
 	Get(tok, p string) ([]byte, error)
-	PutInternal(p string, data []byte)
 	GetInternal(p string) ([]byte, error)
 	List(prefix string) []string
+	Commit(ctx context.Context, entries []store.Entry) error
 }
 
 // Store wraps an ObjectStore with plan-driven faults on the fallible
-// operations (Put, Get, GetInternal), named "store.Put" etc. Sign, Verify,
-// List, and PutInternal pass through untouched.
+// operations, named "store.Commit", "store.Get" and "store.GetInternal".
+// Sign, Verify and List pass through untouched.
 type Store struct {
 	Inner ObjectStore
 	Plan  Plan
@@ -206,12 +206,12 @@ func (s *Store) Verify(tok, p string, perm store.Permission) error {
 	return s.Inner.Verify(tok, p, perm)
 }
 
-// Put implements ObjectStore.
-func (s *Store) Put(tok, p string, data []byte) error {
-	if err := s.decide("store.Put"); err != nil {
+// Commit implements ObjectStore: the one mutation, so the one write fault.
+func (s *Store) Commit(ctx context.Context, entries []store.Entry) error {
+	if err := s.decide("store.Commit"); err != nil {
 		return err
 	}
-	return s.Inner.Put(tok, p, data)
+	return s.Inner.Commit(ctx, entries)
 }
 
 // Get implements ObjectStore.
@@ -221,9 +221,6 @@ func (s *Store) Get(tok, p string) ([]byte, error) {
 	}
 	return s.Inner.Get(tok, p)
 }
-
-// PutInternal implements ObjectStore.
-func (s *Store) PutInternal(p string, data []byte) { s.Inner.PutInternal(p, data) }
 
 // GetInternal implements ObjectStore.
 func (s *Store) GetInternal(p string) ([]byte, error) {

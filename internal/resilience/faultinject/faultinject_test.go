@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -88,13 +89,16 @@ func TestTransportInjectsAndCounts(t *testing.T) {
 
 func TestStoreWrapperInjects(t *testing.T) {
 	inner := store.New([]byte("k"))
-	fs := &Store{Inner: inner, Plan: &ForOps{Plan: &FailN{N: 1}, Ops: []string{"store.Put"}}}
-	tok := fs.Sign("a/", store.PermWrite, 1e12)
-	if err := fs.Put(tok, "a/x", []byte("1")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("first Put should fault, got %v", err)
+	fs := &Store{Inner: inner, Plan: &ForOps{Plan: &FailN{N: 1}, Ops: []string{"store.Commit"}}}
+	entries := []store.Entry{{Path: "a/x", Data: []byte("1")}}
+	if err := fs.Commit(context.Background(), entries); !errors.Is(err, ErrInjected) {
+		t.Fatalf("first Commit should fault, got %v", err)
 	}
-	if err := fs.Put(tok, "a/x", []byte("1")); err != nil {
-		t.Fatalf("second Put should pass: %v", err)
+	if inner.Len() != 0 {
+		t.Fatal("faulted Commit reached the inner store")
+	}
+	if err := fs.Commit(context.Background(), entries); err != nil {
+		t.Fatalf("second Commit should pass: %v", err)
 	}
 	if _, err := fs.GetInternal("a/x"); err != nil {
 		t.Fatal(err)

@@ -91,7 +91,7 @@ func TestPutBatchReplayEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step(d.put("models/u/a.model", []byte("alpha"), telemetry.SpanContext{}))
+	step(commit1(d, "models/u/a.model", []byte("alpha")))
 	ref.PutInternal("models/u/a.model", []byte("alpha"))
 	clock.Advance(time.Minute)
 	step(d.PutBatch(batchEntries(3)))
@@ -130,11 +130,11 @@ func TestPutBatchCrashAtomicity(t *testing.T) {
 		Clock: clock, CompactEvery: -1, Hooks: fireAt(CrashMidRecord, 3),
 	})
 
-	if err := d.put("models/u/a.model", []byte("alpha"), telemetry.SpanContext{}); err != nil {
+	if err := commit1(d, "models/u/a.model", []byte("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	ref.PutInternal("models/u/a.model", []byte("alpha"))
-	if err := d.put("models/u/b.model", []byte("beta"), telemetry.SpanContext{}); err != nil {
+	if err := commit1(d, "models/u/b.model", []byte("beta")); err != nil {
 		t.Fatal(err)
 	}
 	ref.PutInternal("models/u/b.model", []byte("beta"))

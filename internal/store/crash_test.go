@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
-
-	"github.com/rockhopper-db/rockhopper/internal/telemetry"
 )
 
 // The crash matrix drives a fixed mutation trace into a durable store,
@@ -57,7 +55,7 @@ func applyOp(d *DurableStore, op traceOp) error {
 	if op.del {
 		return d.Delete(op.path)
 	}
-	return d.put(op.path, []byte(op.data), telemetry.SpanContext{})
+	return commit1(d, op.path, []byte(op.data))
 }
 
 func mirrorOp(ref *Store, op traceOp) {
@@ -86,7 +84,7 @@ func runCrashTrace(t *testing.T, dir string, hooks func(CrashPoint) error, compa
 				t.Fatalf("op %d failed with %v; want ErrCrashed", acked, err)
 			}
 			// A dead store must stay dead: no later mutation may sneak in.
-			if err := d.put("models/u/late.model", []byte("x"), telemetry.SpanContext{}); !errors.Is(err, ErrCrashed) {
+			if err := commit1(d, "models/u/late.model", []byte("x")); !errors.Is(err, ErrCrashed) {
 				t.Fatalf("post-crash put = %v; want ErrCrashed", err)
 			}
 			return ref, acked
@@ -109,7 +107,7 @@ func reopenAndCompare(t *testing.T, dir string, ref *Store, label string) {
 	}
 	// Recovery must leave a writable log behind: the next mutation appends
 	// cleanly past any truncated tail.
-	if err := re.put("probe/after-recovery", []byte("ok"), telemetry.SpanContext{}); err != nil {
+	if err := commit1(re, "probe/after-recovery", []byte("ok")); err != nil {
 		t.Fatalf("%s: store not writable after recovery: %v", label, err)
 	}
 }
@@ -203,7 +201,7 @@ func TestCrashThenRecoverThenCrashAgain(t *testing.T) {
 	ref.SetClock(clock.Now)
 	re := mustOpen(t, dir, DurableOptions{Clock: clock, CompactEvery: -1, Hooks: fireAt(CrashPostRename, 1)})
 	clock.Advance(time.Minute)
-	if err := re.put("models/u/second-life.model", []byte("v2"), telemetry.SpanContext{}); err != nil {
+	if err := commit1(re, "models/u/second-life.model", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	ref.PutInternal("models/u/second-life.model", []byte("v2"))

@@ -365,22 +365,49 @@ func (d *DurableStore) appendLocked(rec walRecord, sc telemetry.SpanContext) err
 	return nil
 }
 
-// put logs and applies one write under the caller's trace identity.
-func (d *DurableStore) put(p string, data []byte, sc telemetry.SpanContext) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// commitLocked is the one mutation path: refuse when down, log the record,
+// apply it with the function replay and follower-apply use, then compact if
+// the log has grown. Callers hold d.mu and leave rec.Seq unset.
+func (d *DurableStore) commitLocked(rec walRecord, sc telemetry.SpanContext) error {
 	if d.down != nil {
 		return d.down
 	}
-	rec := walRecord{Seq: d.seq + 1, Op: opPut, Path: p, Data: data, Created: d.clock.Now().UnixNano()}
-	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
+	rec.Seq = d.seq + 1
 	if err := d.appendLocked(rec, sc); err != nil {
 		return err
 	}
-	d.mem.putAt(p, data, time.Unix(0, rec.Created))
-	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
+	d.applyLocked(rec)
 	d.maybeCompactCountLocked()
 	return nil
+}
+
+// Commit is the group-commit primitive and the store's only write: it logs
+// the entries as ONE WAL record — one append and one fsync no matter how
+// many — under the trace identity ctx carries, and returns nil only once
+// that record is on disk. Replay applies the record all-or-nothing, so a
+// crash can never surface a partial commit: batched ingest relies on this
+// for event-file + index atomicity. Re-committing entries that carry their
+// Created (the promote path's absorb) is idempotent.
+func (d *DurableStore) Commit(ctx context.Context, entries []Entry) error {
+	if len(entries) == 0 {
+		return nil
+	}
+	if err := checkEntries(entries); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	now := d.clock.Now()
+	// One entry keeps the compact put record; more share a batch record.
+	rec := walRecord{Op: opPut, Path: entries[0].Path, Data: entries[0].Data, Created: entries[0].createdOr(now).UnixNano()}
+	if len(entries) > 1 {
+		rec = walRecord{Op: opBatch, Entries: make([]snapEntry, len(entries))}
+		for i, e := range entries {
+			rec.Entries[i] = snapEntry{Path: e.Path, Data: e.Data, Created: e.createdOr(now).UnixNano()}
+		}
+	}
+	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
+	return d.commitLocked(rec, telemetry.SpanFrom(ctx))
 }
 
 // Sign issues a scoped access token; tokens are stateless, so this is the
@@ -394,40 +421,22 @@ func (d *DurableStore) Verify(tok, p string, perm Permission) error {
 	return d.mem.Verify(tok, p, perm)
 }
 
-// Put writes an object after verifying the write token. It acknowledges
-// only after the mutation is in the WAL.
+// Put writes an object after verifying the write token.
 func (d *DurableStore) Put(tok, p string, data []byte) error {
 	if err := d.mem.Verify(tok, p, PermWrite); err != nil {
 		return err
 	}
-	return d.put(p, data, telemetry.SpanContext{})
-}
-
-// PutCtx is Put carrying the request's trace identity, so the WAL append
-// and fsync surface as child spans of the caller's span.
-func (d *DurableStore) PutCtx(ctx context.Context, tok, p string, data []byte) error {
-	if err := d.mem.Verify(tok, p, PermWrite); err != nil {
-		return err
-	}
-	return d.put(p, data, telemetry.SpanFrom(ctx))
+	return d.Commit(context.Background(), []Entry{{Path: p, Data: data}})
 }
 
 // Get reads an object after verifying the read token.
 func (d *DurableStore) Get(tok, p string) ([]byte, error) { return d.mem.Get(tok, p) }
 
-// PutInternal writes without a token. The ObjectStore interface gives it
-// no error slot, so a durability failure is logged and latched: Err
-// reports it and every later mutation fails fast rather than silently
-// diverging from the log.
+// PutInternal is a one-entry Commit for callers with no error slot: a
+// durability failure is logged and latched, so Err reports it and every
+// later mutation fails fast rather than silently diverging from the log.
 func (d *DurableStore) PutInternal(p string, data []byte) {
-	if err := d.put(p, data, telemetry.SpanContext{}); err != nil {
-		d.logf("store: durable PutInternal %s: %v", p, err)
-	}
-}
-
-// PutInternalCtx is PutInternal carrying the request's trace identity.
-func (d *DurableStore) PutInternalCtx(ctx context.Context, p string, data []byte) {
-	if err := d.put(p, data, telemetry.SpanFrom(ctx)); err != nil {
+	if err := d.Commit(context.Background(), []Entry{{Path: p, Data: data}}); err != nil {
 		d.logf("store: durable PutInternal %s: %v", p, err)
 	}
 }
@@ -435,48 +444,9 @@ func (d *DurableStore) PutInternalCtx(ctx context.Context, p string, data []byte
 // GetInternal reads without a token.
 func (d *DurableStore) GetInternal(p string) ([]byte, error) { return d.mem.GetInternal(p) }
 
-// PutBatch is the group-commit primitive: it logs a whole batch of internal
-// writes as ONE WAL record — one append and one fsync no matter how many
-// entries — then applies them to the in-memory image. Replay applies the
-// record all-or-nothing, so a crash can never surface a partial batch: the
-// batched ingest endpoint relies on this for event-file + index atomicity.
+// PutBatch is Commit without a context.
 func (d *DurableStore) PutBatch(entries []BatchEntry) error {
-	return d.putBatch(entries, telemetry.SpanContext{})
-}
-
-// PutBatchCtx is PutBatch carrying the request's trace identity: the batch
-// ingest's single WAL append + fsync land in the request's causal tree.
-func (d *DurableStore) PutBatchCtx(ctx context.Context, entries []BatchEntry) error {
-	return d.putBatch(entries, telemetry.SpanFrom(ctx))
-}
-
-func (d *DurableStore) putBatch(entries []BatchEntry, sc telemetry.SpanContext) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down != nil {
-		return d.down
-	}
-	created := d.clock.Now().UnixNano()
-	es := make([]snapEntry, len(entries))
-	for i, e := range entries {
-		if e.Path == "" {
-			return fmt.Errorf("store: batch entry %d has an empty path", i)
-		}
-		es[i] = snapEntry{Path: e.Path, Data: e.Data, Created: created}
-	}
-	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	if err := d.appendLocked(walRecord{Seq: d.seq + 1, Op: opBatch, Entries: es}, sc); err != nil {
-		return err
-	}
-	for _, e := range es {
-		d.mem.putAt(e.Path, e.Data, time.Unix(0, e.Created))
-	}
-	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	d.maybeCompactCountLocked()
-	return nil
+	return d.Commit(context.Background(), entries)
 }
 
 // List returns the paths under prefix, sorted.
@@ -490,45 +460,28 @@ func (d *DurableStore) Len() int { return d.mem.Len() }
 func (d *DurableStore) Delete(p string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.down != nil {
-		return d.down
-	}
 	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	if err := d.appendLocked(walRecord{Seq: d.seq + 1, Op: opDel, Path: p}, telemetry.SpanContext{}); err != nil {
-		return err
-	}
-	d.mem.Delete(p)
-	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	d.maybeCompactCountLocked()
-	return nil
+	return d.commitLocked(walRecord{Op: opDel, Path: p}, telemetry.SpanContext{})
 }
 
 // CleanupOlderThan runs the retention sweep (expired event files plus
-// orphans of a failed two-phase ingest) and returns how many objects were
-// reaped. The whole batch is one WAL record — one append + fsync no matter
-// how many files expired, so a large sweep does not stall Put/Delete
-// behind a per-file fsync loop — logged before any removal is applied, so
-// the sweep is all-or-nothing across a crash.
+// orphans of a two-phase /api/events ingest that never indexed its file) and
+// returns how many objects were reaped. The whole batch is one WAL record —
+// one append + fsync no matter how many files expired, so a large sweep
+// does not stall commits behind a per-file fsync loop — logged before any
+// removal is applied, so the sweep is all-or-nothing across a crash.
 func (d *DurableStore) CleanupOlderThan(retention time.Duration) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.down != nil {
-		return 0
-	}
 	reaped := d.mem.expiredEvents(retention)
 	if len(reaped) == 0 {
 		return 0
 	}
 	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	if err := d.appendLocked(walRecord{Seq: d.seq + 1, Op: opSweep, Paths: reaped}, telemetry.SpanContext{}); err != nil {
+	if err := d.commitLocked(walRecord{Op: opSweep, Paths: reaped}, telemetry.SpanContext{}); err != nil {
 		d.logf("store: retention sweep of %d file(s) not logged: %v", len(reaped), err)
 		return 0
 	}
-	for _, p := range reaped {
-		d.mem.Delete(p)
-	}
-	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	d.maybeCompactCountLocked()
 	return len(reaped)
 }
 

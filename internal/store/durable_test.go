@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -45,6 +46,30 @@ func wantSameState(t *testing.T, label string, a, b any) {
 	if !reflect.DeepEqual(ea, eb) {
 		t.Fatalf("%s: states diverge:\n a=%+v\n b=%+v", label, ea, eb)
 	}
+}
+
+// commit1 is a one-entry Commit stamped "now".
+func commit1(d *DurableStore, p string, data []byte) error {
+	return d.Commit(context.Background(), []Entry{{Path: p, Data: data}})
+}
+
+// randomCommit draws a 1–4 entry commit over paths. About a third of the
+// entries carry an explicit Created up to three days back (the promote
+// path's shape, and old enough for a sweep to bite); the rest leave it zero
+// for the store to stamp.
+func randomCommit(r *stats.RNG, paths []string, now time.Time, i int) []Entry {
+	n := 1
+	if r.Intn(2) == 0 {
+		n = 2 + r.Intn(3)
+	}
+	entries := make([]Entry, n)
+	for j := range entries {
+		entries[j] = Entry{Path: paths[r.Intn(len(paths))], Data: []byte(fmt.Sprintf("v-%d-%d-%d", i, j, r.Uint64()))}
+		if r.Intn(3) == 0 {
+			entries[j].Created = now.Add(-time.Duration(r.Intn(72*60)) * time.Minute)
+		}
+	}
+	return entries
 }
 
 func mustOpen(t *testing.T, dir string, opts DurableOptions) *DurableStore {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -8,12 +9,11 @@ import (
 
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
 	"github.com/rockhopper-db/rockhopper/internal/stats"
-
-	"github.com/rockhopper-db/rockhopper/internal/telemetry"
 )
 
 // TestPropertyReplayEquivalence is the replay-equivalence property: for a
-// random operation trace, three executions — an in-memory reference, a
+// random operation trace (one- and many-entry commits with and without
+// caller-supplied timestamps, deletes, sweeps), three executions — an in-memory reference, a
 // durable store that only ever appends to its WAL, and a durable store that
 // compacts aggressively mid-trace — must agree on final state, and both
 // durable flavors must still agree after an unclean reopen (pure WAL replay
@@ -43,6 +43,7 @@ func TestPropertyReplayEquivalence(t *testing.T) {
 
 func runEquivalenceTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 	t.Helper()
+	ctx := context.Background()
 	clock := resilience.NewFakeClock(time.Unix(int64(60000+trial), 0))
 	ref := New([]byte("k"))
 	ref.SetClock(clock.Now)
@@ -65,13 +66,12 @@ func runEquivalenceTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 		p := paths[r.Intn(len(paths))]
 		switch r.Intn(10) {
 		case 0, 1, 2, 3, 4, 5:
-			data := []byte(fmt.Sprintf("v-%d-%d", i, r.Uint64()))
-			for _, err := range []error{walOnly.put(p, data, telemetry.SpanContext{}), mixed.put(p, data, telemetry.SpanContext{})} {
+			entries := randomCommit(r, paths, clock.Now(), i)
+			for _, err := range []error{ref.Commit(ctx, entries), walOnly.Commit(ctx, entries), mixed.Commit(ctx, entries)} {
 				if err != nil {
-					t.Fatalf("%s: %v", label("put", i), err)
+					t.Fatalf("%s: %v", label("commit", i), err)
 				}
 			}
-			ref.PutInternal(p, data)
 		case 6, 7:
 			for _, err := range []error{walOnly.Delete(p), mixed.Delete(p)} {
 				if err != nil {
@@ -106,7 +106,7 @@ func runEquivalenceTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 	// The recovered stores must keep accepting and agreeing on mutations.
 	clock.Advance(time.Minute)
 	post := []byte(fmt.Sprintf("post-%d-%d", seed, trial))
-	for _, err := range []error{reWAL.put(paths[0], post, telemetry.SpanContext{}), reMix.put(paths[0], post, telemetry.SpanContext{})} {
+	for _, err := range []error{commit1(reWAL, paths[0], post), commit1(reMix, paths[0], post)} {
 		if err != nil {
 			t.Fatalf("%s: %v", label("post-reopen put", nops), err)
 		}

@@ -10,8 +10,8 @@
 // (it was down, or the owner's shipping buffer overflowed) installs a full
 // SnapshotImage from the owner and resumes frame application from the
 // snapshot's sequence number. On promote, the surviving node absorbs the
-// follower store's Export into its own primary via PutBatchAt, which
-// preserves creation timestamps so retention clocks survive failover.
+// follower store's Export into its own primary via Commit, whose entries
+// carry their creation timestamps so retention clocks survive failover.
 package store
 
 import (
@@ -30,19 +30,6 @@ import (
 // follower's next expected sequence number. The follower cannot apply it —
 // records in between are missing — and must catch up from a snapshot.
 var ErrReplicaGap = errors.New("store: replicated frames skip past the next expected sequence")
-
-// Entry is one exported object: the public shape of a snapshot entry, used
-// by the fleet layer to ship and absorb store state across nodes.
-type Entry struct {
-	// Path is the object path.
-	Path string
-	// Data is the object payload.
-	Data []byte
-	// Created is the object's creation timestamp; preserving it across
-	// replication and promote keeps retention behavior identical on every
-	// replica.
-	Created time.Time
-}
 
 // Seq returns the last durably applied WAL sequence number.
 func (d *DurableStore) Seq() uint64 {
@@ -75,19 +62,11 @@ func (d *DurableStore) Export() []Entry {
 // with one Write and one fsync, amortizing the way group commit does.
 //
 // The returned sequence is the follower's post-apply sequence number; it is
-// valid even when an error is returned.
-func (d *DurableStore) ApplyReplicated(frames []byte) (uint64, error) {
-	return d.applyReplicated(frames, telemetry.SpanContext{})
-}
-
-// ApplyReplicatedCtx is ApplyReplicated carrying the shipping request's
+// valid even when an error is returned. ctx carries the shipping request's
 // trace identity, so the follower's apply + fsync surface as child spans of
 // the owner's replicate span in the cross-node tree.
-func (d *DurableStore) ApplyReplicatedCtx(ctx context.Context, frames []byte) (uint64, error) {
-	return d.applyReplicated(frames, telemetry.SpanFrom(ctx))
-}
-
-func (d *DurableStore) applyReplicated(frames []byte, sc telemetry.SpanContext) (uint64, error) {
+func (d *DurableStore) ApplyReplicated(ctx context.Context, frames []byte) (uint64, error) {
+	sc := telemetry.SpanFrom(ctx)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.down != nil {
@@ -227,49 +206,6 @@ func (d *DurableStore) InstallSnapshot(image []byte) (uint64, error) {
 		d.logf("store: WAL truncate after shipped snapshot: %v", err)
 	}
 	return d.seq, nil
-}
-
-// PutBatchAt is PutBatch with caller-supplied creation timestamps: one WAL
-// record, one fsync, timestamps preserved. The promote path uses it to
-// absorb a follower store's Export into the survivor's primary without
-// resetting retention clocks; re-absorbing the same entries is idempotent.
-func (d *DurableStore) PutBatchAt(entries []Entry) error {
-	return d.putBatchAt(entries, telemetry.SpanContext{})
-}
-
-// PutBatchAtCtx is PutBatchAt carrying the caller's trace identity — the
-// promote path passes its promote_replay root span so each absorb chunk's
-// WAL append lands in the promotion's causal tree.
-func (d *DurableStore) PutBatchAtCtx(ctx context.Context, entries []Entry) error {
-	return d.putBatchAt(entries, telemetry.SpanFrom(ctx))
-}
-
-func (d *DurableStore) putBatchAt(entries []Entry, sc telemetry.SpanContext) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down != nil {
-		return d.down
-	}
-	es := make([]snapEntry, len(entries))
-	for i, e := range entries {
-		if e.Path == "" {
-			return fmt.Errorf("store: batch entry %d has an empty path", i)
-		}
-		es[i] = snapEntry{Path: e.Path, Data: e.Data, Created: e.Created.UnixNano()}
-	}
-	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	if err := d.appendLocked(walRecord{Seq: d.seq + 1, Op: opBatch, Entries: es}, sc); err != nil {
-		return err
-	}
-	for _, e := range es {
-		d.mem.putAt(e.Path, e.Data, time.Unix(0, e.Created))
-	}
-	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	d.maybeCompactCountLocked()
-	return nil
 }
 
 // resetTo replaces the in-memory object set with the given entries — the

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -60,12 +61,12 @@ func TestReplicaApplyFramesAndRedelivery(t *testing.T) {
 		t.Fatalf("captured %d frames, want 3", len(tap.frames))
 	}
 
-	seq, err := follower.ApplyReplicated(tap.batch(0, 2))
+	seq, err := follower.ApplyReplicated(context.Background(), tap.batch(0, 2))
 	if err != nil || seq != 2 {
 		t.Fatalf("apply [0,2): seq=%d err=%v", seq, err)
 	}
 	// Redelivered prefix plus the new suffix: dups are skipped, tail applies.
-	seq, err = follower.ApplyReplicated(tap.batch(0, 3))
+	seq, err = follower.ApplyReplicated(context.Background(), tap.batch(0, 3))
 	if err != nil || seq != 3 {
 		t.Fatalf("apply redelivered [0,3): seq=%d err=%v", seq, err)
 	}
@@ -89,7 +90,7 @@ func TestReplicaGapDetectedAndSnapshotCatchUp(t *testing.T) {
 		owner.PutInternal(EventPath("j", i), []byte(fmt.Sprintf("e%d", i)))
 	}
 	// Ship only the tail: the follower must refuse it, nothing applied.
-	if seq, err := follower.ApplyReplicated(tap.batch(4, 6)); !errors.Is(err, ErrReplicaGap) || seq != 0 {
+	if seq, err := follower.ApplyReplicated(context.Background(), tap.batch(4, 6)); !errors.Is(err, ErrReplicaGap) || seq != 0 {
 		t.Fatalf("gap apply: seq=%d err=%v, want seq=0 ErrReplicaGap", seq, err)
 	}
 	if follower.Len() != 0 {
@@ -108,7 +109,7 @@ func TestReplicaGapDetectedAndSnapshotCatchUp(t *testing.T) {
 	// Frame shipping resumes from the snapshot's sequence number.
 	clock.Advance(time.Second)
 	owner.PutInternal(ModelPath("u", "s"), []byte("post-snap"))
-	if seq, err := follower.ApplyReplicated(tap.batch(6, 7)); err != nil || seq != 7 {
+	if seq, err := follower.ApplyReplicated(context.Background(), tap.batch(6, 7)); err != nil || seq != 7 {
 		t.Fatalf("post-snapshot apply: seq=%d err=%v", seq, err)
 	}
 	wantExportsEqual(t, "post-snapshot", owner, follower)
@@ -139,7 +140,7 @@ func TestReplicaSnapshotRewindRefused(t *testing.T) {
 	}
 }
 
-func TestPutBatchAtPreservesTimestampsIdempotently(t *testing.T) {
+func TestCommitPreservesTimestampsIdempotently(t *testing.T) {
 	t.Parallel()
 	clock := resilience.NewFakeClock(time.Unix(70300, 0))
 	src := mustOpen(t, t.TempDir(), DurableOptions{Clock: clock, CompactEvery: -1})
@@ -152,7 +153,7 @@ func TestPutBatchAtPreservesTimestampsIdempotently(t *testing.T) {
 	src.PutInternal(ModelPath("u", "s"), []byte("new"))
 
 	for range [2]int{} { // absorbing twice must be a no-op the second time
-		if err := dst.PutBatchAt(src.Export()); err != nil {
+		if err := dst.Commit(context.Background(), src.Export()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +223,7 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 		if r.Intn(4) == 0 && from > 0 {
 			from-- // redeliver the previous frame: dup-skip must hold
 		}
-		seq, err := follower.ApplyReplicated(tap.batch(from, to))
+		seq, err := follower.ApplyReplicated(context.Background(), tap.batch(from, to))
 		if errors.Is(err, ErrReplicaGap) {
 			image, _, serr := owner.SnapshotImage()
 			if serr != nil {
@@ -246,8 +247,8 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 		p := paths[r.Intn(len(paths))]
 		switch r.Intn(10) {
 		case 0, 1, 2, 3, 4, 5:
-			if err := owner.put(p, []byte(fmt.Sprintf("v-%d-%d", i, r.Uint64())), telemetry.SpanContext{}); err != nil {
-				t.Fatalf("%s: %v", label("put"), err)
+			if err := owner.Commit(context.Background(), randomCommit(r, paths, clock.Now(), i)); err != nil {
+				t.Fatalf("%s: %v", label("commit"), err)
 			}
 		case 6:
 			if err := owner.Delete(p); err != nil {
@@ -292,7 +293,7 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 	promoted := mustOpen(t, followerDir, DurableOptions{Clock: clock, CompactEvery: -1})
 	wantExportsEqual(t, label("promoted"), deadOwner, promoted)
 
-	// The promoted store absorbs into a fresh survivor via PutBatchAt; the
+	// The promoted store absorbs into a fresh survivor via Commit; the
 	// survivor must agree byte-for-byte, timestamps included.
 	survivor := mustOpen(t, t.TempDir(), DurableOptions{Clock: clock, CompactEvery: -1})
 	export := promoted.Export()
@@ -301,7 +302,7 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 		if n > len(export) {
 			n = len(export)
 		}
-		if err := survivor.PutBatchAt(export[:n]); err != nil {
+		if err := survivor.Commit(context.Background(), export[:n]); err != nil {
 			t.Fatalf("%s: %v", label("absorb"), err)
 		}
 		export = export[n:]

@@ -13,6 +13,7 @@
 package store
 
 import (
+	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/base64"
@@ -164,26 +165,12 @@ func (s *Store) Verify(tok, p string, perm Permission) error {
 	return nil
 }
 
-// Put writes an object after verifying the write token.
-func (s *Store) Put(tok, p string, data []byte) error {
-	if err := s.Verify(tok, p, PermWrite); err != nil {
-		return err
-	}
-	s.putUnchecked(p, data)
-	return nil
-}
-
 // Get reads an object after verifying the read token.
 func (s *Store) Get(tok, p string) ([]byte, error) {
 	if err := s.Verify(tok, p, PermRead); err != nil {
 		return nil, err
 	}
-	return s.getUnchecked(p)
-}
-
-// putUnchecked bypasses token checks; for backend-internal writers.
-func (s *Store) putUnchecked(p string, data []byte) {
-	s.putAt(p, data, s.now())
+	return s.GetInternal(p)
 }
 
 // putAt installs an object with an explicit creation time. The durability
@@ -255,8 +242,8 @@ func (s *Store) deleteLocked(p string) {
 	}
 }
 
-// getUnchecked bypasses token checks; for backend-internal readers.
-func (s *Store) getUnchecked(p string) ([]byte, error) {
+// GetInternal reads without a token; for backend-internal readers.
+func (s *Store) GetInternal(p string) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	o, ok := s.objects[p]
@@ -266,34 +253,75 @@ func (s *Store) getUnchecked(p string) ([]byte, error) {
 	return append([]byte(nil), o.data...), nil
 }
 
-// PutInternal writes without a token; only backend components hold the
-// store directly, mirroring the admin-workspace trust boundary.
-func (s *Store) PutInternal(p string, data []byte) { s.putUnchecked(p, data) }
-
-// BatchEntry is one mutation in a PutBatch group commit.
-type BatchEntry struct {
+// Entry is one object write: the unit of Commit, and the public shape of a
+// snapshot entry the fleet layer ships and absorbs across nodes.
+type Entry struct {
+	// Path is the object path.
 	Path string
+	// Data is the object payload.
 	Data []byte
+	// Created is the object's creation timestamp; the zero value means "now".
+	// Preserving it across replication and promote keeps retention behavior
+	// identical on every replica.
+	Created time.Time
 }
 
-// PutBatch applies a group of internal writes. The in-memory store has no
-// log to amortize, so the entries are applied one by one after an upfront
-// shape check; the durable store commits the same batch behind a single
-// WAL record (one append + fsync) and replays it atomically.
-func (s *Store) PutBatch(entries []BatchEntry) error {
+// createdOr resolves the entry's creation time against the commit's clock.
+func (e Entry) createdOr(now time.Time) time.Time {
+	if e.Created.IsZero() {
+		return now
+	}
+	return e.Created
+}
+
+// BatchEntry is the name PutBatch callers know Entry by.
+type BatchEntry = Entry
+
+// checkEntries rejects a commit the WAL could not replay: every entry needs
+// a path.
+func checkEntries(entries []Entry) error {
 	for i, e := range entries {
 		if e.Path == "" {
-			return fmt.Errorf("store: batch entry %d has an empty path", i)
+			return fmt.Errorf("store: commit entry %d has an empty path", i)
 		}
-	}
-	for _, e := range entries {
-		s.putUnchecked(e.Path, e.Data)
 	}
 	return nil
 }
 
-// GetInternal reads without a token.
-func (s *Store) GetInternal(p string) ([]byte, error) { return s.getUnchecked(p) }
+// Commit is the store's one write: a group of objects written without a
+// token (only backend components hold the store directly, mirroring the
+// admin-workspace trust boundary). The in-memory store has no log to carry
+// ctx's trace into, so the group is applied entry by entry after the shape
+// check; the durable store commits it behind a single WAL record.
+func (s *Store) Commit(_ context.Context, entries []Entry) error {
+	if err := checkEntries(entries); err != nil {
+		return err
+	}
+	now := s.now()
+	for _, e := range entries {
+		s.putAt(e.Path, e.Data, e.createdOr(now))
+	}
+	return nil
+}
+
+// Put writes an object after verifying the write token.
+func (s *Store) Put(tok, p string, data []byte) error {
+	if err := s.Verify(tok, p, PermWrite); err != nil {
+		return err
+	}
+	return s.Commit(context.Background(), []Entry{{Path: p, Data: data}})
+}
+
+// PutInternal is a one-entry Commit for callers with no use for the error
+// (the in-memory store only refuses an empty path).
+func (s *Store) PutInternal(p string, data []byte) {
+	_ = s.Commit(context.Background(), []Entry{{Path: p, Data: data}})
+}
+
+// PutBatch is Commit without a context.
+func (s *Store) PutBatch(entries []BatchEntry) error {
+	return s.Commit(context.Background(), entries)
+}
 
 // List returns the paths under prefix, sorted. It reads the sorted key
 // snapshot through a binary search plus the bounded overflow, never the
@@ -374,35 +402,28 @@ func (s *Store) Len() int {
 	return len(s.objects)
 }
 
-// DefaultOrphanGrace is how long a staged event file may sit without an
-// index entry before the retention sweep treats it as an orphan. The
-// two-phase event-log ingest stages event files first and commits index
-// entries second; a backend crash between the phases leaves the staged file
-// invisible to the Model Updater forever. Every live ingest finishes well
-// inside the request deadline, so an hour is conservatively past any
-// in-flight write.
+// DefaultOrphanGrace is how long an event file may sit without an index
+// entry before the retention sweep treats it as an orphan. /api/events
+// commits the event file first and its index entry second; a backend crash
+// between the two leaves the file invisible to the Model Updater forever.
+// Every live ingest finishes well inside the request deadline, so an hour is
+// conservatively past any in-flight write.
 const DefaultOrphanGrace = time.Hour
 
 // CleanupOlderThan removes event files older than the retention window and
 // returns how many were deleted — the Storage Manager's GDPR cleanup. Only
 // objects under "events/" are subject to retention; models and caches are
-// derived artifacts. The sweep also reaps orphaned event files: staged
-// writes a failed two-phase ingest never indexed, older than
+// derived artifacts. The sweep also reaps orphaned event files: those an
+// interrupted /api/events ingest never indexed, older than
 // DefaultOrphanGrace.
 func (s *Store) CleanupOlderThan(retention time.Duration) int {
-	return len(s.sweepExpired(retention))
-}
-
-// sweepExpired deletes what expiredEvents reports and returns the reaped
-// paths, sorted.
-func (s *Store) sweepExpired(retention time.Duration) []string {
 	reaped := s.expiredEvents(retention)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range reaped {
 		s.deleteLocked(p)
 	}
-	return reaped
+	return len(reaped)
 }
 
 // expiredEvents returns, sorted, the event paths the retention sweep would
@@ -430,8 +451,9 @@ func (s *Store) expiredEvents(retention time.Duration) []string {
 
 // indexedEventsLocked reconstructs the event path referenced by every
 // "index/<user>/<sig>/<jobID>-<seq>" entry. Like the backend's index
-// parser, it strips exactly the <user> and <sig> segments — job IDs are
-// unsanitized caller input and may themselves contain '/' — and splits the
+// parser, it strips exactly the <user> and <sig> segments (single path
+// segments: ingest rejects anything else) — job IDs are unsanitized caller
+// input and may themselves contain '/' — and splits the
 // remainder on the LAST '-' because job IDs may contain dashes and
 // sequence numbers outgrow their %06d padding.
 func (s *Store) indexedEventsLocked() map[string]bool {

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
-
-	"github.com/rockhopper-db/rockhopper/internal/telemetry"
 )
 
 // referenceReplay is an independent WAL decoder for the fuzz oracle: it
@@ -160,7 +158,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// Recovery truncated the junk, so the log must be writable again and
 		// the new record must survive a reopen.
-		if err := d.put("probe/after-fuzz", []byte("ok"), telemetry.SpanContext{}); err != nil {
+		if err := commit1(d, "probe/after-fuzz", []byte("ok")); err != nil {
 			t.Fatalf("store not writable after recovery: %v", err)
 		}
 		ref.putAt("probe/after-fuzz", []byte("ok"), clock.Now())

@@ -115,31 +115,31 @@ type Span struct {
 	Annotations []string `json:"annotations,omitempty"`
 }
 
-// SpanRing is a bounded in-memory buffer of recently finished spans, served
-// at /api/trace for correlation without external infrastructure. A nil ring
-// discards records, so span capture is optional at every call site.
-type SpanRing struct {
+// Ring is a bounded in-memory buffer of the last n records. A nil ring
+// discards records, so capture is optional at every call site. All methods
+// are safe for concurrent use.
+type Ring[T any] struct {
 	mu      sync.Mutex
-	buf     []Span
+	buf     []T
 	next    int
 	full    bool
 	onEvict func()
 }
 
-// NewSpanRing returns a ring retaining the last n spans (n <= 0 yields a
-// discarding ring).
-func NewSpanRing(n int) *SpanRing {
+// NewRing returns a ring retaining the last n records (n <= 0 yields the
+// discarding nil ring).
+func NewRing[T any](n int) *Ring[T] {
 	if n <= 0 {
 		return nil
 	}
-	return &SpanRing{buf: make([]Span, n)}
+	return &Ring[T]{buf: make([]T, n)}
 }
 
-// OnEvict installs a callback invoked once per span overwritten before it
-// was ever read — the hook behind rockhopper_trace_spans_evicted_total, so
-// silent span loss at fleet load is visible on a scrape. Install before the
-// ring sees traffic; the callback runs outside the ring lock.
-func (r *SpanRing) OnEvict(fn func()) {
+// OnEvict installs a callback invoked once per record overwritten — the
+// hook behind rockhopper_trace_spans_evicted_total, so silent span loss at
+// fleet load is visible on a scrape. Install before the ring sees traffic;
+// the callback runs outside the ring lock.
+func (r *Ring[T]) OnEvict(fn func()) {
 	if r == nil {
 		return
 	}
@@ -148,15 +148,15 @@ func (r *SpanRing) OnEvict(fn func()) {
 	r.mu.Unlock()
 }
 
-// Record appends one span, evicting the oldest when full.
-func (r *SpanRing) Record(s Span) {
+// Record appends one record, evicting the oldest when full.
+func (r *Ring[T]) Record(v T) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	evicted := r.full
 	fn := r.onEvict
-	r.buf[r.next] = s
+	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
 	if r.next == 0 {
 		r.full = true
@@ -167,18 +167,25 @@ func (r *SpanRing) Record(s Span) {
 	}
 }
 
-// Snapshot returns the retained spans, oldest first.
-func (r *SpanRing) Snapshot() []Span {
+// Snapshot returns the retained records, oldest first.
+func (r *Ring[T]) Snapshot() []T {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.full {
-		return append([]Span(nil), r.buf[:r.next]...)
+		return append([]T(nil), r.buf[:r.next]...)
 	}
-	out := make([]Span, 0, len(r.buf))
+	out := make([]T, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
 }
+
+// SpanRing is the ring of recently finished spans served at /api/trace for
+// correlation without external infrastructure.
+type SpanRing = Ring[Span]
+
+// NewSpanRing returns a ring retaining the last n spans.
+func NewSpanRing(n int) *SpanRing { return NewRing[Span](n) }
