@@ -503,19 +503,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	p := store.EventPath(jobID, seq)
 	err = s.Store.Verify(r.Header.Get(SASTokenHeader), p, store.PermWrite)
 	if err == nil {
-		err = s.Store.Commit(r.Context(), []store.Entry{{Path: p, Data: body}})
+		// The event file (the request body, byte for byte) and the index
+		// entry the updater finds it by are one commit: a 202 means both are
+		// durable, and a crash or store fault leaves both or neither.
+		err = s.Store.Commit(r.Context(), []store.Entry{
+			{Path: p, Data: body},
+			{Path: signatureIndexPath(user, signature, jobID, seq)},
+		})
 	}
 	if err != nil {
 		s.releaseAdmit(1)
 		http.Error(w, err.Error(), storeStatus(err))
-		return
-	}
-	// Track signature → event files so the updater can find training data.
-	// A failed index commit must be a 5xx: behind a 202 the unindexed event
-	// file would be silently orphaned (and eventually reaped).
-	if err := s.Store.Commit(r.Context(), []store.Entry{{Path: signatureIndexPath(user, signature, jobID, seq)}}); err != nil {
-		s.releaseAdmit(1)
-		http.Error(w, fmt.Sprintf("store: index commit not persisted: %v", err), http.StatusInternalServerError)
 		return
 	}
 	s.enqueueReserved(updateJob{user: user, signature: signature, trace: telemetry.SpanFrom(r.Context())})
@@ -832,15 +830,22 @@ func (s *Server) retrain(j updateJob) {
 		s.logfCtx(j.trace, "backend: marshal %s/%s: %v", user, signature, err)
 		return
 	}
-	// The updater runs outside any request: its writes are untraced.
-	ctx := context.Background()
-	err = s.Store.Commit(ctx, []store.Entry{{Path: store.ModelPath(user, signature), Data: blob}})
-	elapsed := s.clock().Now().Sub(started)
-	if err == nil {
-		err = s.persistBestCost(ctx, user, signature, best)
-	}
+	record, err := json.Marshal(bestCostRecord{User: user, Signature: signature, BestMs: best})
 	if err != nil {
-		// A retrain whose model or best-cost record is not durable is not done.
+		status = "error"
+		s.logfCtx(j.trace, "backend: encode best-cost record %s/%s: %v", user, signature, err)
+		return
+	}
+	// The model and its best-cost record are one commit (one WAL record, one
+	// replicated frame). The updater runs outside any request: the write is
+	// untraced.
+	err = s.Store.Commit(context.Background(), []store.Entry{
+		{Path: store.ModelPath(user, signature), Data: blob},
+		{Path: bestCostPath(user, signature), Data: record},
+	})
+	elapsed := s.clock().Now().Sub(started)
+	if err != nil {
+		// A retrain whose model is not durable is not done.
 		status = "error"
 		s.logfCtx(j.trace, "backend: persist retrain %s/%s: %v", user, signature, err)
 		return
@@ -868,14 +873,6 @@ const bestCostPrefix = "meta/bestcost/"
 
 func bestCostPath(user, signature string) string {
 	return bestCostPrefix + user + "/" + signature
-}
-
-func (s *Server) persistBestCost(ctx context.Context, user, signature string, best float64) error {
-	blob, err := json.Marshal(bestCostRecord{User: user, Signature: signature, BestMs: best})
-	if err != nil {
-		return fmt.Errorf("encode best-cost record: %w", err)
-	}
-	return s.Store.Commit(ctx, []store.Entry{{Path: bestCostPath(user, signature), Data: blob}})
 }
 
 func (s *Server) handleGetAppCache(w http.ResponseWriter, r *http.Request) {

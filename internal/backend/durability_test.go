@@ -67,17 +67,18 @@ func postEvents(t *testing.T, srv *Server, hs *httptest.Server) *http.Response {
 	return resp
 }
 
-// TestIngestSurfacesFailedIndexCommit: handleEvents stages the event file
-// (WAL append 1) and commits the index entry via PutInternal (WAL append
-// 2). PutInternal has no error slot, so when the second append fails the
-// handler must notice the latched store error and answer 5xx — a 202 here
-// would acknowledge an ingest whose index entry never persisted, leaving
-// the event file to be reaped as an orphan.
-func TestIngestSurfacesFailedIndexCommit(t *testing.T) {
-	srv, hs := newDurableServer(t, 2)
+// TestIngestSurfacesFailedCommit: handleEvents commits the event file and
+// its index entry as one WAL record. When that append fails the handler must
+// answer 5xx — a 202 would acknowledge an ingest that never persisted — and
+// neither object may be visible.
+func TestIngestSurfacesFailedCommit(t *testing.T) {
+	srv, hs := newDurableServer(t, 1)
 	resp := postEvents(t, srv, hs)
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("ingest with failed index commit: status = %d; want 500", resp.StatusCode)
+		t.Fatalf("ingest with failed commit: status = %d; want 500", resp.StatusCode)
+	}
+	if got := append(srv.Store.List("events/"), srv.Store.List("index/")...); len(got) != 0 {
+		t.Fatalf("failed ingest left %v behind", got)
 	}
 
 	// The failure is latched: health must report the store down, not "ok".
@@ -97,7 +98,7 @@ func TestIngestSurfacesFailedIndexCommit(t *testing.T) {
 
 // TestHealthyDurableIngestStillAccepted pins the non-failure path: with no
 // injected fault the same ingest is a 202 and health stays "ok", so the
-// phase-2 check cannot have introduced false rejections.
+// commit check cannot have introduced false rejections.
 func TestHealthyDurableIngestStillAccepted(t *testing.T) {
 	srv, hs := newDurableServer(t, 0) // never fails
 	resp := postEvents(t, srv, hs)

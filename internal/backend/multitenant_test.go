@@ -340,58 +340,75 @@ func postEventLog(t *testing.T, srv *Server, hs, user string, log []byte) (int, 
 	return resp.StatusCode, br
 }
 
-// TestEventBatchCrashAtomicity tears the WAL mid-record under each
-// multi-signature endpoint: the client gets a 5xx (not a 202), and recovery
-// surfaces none of the request — no event files, no index entries.
-// All-or-nothing.
+// TestEventBatchCrashAtomicity kills the store at each crash point under
+// each ingest endpoint. A crash before or inside the WAL record is a 5xx and
+// recovery surfaces none of the request; a crash in the compaction that
+// follows the record is a 202 and recovery surfaces all of it. Event files
+// and index entries always come back in equal number: both or neither.
 func TestEventBatchCrashAtomicity(t *testing.T) {
-	posts := map[string]func(t *testing.T, srv *Server, hs string) int{
-		"events_batch": func(t *testing.T, srv *Server, hs string) int {
+	posts := map[string]struct {
+		post  func(t *testing.T, srv *Server, hs string) int
+		files int // event files (and index entries) one request commits
+	}{
+		"events": {func(t *testing.T, srv *Server, hs string) int {
+			return postTracedEvents(t, srv, hs, nil, 3)
+		}, 1},
+		"events_batch": {func(t *testing.T, srv *Server, hs string) int {
 			code, _, err := postBatch(srv, hs, "u", "j", sigTraces([]string{"sigA", "sigB"}, 4, 3))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return code
-		},
-		"eventlog": func(t *testing.T, srv *Server, hs string) int {
+		}, 2},
+		"eventlog": {func(t *testing.T, srv *Server, hs string) int {
 			code, _ := postEventLog(t, srv, hs, "u", rawTwoSigLog(t))
 			return code
-		},
+		}, 2},
 	}
-	for name, post := range posts {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			armed := true
-			st, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{
-				NoSync: true,
-				Hooks: func(p store.CrashPoint) error {
-					if p == store.CrashMidRecord && armed {
-						armed = false
-						return fmt.Errorf("injected crash")
-					}
-					return nil
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := New(sparksim.QuerySpace(), st, secret, 1)
-			hs := httptest.NewServer(srv.Handler())
-			t.Cleanup(func() { hs.Close(); srv.Close() })
+	for name, tc := range posts {
+		for _, point := range []store.CrashPoint{store.CrashPreWrite, store.CrashMidRecord, store.CrashPreRename, store.CrashPostRename} {
+			t.Run(name+"/"+point.String(), func(t *testing.T) {
+				dir := t.TempDir()
+				// CompactEvery 1: the request's one record also reaches the
+				// snapshot crash points.
+				st, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{
+					NoSync:       true,
+					CompactEvery: 1,
+					Hooks: func(p store.CrashPoint) error {
+						if p == point {
+							return fmt.Errorf("injected crash")
+						}
+						return nil
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := New(sparksim.QuerySpace(), st, secret, 1)
+				hs := httptest.NewServer(srv.Handler())
+				t.Cleanup(func() { hs.Close(); srv.Close() })
 
-			if code := post(t, srv, hs.URL); code < 500 {
-				t.Fatalf("torn commit status = %d, want 5xx", code)
-			}
-			// Recover from disk: the torn record is discarded wholesale.
-			rec, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{NoSync: true})
-			if err != nil {
-				t.Fatalf("recovery open: %v", err)
-			}
-			defer rec.Close()
-			if got := rec.List(""); len(got) != 0 {
-				t.Errorf("recovered store holds %v from a torn commit, want nothing", got)
-			}
-		})
+				want := 0
+				switch code := tc.post(t, srv, hs.URL); {
+				case code == http.StatusAccepted:
+					want = tc.files
+				case code < 500:
+					t.Fatalf("crashed commit status = %d, want 202 or 5xx", code)
+				}
+				if logged := point >= store.CrashPreRename; logged != (want > 0) {
+					t.Fatalf("crash at %s acknowledged = %v, want %v", point, want > 0, logged)
+				}
+				srv.Flush() // the store is down: no retrain can add a model
+				rec, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{NoSync: true})
+				if err != nil {
+					t.Fatalf("recovery open: %v", err)
+				}
+				defer rec.Close()
+				if ev, idx := rec.List("events/"), rec.List("index/"); len(ev) != want || len(idx) != want || rec.Len() != 2*want {
+					t.Errorf("recovered %v + %v of %d objects, want %d event files and as many index entries, nothing else", ev, idx, rec.Len(), want)
+				}
+			})
+		}
 	}
 }
 
@@ -399,6 +416,25 @@ func TestEventBatchCrashAtomicity(t *testing.T) {
 // two-signature event log is exactly one WAL append (two event files and two
 // index entries in one group commit), and is acknowledged like a batch.
 func TestEventLogIsOneCommit(t *testing.T) {
+	srv, hs, appends := walAppendsServer(t)
+
+	code, br := postEventLog(t, srv, hs.URL, "u", rawTwoSigLog(t))
+	if code != http.StatusAccepted || br.Signatures != 2 || br.Events != 6 {
+		t.Fatalf("two-signature log: code=%d resp=%+v, want 202 with 2/6", code, br)
+	}
+	srv.Flush() // three traces per signature: the retrains skip, so no model writes
+	if got := appends(); got != 1 {
+		t.Errorf("two-signature log cost %v WAL appends, want 1", got)
+	}
+	if ev, idx := srv.Store.List("events/j/"), srv.Store.List("index/u/"); len(ev) != 2 || len(idx) != 2 {
+		t.Errorf("committed %d event files / %d index entries, want 2 / 2", len(ev), len(idx))
+	}
+}
+
+// walAppendsServer is a backend over a durable store whose WAL appends are
+// counted on the series production exports.
+func walAppendsServer(t *testing.T) (*Server, *httptest.Server, func() float64) {
+	t.Helper()
 	reg := telemetry.NewRegistry()
 	st, err := store.OpenDurable(t.TempDir(), []byte("key"), store.DurableOptions{NoSync: true, Metrics: reg})
 	if err != nil {
@@ -407,17 +443,48 @@ func TestEventLogIsOneCommit(t *testing.T) {
 	srv := New(sparksim.QuerySpace(), st, secret, 1)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { hs.Close(); srv.Close(); st.Close() })
+	return srv, hs, reg.Counter("rockhopper_wal_appends_total", "").With().Value
+}
 
-	code, br := postEventLog(t, srv, hs.URL, "u", rawTwoSigLog(t))
-	if code != http.StatusAccepted || br.Signatures != 2 || br.Events != 6 {
-		t.Fatalf("two-signature log: code=%d resp=%+v, want 202 with 2/6", code, br)
+// TestEventsIsOneCommit: one /api/events request is one WAL append carrying
+// the event file — the request body, byte for byte — and its index entry.
+func TestEventsIsOneCommit(t *testing.T) {
+	srv, hs, appends := walAppendsServer(t)
+	var body bytes.Buffer
+	if err := flighting.WriteTraces(&body, traceBatch(3, 3)); err != nil {
+		t.Fatal(err)
 	}
-	srv.Flush() // three traces per signature: the retrains skip, so no model writes
-	if got := reg.Counter("rockhopper_wal_appends_total", "").With().Value(); got != 1 {
-		t.Errorf("two-signature log cost %v WAL appends, want 1", got)
+	want := append([]byte(nil), body.Bytes()...)
+	if resp := postTraces(t, srv, hs.URL, "/api/events?user=u&signature=s&job_id=j", &body); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status = %d, want 202", resp.StatusCode)
 	}
-	if ev, idx := st.List("events/j/"), st.List("index/u/"); len(ev) != 2 || len(idx) != 2 {
-		t.Errorf("committed %d event files / %d index entries, want 2 / 2", len(ev), len(idx))
+	srv.Flush() // three traces: the retrain skips, so no model write
+	if got := appends(); got != 1 {
+		t.Errorf("one /api/events request cost %v WAL appends, want 1", got)
+	}
+	if got, err := srv.Store.GetInternal(store.EventPath("j", 0)); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("event file = %q, %v; want the request body", got, err)
+	}
+	if idx := srv.Store.List("index/"); len(idx) != 1 || idx[0] != "index/u/s/j-000000" {
+		t.Errorf("index entries = %v, want [index/u/s/j-000000]", idx)
+	}
+}
+
+// TestRetrainIsOneCommit: one retrain is one WAL append — so one replicated
+// frame — carrying the model and its best-cost record.
+func TestRetrainIsOneCommit(t *testing.T) {
+	srv, hs, appends := walAppendsServer(t)
+	if code := postTracedEvents(t, srv, hs.URL, nil, 8); code != http.StatusAccepted {
+		t.Fatalf("status = %d, want 202", code)
+	}
+	srv.Flush()
+	if got := appends(); got != 2 {
+		t.Errorf("one ingest and its retrain cost %v WAL appends, want 1 + 1", got)
+	}
+	for _, p := range []string{store.ModelPath("u", "s"), bestCostPath("u", "s")} {
+		if _, err := srv.Store.GetInternal(p); err != nil {
+			t.Errorf("retrain did not write %s: %v", p, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -96,60 +97,53 @@ func TestRetrainSeqBeyondMillion(t *testing.T) {
 	}
 }
 
-// TestRetrainSurfacesFailedModelWrite: a retrain whose model (or best-cost)
-// commit fails is not done. It must finish its span with status "error", log
-// under the ingest's trace, and stay out of rockhopper_updater_retrains_total
-// — the old PutInternal had no error slot and reported the retrain complete.
+// TestRetrainSurfacesFailedModelWrite: a retrain whose commit (the model and
+// its best-cost record, one write) fails is not done. It must finish its span
+// with status "error", log under the ingest's trace, leave neither object
+// behind, and stay out of rockhopper_updater_retrains_total — the old
+// PutInternal had no error slot and reported the retrain complete.
 func TestRetrainSurfacesFailedModelWrite(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		failWrite int // 1 = the model commit, 2 = the best-cost commit
-		wantModel bool
-	}{{"model", 1, false}, {"best_cost", 2, true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, _ := newServer(t)
-			var logs bytes.Buffer
-			srv.Logger = log.New(&logs, "", 0)
-			var buf bytes.Buffer
-			if err := flighting.WriteTraces(&buf, traceBatch(8, 3)); err != nil {
-				t.Fatal(err)
-			}
-			inner := srv.Store
-			if err := inner.Commit(context.Background(), []store.Entry{
-				{Path: store.EventPath("j", 0), Data: buf.Bytes()},
-				{Path: signatureIndexPath("u", "s", "j", 0)},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			fail := make([]bool, tc.failWrite)
-			fail[tc.failWrite-1] = true
-			srv.Store = &faultinject.Store{
-				Inner: inner,
-				Plan:  &faultinject.ForOps{Plan: &faultinject.Script{Fail: fail}, Ops: []string{"store.Commit"}},
-			}
-			sc := telemetry.SpanContext{TraceID: 0xfa11, SpanID: 0x1}
-			srv.retrain(updateJob{user: "u", signature: "s", trace: sc})
+	srv, _ := newServer(t)
+	var logs bytes.Buffer
+	srv.Logger = log.New(&logs, "", 0)
+	var buf bytes.Buffer
+	if err := flighting.WriteTraces(&buf, traceBatch(8, 3)); err != nil {
+		t.Fatal(err)
+	}
+	inner := srv.Store
+	if err := inner.Commit(context.Background(), []store.Entry{
+		{Path: store.EventPath("j", 0), Data: buf.Bytes()},
+		{Path: signatureIndexPath("u", "s", "j", 0)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv.Store = &faultinject.Store{
+		Inner: inner,
+		Plan:  &faultinject.ForOps{Plan: &faultinject.Script{Fail: []bool{true}}, Ops: []string{"store.Commit"}},
+	}
+	sc := telemetry.SpanContext{TraceID: 0xfa11, SpanID: 0x1}
+	srv.retrain(updateJob{user: "u", signature: "s", trace: sc})
 
-			if got := srv.tele.retrains.Value(); got != 0 {
-				t.Errorf("retrains_total = %v after a failed write, want 0", got)
-			}
-			if _, err := inner.GetInternal(store.ModelPath("u", "s")); (err == nil) != tc.wantModel {
-				t.Errorf("model present = %v, want %v", err == nil, tc.wantModel)
-			}
-			if !strings.Contains(logs.String(), "[trace "+sc.String()+"] backend: persist retrain u/s") {
-				t.Errorf("failure not logged under the trace: %q", logs.String())
-			}
-			spans := srv.tele.spans.Snapshot()
-			if len(spans) != 1 || spans[0].Name != "retrain" || spans[0].Status != "error" {
-				t.Errorf("retrain span = %+v, want one with status error", spans)
-			}
+	if got := srv.tele.retrains.Value(); got != 0 {
+		t.Errorf("retrains_total = %v after a failed write, want 0", got)
+	}
+	for _, p := range []string{store.ModelPath("u", "s"), bestCostPath("u", "s")} {
+		if _, err := inner.GetInternal(p); !errors.Is(err, store.ErrNotFound) {
+			t.Errorf("%s after a failed retrain commit: err = %v, want not found", p, err)
+		}
+	}
+	if !strings.Contains(logs.String(), "[trace "+sc.String()+"] backend: persist retrain u/s") {
+		t.Errorf("failure not logged under the trace: %q", logs.String())
+	}
+	spans := srv.tele.spans.Snapshot()
+	if len(spans) != 1 || spans[0].Name != "retrain" || spans[0].Status != "error" {
+		t.Errorf("retrain span = %+v, want one with status error", spans)
+	}
 
-			// The store heals: the next retrain completes and counts.
-			srv.retrain(updateJob{user: "u", signature: "s"})
-			if got := srv.tele.retrains.Value(); got != 1 {
-				t.Errorf("retrains_total = %v after the healed retrain, want 1", got)
-			}
-		})
+	// The store heals: the next retrain completes and counts.
+	srv.retrain(updateJob{user: "u", signature: "s"})
+	if got := srv.tele.retrains.Value(); got != 1 {
+		t.Errorf("retrains_total = %v after the healed retrain, want 1", got)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestPutBatchReplayEquivalence(t *testing.T) {
 	d.abandon()
 	reopenAndCompare(t, dir, ref, "WAL replay with batch records")
 	// reopenAndCompare wrote this probe under its own clock (Unix 90000).
-	ref.putAt("probe/after-recovery", []byte("ok"), time.Unix(90000, 0))
+	ref.putAt("probe/after-recovery", []byte("ok"), time.Unix(90000, 0).UnixNano())
 
 	re := mustOpen(t, dir, DurableOptions{Clock: clock, CompactEvery: -1})
 	step(re.Compact())

@@ -219,9 +219,7 @@ func (d *DurableStore) replay() error {
 		if err != nil {
 			return err
 		}
-		for _, e := range snap.Entries {
-			d.mem.putAt(e.Path, e.Data, time.Unix(0, e.Created))
-		}
+		d.mem.resetTo(snap.Entries)
 		d.seq, d.snapSeq = snap.WALSeq, snap.WALSeq
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: read snapshot: %w", err)
@@ -399,11 +397,11 @@ func (d *DurableStore) Commit(ctx context.Context, entries []Entry) error {
 	defer d.mu.Unlock()
 	now := d.clock.Now()
 	// One entry keeps the compact put record; more share a batch record.
-	rec := walRecord{Op: opPut, Path: entries[0].Path, Data: entries[0].Data, Created: entries[0].createdOr(now).UnixNano()}
+	rec := walRecord{Op: opPut, Path: entries[0].Path, Data: entries[0].Data, Created: entries[0].createdOr(now)}
 	if len(entries) > 1 {
 		rec = walRecord{Op: opBatch, Entries: make([]snapEntry, len(entries))}
 		for i, e := range entries {
-			rec.Entries[i] = snapEntry{Path: e.Path, Data: e.Data, Created: e.createdOr(now).UnixNano()}
+			rec.Entries[i] = snapEntry{Path: e.Path, Data: e.Data, Created: e.createdOr(now)}
 		}
 	}
 	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
@@ -464,8 +462,7 @@ func (d *DurableStore) Delete(p string) error {
 	return d.commitLocked(walRecord{Op: opDel, Path: p}, telemetry.SpanContext{})
 }
 
-// CleanupOlderThan runs the retention sweep (expired event files plus
-// orphans of a two-phase /api/events ingest that never indexed its file) and
+// CleanupOlderThan runs the retention sweep over expired event files and
 // returns how many objects were reaped. The whole batch is one WAL record —
 // one append + fsync no matter how many files expired, so a large sweep
 // does not stall commits behind a per-file fsync loop — logged before any

@@ -230,40 +230,6 @@ func TestDurableMatchesMemoryGolden(t *testing.T) {
 	wantSameState(t, "golden trace after reopen", mem, re)
 }
 
-// TestDurableOrphanSweep: a simulated failed two-phase ingest stages an
-// event file but crashes before the index commit; the retention sweep
-// reaps the orphan (and counts it), the reap is WAL-logged, and a reopen
-// agrees — all on a fake clock.
-func TestDurableOrphanSweep(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	clock := resilience.NewFakeClock(time.Unix(70000, 0))
-	d := mustOpen(t, dir, DurableOptions{Clock: clock, CompactEvery: -1})
-	// Committed ingest: event file plus its index entry.
-	d.PutInternal(EventPath("job-1", 0), []byte("committed"))
-	d.PutInternal("index/u1/sig-a/job-1-000000", nil)
-	// Failed two-phase ingest: the staged file never got an index entry.
-	d.PutInternal(EventPath("job-1", 1), []byte("staged-then-crashed"))
-
-	clock.Advance(2 * time.Hour) // past the orphan grace, inside retention
-	if n := d.CleanupOlderThan(30 * 24 * time.Hour); n != 1 {
-		t.Fatalf("sweep reaped %d; want exactly the orphan", n)
-	}
-	if _, err := d.GetInternal(EventPath("job-1", 1)); !errors.Is(err, ErrNotFound) {
-		t.Fatal("orphaned event file should be gone")
-	}
-	if _, err := d.GetInternal(EventPath("job-1", 0)); err != nil {
-		t.Fatal("indexed event file must survive the orphan sweep")
-	}
-	want := exportOf(d)
-	d.abandon()
-	re := mustOpen(t, dir, DurableOptions{Clock: clock, CompactEvery: -1})
-	defer re.Close()
-	if got := exportOf(re); !reflect.DeepEqual(got, want) {
-		t.Fatalf("orphan sweep not durable:\n got=%+v\n want=%+v", got, want)
-	}
-}
-
 // TestSweepBatchesOneWALRecord: the retention sweep logs its whole batch as
 // a single WAL record — one append + fsync under the store mutex no matter
 // how many files expired — and that batch record replays correctly.

@@ -138,16 +138,14 @@ func (d *DurableStore) ApplyReplicated(ctx context.Context, frames []byte) (uint
 func (d *DurableStore) applyLocked(rec walRecord) {
 	switch rec.Op {
 	case opPut:
-		d.mem.putAt(rec.Path, rec.Data, time.Unix(0, rec.Created))
+		d.mem.putAt(rec.Path, rec.Data, rec.Created)
 	case opDel:
-		d.mem.Delete(rec.Path)
+		d.mem.remove(rec.Path)
 	case opSweep:
-		for _, p := range rec.Paths {
-			d.mem.Delete(p)
-		}
+		d.mem.remove(rec.Paths...)
 	case opBatch:
 		for _, e := range rec.Entries {
-			d.mem.putAt(e.Path, e.Data, time.Unix(0, e.Created))
+			d.mem.putAt(e.Path, e.Data, e.Created)
 		}
 	}
 }
@@ -206,15 +204,4 @@ func (d *DurableStore) InstallSnapshot(image []byte) (uint64, error) {
 		d.logf("store: WAL truncate after shipped snapshot: %v", err)
 	}
 	return d.seq, nil
-}
-
-// resetTo replaces the in-memory object set with the given entries — the
-// apply side of InstallSnapshot.
-func (s *Store) resetTo(entries []snapEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.objects = make(map[string]object, len(entries))
-	for _, e := range entries {
-		s.objects[e.Path] = object{data: append([]byte(nil), e.Data...), created: time.Unix(0, e.Created)}
-	}
 }

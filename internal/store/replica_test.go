@@ -121,6 +121,68 @@ func TestReplicaGapDetectedAndSnapshotCatchUp(t *testing.T) {
 	wantExportsEqual(t, "follower reopen", owner, re)
 }
 
+// TestInstallSnapshotThenList: a follower that caught up by snapshot must be
+// as visible to List and Len as it is to Export and GetInternal — what it
+// held before the install gone from all four — and stay so when replicated
+// frames land on top of the installed image.
+func TestInstallSnapshotThenList(t *testing.T) {
+	t.Parallel()
+	clock := resilience.NewFakeClock(time.Unix(70150, 0))
+	tap := &frameTap{}
+	owner := mustOpen(t, t.TempDir(), DurableOptions{Clock: clock, CompactEvery: -1, OnAppend: tap.observe})
+	follower := mustOpen(t, t.TempDir(), DurableOptions{Clock: clock, CompactEvery: -1})
+	defer owner.Close()
+	defer follower.Close()
+
+	owner.PutInternal(EventPath("j", 0), []byte("e0"))
+	if _, err := follower.ApplyReplicated(context.Background(), tap.batch(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.Delete(EventPath("j", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.PutBatch([]Entry{{Path: EventPath("j", 1), Data: []byte("e1")}, {Path: "index/u/s/j-000001"}}); err != nil {
+		t.Fatal(err)
+	}
+	agree := func(label string) {
+		t.Helper()
+		wantExportsEqual(t, label, owner, follower)
+		if o, f := owner.List(""), follower.List(""); !reflect.DeepEqual(o, f) {
+			t.Fatalf("%s: List diverges:\n owner=%v\n follower=%v", label, o, f)
+		}
+		exp := follower.Export()
+		if follower.Len() != len(exp) {
+			t.Fatalf("%s: Len = %d, Export holds %d", label, follower.Len(), len(exp))
+		}
+		for i, p := range follower.List("") {
+			if got, err := follower.GetInternal(p); err != nil || p != exp[i].Path || string(got) != string(exp[i].Data) {
+				t.Fatalf("%s: List[%d] = %q reads (%q, %v); Export[%d] = %q %q", label, i, p, got, err, i, exp[i].Path, exp[i].Data)
+			}
+		}
+	}
+	image, _, err := owner.SnapshotImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.InstallSnapshot(image); err != nil {
+		t.Fatal(err)
+	}
+	agree("after install")
+	if got, want := follower.List("events/"), []string{EventPath("j", 1)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("List(events/) after install = %v, want %v", got, want)
+	}
+
+	owner.PutInternal(EventPath("j", 2), []byte("e2"))
+	owner.PutInternal(ModelPath("u", "s"), []byte("m"))
+	if err := owner.Delete(EventPath("j", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.ApplyReplicated(context.Background(), tap.batch(3, 6)); err != nil {
+		t.Fatal(err)
+	}
+	agree("frames on top of the installed image")
+}
+
 func TestReplicaSnapshotRewindRefused(t *testing.T) {
 	t.Parallel()
 	clock := resilience.NewFakeClock(time.Unix(70200, 0))

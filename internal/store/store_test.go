@@ -174,71 +174,3 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("len = %d", s.Len())
 	}
 }
-
-// TestOrphanSweepReapsFailedIngest: a two-phase ingest that crashed between
-// staging the event file and committing its index entry leaves an orphan.
-// The retention sweep reaps it once it outlives the orphan grace — and
-// counts it — while indexed files of the same age survive until the real
-// retention cutoff.
-func TestOrphanSweepReapsFailedIngest(t *testing.T) {
-	t.Parallel()
-	s := New([]byte("k"))
-	base := time.Unix(5000, 0)
-	s.SetClock(fixedClock(base))
-	// Committed ingest: event file plus its index entry.
-	s.PutInternal(EventPath("job-1", 0), []byte("committed"))
-	s.PutInternal("index/u1/sig-a/job-1-000000", nil)
-	// Failed ingest: the staged file never got its phase-2 index entry.
-	s.PutInternal(EventPath("job-1", 1), []byte("staged-then-crashed"))
-
-	// Before the grace expires nothing is reaped: a healthy ingest may
-	// still be between its two phases.
-	if n := s.CleanupOlderThan(30 * 24 * time.Hour); n != 0 {
-		t.Fatalf("sweep inside orphan grace reaped %d; want 0", n)
-	}
-	s.SetClock(fixedClock(base.Add(2 * time.Hour)))
-	if n := s.CleanupOlderThan(30 * 24 * time.Hour); n != 1 {
-		t.Fatalf("sweep reaped %d; want exactly the orphan", n)
-	}
-	if _, err := s.GetInternal(EventPath("job-1", 1)); !errors.Is(err, ErrNotFound) {
-		t.Fatal("orphaned event file should be gone")
-	}
-	if _, err := s.GetInternal(EventPath("job-1", 0)); err != nil {
-		t.Fatal("indexed event file must survive the orphan sweep")
-	}
-	if _, err := s.GetInternal("index/u1/sig-a/job-1-000000"); err != nil {
-		t.Fatal("index entries are not subject to the orphan sweep")
-	}
-}
-
-// TestOrphanSweepSlashJobID: job IDs are unsanitized query params and may
-// contain '/'. Reconstructing the indexed set must strip exactly the
-// <user>/<sig> segments of "index/<user>/<sig>/<jobID>-<seq>" — like the
-// backend's own index parser — not everything up to the LAST '/', or an
-// indexed event file whose jobID contains a slash is misread as an orphan
-// and permanently reaped.
-func TestOrphanSweepSlashJobID(t *testing.T) {
-	t.Parallel()
-	s := New([]byte("k"))
-	base := time.Unix(5000, 0)
-	s.SetClock(fixedClock(base))
-	for _, jobID := range []string{"a/b", "team/job-7", "x/y/z-1"} {
-		s.PutInternal(EventPath(jobID, 1), []byte("committed"))
-		s.PutInternal("index/u1/sig-a/"+jobID+"-000001", nil)
-	}
-	s.SetClock(fixedClock(base.Add(2 * time.Hour)))
-	if n := s.CleanupOlderThan(30 * 24 * time.Hour); n != 0 {
-		t.Fatalf("sweep reaped %d indexed file(s); want 0", n)
-	}
-	for _, jobID := range []string{"a/b", "team/job-7", "x/y/z-1"} {
-		if _, err := s.GetInternal(EventPath(jobID, 1)); err != nil {
-			t.Fatalf("indexed event file for jobID %q must survive the orphan sweep: %v", jobID, err)
-		}
-	}
-	// An actual orphan with a slash-containing jobID is still reaped.
-	s.PutInternal(EventPath("a/b", 2), []byte("staged-then-crashed"))
-	s.SetClock(fixedClock(base.Add(4 * time.Hour)))
-	if n := s.CleanupOlderThan(30 * 24 * time.Hour); n != 1 {
-		t.Fatalf("sweep reaped %d; want exactly the slash-jobID orphan", n)
-	}
-}

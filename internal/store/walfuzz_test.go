@@ -71,7 +71,7 @@ func referenceReplay(data []byte) (ref *Store, gap bool) {
 		prev = rec.Seq
 		switch rec.Op {
 		case opPut:
-			ref.putAt(rec.Path, rec.Data, time.Unix(0, rec.Created))
+			ref.putAt(rec.Path, rec.Data, rec.Created)
 		case opDel:
 			ref.Delete(rec.Path)
 		case opSweep:
@@ -80,7 +80,7 @@ func referenceReplay(data []byte) (ref *Store, gap bool) {
 			}
 		case opBatch:
 			for _, e := range rec.Entries {
-				ref.putAt(e.Path, e.Data, time.Unix(0, e.Created))
+				ref.putAt(e.Path, e.Data, e.Created)
 			}
 		}
 	}
@@ -161,7 +161,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := commit1(d, "probe/after-fuzz", []byte("ok")); err != nil {
 			t.Fatalf("store not writable after recovery: %v", err)
 		}
-		ref.putAt("probe/after-fuzz", []byte("ok"), clock.Now())
+		ref.putAt("probe/after-fuzz", []byte("ok"), clock.Now().UnixNano())
 		if err := d.Err(); err != nil {
 			t.Fatal(err)
 		}
