@@ -43,6 +43,10 @@ import (
 // shared secret).
 const ClusterTokenHeader = "X-Cluster-Token"
 
+// MaxObjectBytes is the largest object PUT /api/object accepts, and so the
+// largest GET /api/object can return to a client.
+const MaxObjectBytes = 64 << 20
+
 // SASTokenHeader carries a store-scoped access token on object requests.
 const SASTokenHeader = "X-Sas-Token"
 
@@ -433,12 +437,15 @@ func (s *Server) handleGetObject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	// Without a declared length net/http sends anything over its 2 KB sniff
+	// buffer chunked, and the client cannot size its read.
+	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	w.Write(blob)
 }
 
 func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 	p := r.URL.Query().Get("path")
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxObjectBytes))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -104,6 +105,26 @@ func TestObjectAccessNeedsValidToken(t *testing.T) {
 		map[string]string{SASTokenHeader: tok}, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing object: status = %d", resp.StatusCode)
+	}
+}
+
+// TestGetObjectDeclaresLength: an object larger than net/http's 2 KB sniff
+// buffer must still go out with a Content-Length (not chunked), so the
+// client can size its read buffer once.
+func TestGetObjectDeclaresLength(t *testing.T) {
+	srv, hs := newServer(t)
+	blob := bytes.Repeat([]byte{0xA5}, 8<<10)
+	if err := srv.Store.Commit(context.Background(), []store.Entry{{Path: "models/u/big.model", Data: blob}}); err != nil {
+		t.Fatal(err)
+	}
+	tok := srv.Store.Sign("models/", store.PermRead, srv.TokenTTL)
+	resp := doJSON(t, "GET", hs.URL+"/api/object?path=models/u/big.model", map[string]string{SASTokenHeader: tok}, nil)
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(blob)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("status %d, Content-Length %d, Transfer-Encoding %v; want 200, %d, none",
+			resp.StatusCode, resp.ContentLength, resp.TransferEncoding, len(blob))
+	}
+	if got, err := io.ReadAll(resp.Body); err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("body: %d bytes, err %v", len(got), err)
 	}
 }
 

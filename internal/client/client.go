@@ -332,8 +332,16 @@ func (c *Client) fetchToken(ctx context.Context, key, prefix string, perm store.
 	if ttl <= 2*margin {
 		margin = ttl / 2
 	}
+	now := c.clock().Now()
 	c.mu.Lock()
-	c.tokens[key] = cachedToken{token: tr.Token, expires: c.clock().Now().Add(ttl - margin)}
+	// Every job ID is its own events/<job>/ prefix, so keys never repeat:
+	// without this pass the cache grows by one entry per job forever.
+	for k, t := range c.tokens {
+		if !now.Before(t.expires) {
+			delete(c.tokens, k)
+		}
+	}
+	c.tokens[key] = cachedToken{token: tr.Token, expires: now.Add(ttl - margin)}
 	c.mu.Unlock()
 	return tr.Token, nil
 }
@@ -356,13 +364,35 @@ func (c *Client) GetObject(ctx context.Context, p string) ([]byte, error) {
 		},
 		func(resp *http.Response) error {
 			var rerr error
-			blob, rerr = io.ReadAll(resp.Body)
+			blob, rerr = readObject(resp, backend.MaxObjectBytes)
 			return rerr
 		})
 	if err != nil {
 		return nil, err
 	}
 	return blob, nil
+}
+
+// readObject reads a GET /api/object body of at most limit bytes into a
+// buffer sized from the declared length: a misbehaving endpoint costs an
+// error, not the process's memory.
+func readObject(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("client: object of %d bytes exceeds the %d-byte limit", resp.ContentLength, limit)
+	}
+	var buf bytes.Buffer
+	if resp.ContentLength > 0 {
+		// +MinRead: ReadFrom wants spare room to see EOF without regrowing.
+		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	n, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if n > limit {
+		return nil, fmt.Errorf("client: object exceeds the %d-byte limit", limit)
+	}
+	return buf.Bytes(), nil
 }
 
 // PutObject writes a store object through a write token on its directory.

@@ -3,6 +3,9 @@ package client
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -67,6 +70,31 @@ func TestTokenCaching(t *testing.T) {
 	}
 }
 
+// TestTokenCacheEvictsExpired: every job posts under its own events/<job>/
+// prefix, so cache keys never repeat. Inserting a refreshed token must drop
+// the entries that have expired, or the map grows by one per job forever.
+func TestTokenCacheEvictsExpired(t *testing.T) {
+	srv, c := newStack(t, sparksim.QuerySpace())
+	clock := harden(c)
+	ctx := context.Background()
+	const jobs = 50
+	for j := 0; j < jobs; j++ {
+		if _, err := c.Token(ctx, fmt.Sprintf("events/job-%d/", j), store.PermWrite); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(c.tokens); got != jobs {
+		t.Fatalf("%d live tokens cached; want %d (nothing has expired yet)", got, jobs)
+	}
+	clock.Advance(srv.TokenTTL)
+	if _, err := c.Token(ctx, "events/job-next/", store.PermWrite); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(c.tokens); got != 1 {
+		t.Fatalf("%d tokens cached after every earlier one expired; want 1", got)
+	}
+}
+
 func TestAuthRejected(t *testing.T) {
 	srv, _ := newStack(t, sparksim.QuerySpace())
 	_ = srv
@@ -89,6 +117,48 @@ func TestObjectRoundTrip(t *testing.T) {
 	}
 	if string(got) != "hi" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// TestGetObjectBoundedRead: the object body is read into a buffer sized from
+// Content-Length, and a response larger than the limit — declared or not —
+// is an error before it is memory.
+func TestGetObjectBoundedRead(t *testing.T) {
+	_, c := newStack(t, sparksim.QuerySpace())
+	big := bytes.Repeat([]byte("rockhopper"), 10<<10) // far past the 2 KB a server may send unchunked by default
+	if err := c.PutObject(context.Background(), "artifacts/a1/big.bin", big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.GetObject(context.Background(), "artifacts/a1/big.bin")
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("GetObject: %d bytes, err %v; want %d bytes", len(got), err, len(big))
+	}
+
+	const limit = 1 << 10
+	resp := func(declared int64, n int) *http.Response {
+		return &http.Response{ContentLength: declared, Body: io.NopCloser(bytes.NewReader(make([]byte, n)))}
+	}
+	read := func(declared int64) func() {
+		return func() {
+			if _, err := readObject(resp(declared, len(big)), int64(len(big))); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if sized, grown := testing.AllocsPerRun(10, read(int64(len(big)))), testing.AllocsPerRun(10, read(-1)); sized >= grown {
+		t.Fatalf("a declared length costs %v allocations, an undeclared one %v: the buffer is not presized", sized, grown)
+	}
+	if b, err := readObject(resp(limit, limit), limit); err != nil || len(b) != limit {
+		t.Fatalf("object of exactly the limit: %d bytes, err %v", len(b), err)
+	}
+	if _, err := readObject(resp(limit+1, limit+1), limit); err == nil {
+		t.Fatal("declared oversize object was accepted")
+	}
+	if _, err := readObject(resp(-1, 64*limit), limit); err == nil {
+		t.Fatal("undeclared (chunked) oversize object was accepted")
+	}
+	if _, err := readObject(resp(8, 64*limit), limit); err == nil {
+		t.Fatal("oversize object behind a small declared length was accepted")
 	}
 }
 

@@ -1,15 +1,20 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/rockhopper-db/rockhopper/internal/backend"
 	"github.com/rockhopper-db/rockhopper/internal/core"
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
+	"github.com/rockhopper-db/rockhopper/internal/ml"
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
 	"github.com/rockhopper-db/rockhopper/internal/resilience/faultinject"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
@@ -172,5 +177,66 @@ func TestFetchModelDistinguishesMissingFromFailure(t *testing.T) {
 	harden(bad)
 	if _, err := bad.FetchModel(context.Background(), "u1", "never-trained"); err == nil {
 		t.Fatal("auth rejection was silently conflated with a missing model")
+	}
+}
+
+// TestForeignModelBlobDegradesThenRecovers: the model codec has one format
+// and no legacy read path, because a model is derived data. A stored blob in
+// any other format (here: what an older build's gob encoder wrote) must cost
+// exactly one degradation episode — the client counts an "error" fallback,
+// the updater's drift check logs and skips — and the next ingest's retrain
+// must overwrite it so both sides recover on their own.
+func TestForeignModelBlobDegradesThenRecovers(t *testing.T) {
+	space := sparksim.QuerySpace()
+	srv, c := newStack(t, space)
+	var logs bytes.Buffer
+	srv.Logger = log.New(&logs, "", 0)
+	e := sparksim.NewEngine(space)
+	q := workloads.NewGenerator(1).Query(workloads.TPCDS, 2)
+	ctx := context.Background()
+	rs := &RemoteSelector{
+		Client: c, Space: space, User: "u1", Signature: q.ID,
+		Fallback: core.RandomSelector{RNG: stats.NewRNG(5)},
+	}
+	cands := []sparksim.Config{space.Default(), space.Random(stats.NewRNG(6))}
+	size := q.Plan.LeafInputBytes()
+
+	if err := c.PostEvents(ctx, "u1", q.ID, "job-1", makeTraces(e, q, 30, 7)); err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush()
+	rs.Select(cands, nil, size)
+	if rs.Degraded() {
+		t.Fatal("a freshly trained model must be served remotely")
+	}
+
+	foreign := []byte("\x28\xff\x87\x03\x01\x01\x08envelope\x01\xff\x88\x00\x01\x02\x01\x04Kind")
+	if err := srv.Store.Commit(ctx, []store.Entry{{Path: store.ModelPath("u1", q.ID), Data: foreign}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FetchModel(ctx, "u1", q.ID); !errors.Is(err, ml.ErrFormat) {
+		t.Fatalf("FetchModel on a foreign blob = %v; want ml.ErrFormat", err)
+	}
+	before := c.tele().fallbacks.With(fallbackError).Value()
+	if idx := rs.Select(cands, nil, size); idx < 0 || idx >= len(cands) {
+		t.Fatalf("fallback selected %d", idx)
+	}
+	if !rs.Degraded() || c.tele().fallbacks.With(fallbackError).Value() != before+1 {
+		t.Fatal("an unreadable model must take the error fallback, not pass for a cold start")
+	}
+
+	if err := c.PostEvents(ctx, "u1", q.ID, "job-2", makeTraces(e, q, 10, 8)); err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush()
+	if !strings.Contains(logs.String(), "stored model unreadable") {
+		t.Fatalf("the drift check did not log the unreadable model; server log:\n%s", logs.String())
+	}
+	if m, err := c.FetchModel(ctx, "u1", q.ID); err != nil || m == nil {
+		t.Fatalf("the retrain did not replace the foreign blob: %v, %v", m, err)
+	}
+	rs.Select(cands, nil, size)
+	if rs.Degraded() {
+		t.Fatal("selector still degraded after the retrain rewrote the model")
 	}
 }

@@ -72,10 +72,13 @@ func (c *Config) Validate() error {
 }
 
 // Trace is one recorded benchmark execution: the event-log row the ETL
-// produces (Figure 7's Embedding ETL output).
+// produces (Figure 7's Embedding ETL output). A trace without an embedding
+// (plain event ingest) stores no "embedding" key at all: the store keeps
+// every event file for the signature's lifetime, so the 17 bytes of
+// `"embedding":null,` are paid per retained event.
 type Trace struct {
 	QueryID   string          `json:"query_id"`
-	Embedding []float64       `json:"embedding"`
+	Embedding []float64       `json:"embedding,omitempty"`
 	Config    sparksim.Config `json:"config"`
 	DataSize  float64         `json:"data_size"`
 	TimeMs    float64         `json:"time_ms"`

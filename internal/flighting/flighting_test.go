@@ -2,6 +2,8 @@ package flighting
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/rockhopper-db/rockhopper/internal/noise"
@@ -108,6 +110,32 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadTraces(bytes.NewBufferString("{broken")); err == nil {
 		t.Fatal("corrupt stream should error")
+	}
+}
+
+// TestTraceEmbeddingOmittedWhenNil pins the stored form of an event: a nil
+// embedding writes no key, a non-nil one round-trips, and files written
+// before the key became optional (an explicit null) still read.
+func TestTraceEmbeddingOmittedWhenNil(t *testing.T) {
+	t.Parallel()
+	bare := Trace{QueryID: "s", Config: sparksim.Config{1, 2, 3}, DataSize: 1e9, TimeMs: 1000}
+	embedded := bare
+	embedded.Embedding = []float64{0.25, -1}
+	var buf bytes.Buffer
+	if err := WriteTraces(&buf, []Trace{bare, embedded}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || strings.Contains(lines[0], "embedding") || !strings.Contains(lines[1], `"embedding":[0.25,-1]`) {
+		t.Fatalf("written traces:\n%s", buf.String())
+	}
+	old := `{"query_id":"s","embedding":null,"config":[1,2,3],"data_size":1e9,"time_ms":1000}` + "\n"
+	back, err := ReadTraces(strings.NewReader(old + buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Trace{bare, bare, embedded}; !reflect.DeepEqual(back, want) {
+		t.Fatalf("read back %+v; want %+v", back, want)
 	}
 }
 

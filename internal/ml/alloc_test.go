@@ -47,3 +47,29 @@ func TestGPPredictAllocFree(t *testing.T) {
 		t.Fatal("prediction produced nothing")
 	}
 }
+
+// TestUnmarshalAllocBudget pins the inference path's decode: the model's
+// rows, vector and scaler slice into one backing array, so a decode costs the
+// same handful of allocations at 16 training rows as at 700 (the backing
+// array, the row headers, the scaler, the model). Every RemoteSelector.Select
+// and every retrain's drift check pays this once.
+func TestUnmarshalAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	for _, n := range []int{16, 700} {
+		for _, m := range codecModels(t, stats.NewRNG(5), n, 4) {
+			blob, err := Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sink Regressor
+			if a := testing.AllocsPerRun(100, func() { sink, _ = Unmarshal(blob) }); a > 6 {
+				t.Errorf("%T n=%d: Unmarshal allocates %v times per call; budget is 6", m, n, a)
+			}
+			if sink == nil {
+				t.Fatalf("%T n=%d: blob did not decode", m, n)
+			}
+		}
+	}
+}

@@ -12,9 +12,11 @@
 //   - feature standardization and interaction/polynomial expansion
 //     ("feature construction" from Section 3.1).
 //
-// All models implement Regressor and are serializable with encoding/gob so
-// the model store (internal/store) can ship them between the autotune backend
-// and clients, mirroring the ONNX round trip in the paper.
+// All models implement Regressor. The three that are shipped between the
+// autotune backend and its clients (linear, kernel ridge, kNN) serialize with
+// Marshal/Unmarshal into one flat, versioned little-endian format — the ONNX
+// round trip of the paper — that decodes into a single backing array, because
+// every recommendation decodes one on the submission path (serialize.go).
 package ml
 
 import (
