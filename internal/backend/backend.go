@@ -700,13 +700,21 @@ func (s *Server) ingestGroups(w http.ResponseWriter, r *http.Request, endpoint, 
 
 // nextSeq allocates the next event-file sequence number for a job. The
 // counter is seeded lazily from the store so a restarted server never reuses
-// a number, then advances atomically under seqMu.
+// a number, then advances atomically under seqMu. The seed is one past the
+// highest surviving sequence, not the file count: once the retention sweep
+// has reaped a job's oldest files the count names a file that still exists.
+// It is the maximum of the parsed names because the %06d names stop sorting
+// numerically past 999999.
 func (s *Server) nextSeq(jobID string) int {
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
 	seq, ok := s.seqs[jobID]
 	if !ok {
-		seq = len(s.Store.List("events/" + jobID + "/"))
+		for _, p := range s.Store.List("events/" + jobID + "/") {
+			if n, ok := store.EventSeq(p); ok && n >= seq {
+				seq = n + 1
+			}
+		}
 	}
 	s.seqs[jobID] = seq + 1
 	return seq
@@ -783,7 +791,17 @@ func (s *Server) retrain(j updateJob) {
 	sp := s.tele.tracer.StartRemote(j.trace, "retrain", "tuner")
 	sp.Annotate("%s/%s", user, signature)
 	status := "ok"
-	defer func() { sp.Finish(status) }()
+	// The span says which phase of a slow retrain was slow: reading the
+	// history back, fitting it, or committing the model. Phases an early
+	// return never reached read zero.
+	var rows int
+	var read, fit, commit time.Duration
+	defer func() {
+		if rows > 0 {
+			sp.Annotate("rows=%d read=%.2fms fit=%.2fms commit=%.2fms", rows, read.Seconds()*1e3, fit.Seconds()*1e3, commit.Seconds()*1e3)
+		}
+		sp.Finish(status)
+	}()
 	var traces []flighting.Trace
 	prefix := fmt.Sprintf("index/%s/%s/", user, signature)
 	for _, idx := range s.Store.List(prefix) {
@@ -811,9 +829,10 @@ func (s *Server) retrain(j updateJob) {
 		status = "skipped"
 		return // not enough data yet; the client keeps using the baseline
 	}
-	sp.Annotate("%d traces", len(traces))
+	rows, read = len(traces), s.clock().Now().Sub(started)
 	// Score the serving model's residuals before replacing it.
 	s.observeDrift(j.trace, user, signature, traces)
+	fitStarted := s.clock().Now()
 	x := make([][]float64, len(traces))
 	y := make([]float64, len(traces))
 	for i, t := range traces {
@@ -826,7 +845,9 @@ func (s *Server) retrain(j updateJob) {
 	}
 	kr := ml.NewKernelRidge()
 	kr.Alpha = 0.3
-	if err := kr.Fit(x, y); err != nil {
+	err := kr.Fit(x, y)
+	fit = s.clock().Now().Sub(fitStarted)
+	if err != nil {
 		status = "error"
 		s.logfCtx(j.trace, "backend: retrain %s/%s: %v", user, signature, err)
 		return
@@ -846,11 +867,13 @@ func (s *Server) retrain(j updateJob) {
 	// The model and its best-cost record are one commit (one WAL record, one
 	// replicated frame). The updater runs outside any request: the write is
 	// untraced.
+	commitStarted := s.clock().Now()
 	err = s.Store.Commit(context.Background(), []store.Entry{
 		{Path: store.ModelPath(user, signature), Data: blob},
 		{Path: bestCostPath(user, signature), Data: record},
 	})
-	elapsed := s.clock().Now().Sub(started)
+	done := s.clock().Now()
+	commit, elapsed := done.Sub(commitStarted), done.Sub(started)
 	if err != nil {
 		// A retrain whose model is not durable is not done.
 		status = "error"

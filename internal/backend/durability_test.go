@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
+	"github.com/rockhopper-db/rockhopper/internal/resilience"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
 	"github.com/rockhopper-db/rockhopper/internal/store"
 )
@@ -116,5 +118,78 @@ func TestHealthyDurableIngestStillAccepted(t *testing.T) {
 	}
 	if h.Status != "ok" || h.StoreError != "" {
 		t.Fatalf("healthy durable backend reports %q (store_error=%q)", h.Status, h.StoreError)
+	}
+}
+
+// postRun ingests one single-trace run for job "j" whose payload is
+// identified by its run time, and requires the 202.
+func postRun(t *testing.T, srv *Server, hs *httptest.Server, timeMs float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := flighting.WriteTraces(&buf, []flighting.Trace{{
+		QueryID: "s", Config: sparksim.QuerySpace().Default(), DataSize: 1, TimeMs: timeMs,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest("POST", hs.URL+"/api/events?user=u&signature=s&job_id=j", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(SASTokenHeader, srv.Store.Sign("events/", store.PermWrite, srv.TokenTTL))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest of run %g: status = %d; want 202", timeMs, resp.StatusCode)
+	}
+}
+
+// TestSequenceSeedSurvivesRetentionSweep: a restarted (or promoted) server
+// seeds a job's event-file counter from the store. After the retention sweep
+// has reaped the job's oldest files the surviving names no longer start at
+// zero, and a seed taken from their count names a file that still exists: the
+// next acknowledged ingest would overwrite an acknowledged event.
+func TestSequenceSeedSurvivesRetentionSweep(t *testing.T) {
+	st := store.New([]byte("key"))
+	clock := resilience.NewFakeClock(time.Unix(100000, 0))
+	st.SetClock(clock.Now)
+	serve := func() (*Server, *httptest.Server) {
+		srv := New(sparksim.QuerySpace(), st, secret, 1)
+		hs := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { hs.Close(); srv.Close() })
+		return srv, hs
+	}
+	srv, hs := serve()
+	postRun(t, srv, hs, 101)
+	postRun(t, srv, hs, 102)
+	clock.Advance(48 * time.Hour)
+	postRun(t, srv, hs, 103)
+	postRun(t, srv, hs, 104)
+	if n := st.CleanupOlderThan(24 * time.Hour); n != 2 {
+		t.Fatalf("sweep reaped %d event files; want 2", n)
+	}
+
+	restarted, hs2 := serve()
+	postRun(t, restarted, hs2, 105)
+	files := st.List("events/j/")
+	if len(files) != 3 {
+		t.Fatalf("event files after sweep + restart + ingest = %v; want the 2 survivors and 1 new", files)
+	}
+	seen := map[float64]bool{}
+	for _, f := range files {
+		blob, err := st.GetInternal(f)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		traces, err := flighting.ReadTraces(bytes.NewReader(blob))
+		if err != nil || len(traces) != 1 {
+			t.Fatalf("%s: %d traces, %v", f, len(traces), err)
+		}
+		seen[traces[0].TimeMs] = true
+	}
+	if !seen[103] || !seen[104] || !seen[105] {
+		t.Fatalf("payloads after restart = %v; want runs 103, 104 and 105 (an acknowledged event was overwritten)", seen)
 	}
 }

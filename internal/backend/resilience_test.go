@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +139,12 @@ func TestRetrainSurfacesFailedModelWrite(t *testing.T) {
 	spans := srv.tele.spans.Snapshot()
 	if len(spans) != 1 || spans[0].Name != "retrain" || spans[0].Status != "error" {
 		t.Errorf("retrain span = %+v, want one with status error", spans)
+	}
+	// The span carries the retrain's phases, on the failure path too, so a
+	// slow or failed retrain says where its time went.
+	phases := regexp.MustCompile(`^rows=8 read=\d+\.\d\dms fit=\d+\.\d\dms commit=\d+\.\d\dms$`)
+	if notes := spans[0].Annotations; len(notes) != 2 || notes[0] != "u/s" || !phases.MatchString(notes[1]) {
+		t.Errorf("retrain span annotations = %q, want the signature and one rows/read/fit/commit note", notes)
 	}
 
 	// The store heals: the next retrain completes and counts.

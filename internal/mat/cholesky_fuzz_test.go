@@ -168,3 +168,61 @@ func FuzzCholeskyUpdate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCholeskyBlocked holds the blocked factorization to the scalar oracle on
+// arbitrary input: a random order up to 96 (three panels), entries drawn from
+// the fuzz bytes (raw bit patterns included, so NaN, Inf and denormals reach
+// it), with or without a diagonal boost that makes the matrix positive
+// definite. Where the oracle factors, every L[i,j] must be the same bits;
+// where it fails, the error must name the same pivot with the same value.
+func FuzzCholeskyBlocked(f *testing.F) {
+	f.Add([]byte{40, 1, 3, 200, 17, 90, 4, 4, 8})
+	f.Add([]byte{95, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{33, 1, 255, 0, 0, 0, 0, 0, 0, 248, 127, 9, 9})
+	f.Add([]byte{64, 0, 255, 1, 0, 0, 0, 0, 0, 0, 0, 77})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 1 + int(data[0])%96
+		boost := data[1]%2 == 1
+		data = data[2:]
+		// The input bytes are walked cyclically, so a short input still fills
+		// the whole triangle.
+		pos := 0
+		next := func() float64 {
+			b := data[pos%len(data)]
+			pos++
+			if b == 255 {
+				var raw [8]byte
+				for i := range raw {
+					raw[i] = data[(pos+i)%len(data)]
+				}
+				pos += 8
+				return math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+			}
+			return float64(int(b)-128) / 16
+		}
+		a := NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				a.Set(i, j, next())
+			}
+			if boost {
+				a.Set(i, i, math.Abs(a.At(i, i))+8*float64(n))
+			}
+		}
+		want, wantErr := choleskyOracle(a)
+		for _, factor := range []func(*Dense) (*Cholesky, error){NewCholesky, NewCholeskyInPlace} {
+			got, err := factor(a.Clone())
+			if wantErr != nil {
+				sameFailure(t, "fuzz", err, wantErr)
+				continue
+			}
+			if err != nil {
+				t.Fatalf("oracle factored, blocked failed: %v", err)
+			}
+			sameLower(t, "fuzz", got, want)
+		}
+	})
+}

@@ -7,12 +7,25 @@
 // general BLAS replacement: every routine exists because a surrogate model in
 // internal/ml needs it. Matrices are stored row-major in a single backing
 // slice.
+//
+// The Cholesky factorization is the one routine written for speed, because a
+// model refit on a long history is little else: it is blocked in panels of 32
+// columns, can factor in place (NewCholeskyInPlace), and splits the rows under
+// each panel across GOMAXPROCS goroutines (FanOut) once a matrix reaches 256
+// rows. None of that changes a bit of the result: every entry of the factor
+// accumulates its products in the order the textbook column-by-column loop
+// does, so two nodes with different core counts train byte-identical models
+// from the same history. DESIGN.md §9 "The factorization" has the argument and
+// the measurements; the scalar loop lives on as the test oracle.
 package mat
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // ErrShape is returned when operand dimensions are incompatible.
@@ -245,42 +258,225 @@ func AddDiag(m *Dense, v float64) {
 type Cholesky struct {
 	n       int       // logical order of the factor
 	stride  int       // row stride of data; n ≤ stride
-	data    []float64 // stride×stride backing; L occupies the leading n×n block
+	data    []float64 // stride×stride backing; L is the lower triangle of the leading n×n block, the rest is garbage
 	scratch []float64 // reusable workspace for rank-1 ops (len ≥ n)
 	backup  []float64 // snapshot buffer so a failed downdate leaves L intact
 }
 
 // NewCholesky factors the symmetric positive definite matrix a. Only the
-// lower triangle of a is read. It returns a *NotPDError (matching both
-// ErrNotPositiveDefinite and ErrSingular) if a is not positive definite to
-// working precision, and ErrShape if a is not square.
+// lower triangle of a is read, and a is left untouched. It returns a
+// *NotPDError (matching both ErrNotPositiveDefinite and ErrSingular) if a is
+// not positive definite to working precision, and ErrShape if a is not
+// square.
 func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("%w: Cholesky of %dx%d", ErrShape, a.rows, a.cols)
 	}
 	n := a.rows
-	c := &Cholesky{n: n, stride: n, data: make([]float64, n*n)}
-	for j := 0; j < n; j++ {
-		var d float64 = a.At(j, j)
-		lrow := c.data[j*c.stride : j*c.stride+j+1]
-		for k := 0; k < j; k++ {
-			d -= lrow[k] * lrow[k]
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, &NotPDError{Op: "factor", Pivot: j, Value: d}
-		}
-		dj := math.Sqrt(d)
-		lrow[j] = dj
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			irow := c.data[i*c.stride : i*c.stride+j+1]
-			for k := 0; k < j; k++ {
-				s -= irow[k] * lrow[k]
-			}
-			irow[j] = s / dj
-		}
+	lower := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		copy(lower.data[i*n:i*n+i+1], a.data[i*n:i*n+i+1])
+	}
+	return NewCholeskyInPlace(lower)
+}
+
+// NewCholeskyInPlace is NewCholesky without the copy: the factor overwrites
+// the lower triangle of a, whose storage the returned Cholesky owns from then
+// on. The caller must not use a again, whether the call succeeds or fails (a
+// failed factorization leaves it half overwritten). The upper triangle of a
+// is never read or written, so every entry of the factor is bit-identical to
+// what NewCholesky(a) computes.
+func NewCholeskyInPlace(a *Dense) (*Cholesky, error) {
+	if a.rows != a.cols {
+		return nil, fmt.Errorf("%w: Cholesky of %dx%d", ErrShape, a.rows, a.cols)
+	}
+	c := &Cholesky{n: a.rows, stride: a.rows, data: a.data}
+	if err := c.factor(); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+const (
+	// panelWidth is the number of columns factored together: the 32×32
+	// diagonal block every row below is finished against is 8 KiB and stays
+	// in L1, and a row's fold reuses each L[i,k] it loads 32 times.
+	panelWidth = 32
+	// fanOutMinWork is the fewest multiply-adds below one panel that are
+	// split across goroutines: 2¹⁹ is ≈ 150 µs of serial work, well above
+	// what waking an idle processor costs, and no panel of a matrix under
+	// 256×256 reaches it.
+	fanOutMinWork = 1 << 19
+	// fanOutRows is how many rows a worker claims at a time: enough work
+	// (≥ 2¹⁴ multiply-adds from the second panel on) to hide the shared
+	// counter, few enough that a slow worker strands little.
+	fanOutRows = 16
+)
+
+// factor overwrites the lower triangle of c.data, which holds A, with L such
+// that A = L Lᵀ. It is a blocked left-looking factorization. For each panel
+// of panelWidth columns [lo, hi), fold subtracts from every entry of the
+// panel the products of the columns k < lo finished by earlier panels; the
+// rest of the sum, over the panel's own columns, and the division by the
+// pivot are applied first to the diagonal block, whose rows depend on one
+// another, and then to the rows below it, which depend only on the block and
+// so are split across goroutines when there are enough of them.
+//
+// Every L[i,j] is A[i,j] minus L[i,k]·L[j,k] for k = 0 … j−1 in ascending
+// order, one rounded multiply and one rounded subtract per k, exactly as the
+// unblocked column-by-column loop computes it: blocking and fan-out change
+// which entry is worked on next, never the order of operations inside an
+// entry. The factor, and a NotPDError's pivot and value, are therefore
+// bit-identical for any panel width and any number of workers.
+func (c *Cholesky) factor() error {
+	n := c.n
+	for lo := 0; lo < n; lo += panelWidth {
+		hi := lo + panelWidth
+		if hi > n {
+			hi = n
+		}
+		c.fold(lo, hi, lo, hi)
+		if err := c.finishBlock(lo, hi); err != nil {
+			return err
+		}
+		if (n-hi)*(hi-lo)*hi < fanOutMinWork {
+			c.below(lo, hi, hi, n)
+		} else {
+			FanOut(hi, n, fanOutRows, func(from, to int) { c.below(lo, hi, from, to) })
+		}
+	}
+	return nil
+}
+
+// fold subtracts Σ_{k<lo} L[i,k]·L[j,k] from entry (i, j) for rows i in
+// [from, to) and the panel's columns j in [lo, hi) at or left of the
+// diagonal. Four entries of a row are accumulated per pass over k so that one
+// load of L[i,k] feeds four independent subtract chains; the blocking is over
+// outputs only, each chain still runs k upwards.
+func (c *Cholesky) fold(lo, hi, from, to int) {
+	if lo == 0 {
+		return
+	}
+	s, d := c.stride, c.data
+	for i := from; i < to; i++ {
+		end := hi
+		if end > i+1 {
+			end = i + 1
+		}
+		li := d[i*s : i*s+lo]
+		out := d[i*s : i*s+end]
+		j := lo
+		for ; j+4 <= end; j += 4 {
+			l0 := d[j*s : j*s+lo][:len(li)]
+			l1 := d[(j+1)*s : (j+1)*s+lo][:len(li)]
+			l2 := d[(j+2)*s : (j+2)*s+lo][:len(li)]
+			l3 := d[(j+3)*s : (j+3)*s+lo][:len(li)]
+			s0, s1, s2, s3 := out[j], out[j+1], out[j+2], out[j+3]
+			for k, v := range li {
+				s0 -= v * l0[k]
+				s1 -= v * l1[k]
+				s2 -= v * l2[k]
+				s3 -= v * l3[k]
+			}
+			out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+		}
+		for ; j < end; j++ {
+			lj := d[j*s : j*s+lo][:len(li)]
+			sum := out[j]
+			for k, v := range li {
+				sum -= v * lj[k]
+			}
+			out[j] = sum
+		}
+	}
+}
+
+// tail returns row[j] − Σ_{lo≤k<j} row[k]·L[j,k]: what is left of entry j of
+// a folded row once the panel's own columns left of j are applied.
+func (c *Cholesky) tail(row []float64, lo, j int) float64 {
+	lj := c.data[j*c.stride+lo : j*c.stride+j]
+	li := row[lo:j][:len(lj)]
+	sum := row[j]
+	for k, v := range lj {
+		sum -= li[k] * v
+	}
+	return sum
+}
+
+// finishBlock completes the panel's diagonal block after fold, top row
+// first: a pivot is checked only after every pivot above it passed, so the
+// first failure is the one the column-by-column loop reports.
+func (c *Cholesky) finishBlock(lo, hi int) error {
+	s, d := c.stride, c.data
+	for i := lo; i < hi; i++ {
+		row := d[i*s : i*s+i+1]
+		for j := lo; j < i; j++ {
+			row[j] = c.tail(row, lo, j) / d[j*s+j]
+		}
+		sum := c.tail(row, lo, i)
+		if sum <= 0 || math.IsNaN(sum) {
+			return &NotPDError{Op: "factor", Pivot: i, Value: sum}
+		}
+		row[i] = math.Sqrt(sum)
+	}
+	return nil
+}
+
+// below folds and then completes the panel's columns in rows [from, to)
+// under the finished diagonal block.
+func (c *Cholesky) below(lo, hi, from, to int) {
+	c.fold(lo, hi, from, to)
+	s, d := c.stride, c.data
+	for i := from; i < to; i++ {
+		row := d[i*s : i*s+hi]
+		for j := lo; j < hi; j++ {
+			row[j] = c.tail(row, lo, j) / d[j*s+j]
+		}
+	}
+}
+
+// FanOut calls fn(from, to) over consecutive chunks of at most chunk indices
+// that together cover [lo, hi), on up to GOMAXPROCS goroutines (the caller's
+// included), and returns when every call has. Workers claim the next chunk
+// from a shared counter, so a worker that is slow or never scheduled costs
+// the others only the chunk it holds. fn must be safe to run concurrently on
+// disjoint ranges.
+func FanOut(lo, hi, chunk int, fn func(from, to int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if chunks := (hi - lo + chunk - 1) / chunk; workers > chunks {
+		workers = chunks
+	}
+	if workers < 2 {
+		if lo < hi {
+			fn(lo, hi)
+		}
+		return
+	}
+	var next atomic.Int64
+	next.Store(int64(lo))
+	work := func() {
+		for {
+			to := int(next.Add(int64(chunk)))
+			from := to - chunk
+			if from >= hi {
+				return
+			}
+			if to > hi {
+				to = hi
+			}
+			fn(from, to)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // Size returns the order n of the factored matrix.
@@ -289,7 +485,10 @@ func (c *Cholesky) Size() int { return c.n }
 // at reads L[i][j] from the strided backing block.
 func (c *Cholesky) at(i, j int) float64 { return c.data[i*c.stride+j] }
 
-// L returns a copy of the lower-triangular factor as an n×n Dense.
+// L returns a copy of the lower-triangular factor as an n×n Dense. Only the
+// lower triangle of the backing block is copied: above the diagonal the block
+// holds garbage by contract (after NewCholeskyInPlace, whatever the caller's
+// matrix held there), and the copy holds zeros.
 func (c *Cholesky) L() *Dense {
 	out := NewDense(c.n, c.n)
 	for i := 0; i < c.n; i++ {
@@ -298,8 +497,9 @@ func (c *Cholesky) L() *Dense {
 	return out
 }
 
-// Reconstruct returns L Lᵀ, the matrix the factor currently represents.
-// Intended for tests and diagnostics; it allocates a fresh n×n Dense.
+// Reconstruct returns L Lᵀ, the matrix the factor currently represents,
+// reading the lower triangle of the backing block only (see L). Intended for
+// tests and diagnostics; it allocates a fresh n×n Dense.
 func (c *Cholesky) Reconstruct() *Dense {
 	out := NewDense(c.n, c.n)
 	for i := 0; i < c.n; i++ {

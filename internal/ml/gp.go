@@ -80,16 +80,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	for i, v := range y {
 		centred[i] = v - g.yMean
 	}
-	gram := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := g.Kernel.Eval(rows[i], rows[j])
-			gram.Set(i, j, v)
-			gram.Set(j, i, v)
-		}
-	}
-	mat.AddDiag(gram, g.Noise+1e-10)
-	ch, err := mat.NewCholesky(gram)
+	ch, err := mat.NewCholeskyInPlace(gramLower(g.Kernel, rows, g.Noise+1e-10))
 	if err != nil {
 		return err
 	}

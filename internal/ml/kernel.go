@@ -23,6 +23,46 @@ func (k RBFKernel) Eval(a, b []float64) float64 {
 	return k.Variance * math.Exp(-d2/(2*k.LengthScale*k.LengthScale))
 }
 
+const (
+	// gramFanOutMin is the smallest Gram matrix filled on more than one
+	// goroutine: 256 rows are ≈ 33 000 kernel evaluations, ≈ 1 ms; under that
+	// the fill is too short to repay waking a processor the ingest handlers
+	// may be using.
+	gramFanOutMin = 256
+	// gramFanOutRows is how many rows of the triangle a worker claims at a
+	// time: rows grow longer towards the bottom, and small claims from a
+	// shared counter even that out without computing band edges.
+	gramFanOutRows = 16
+)
+
+// gramLower returns the n×n matrix whose lower triangle is k(rows[i], rows[j])
+// with diag added on the diagonal: the regularized kernel matrix, in the form
+// mat.NewCholeskyInPlace consumes. The upper triangle, which the
+// factorization never reads, is left zero. Each entry is computed by one
+// goroutine from its two rows alone, so the result does not depend on how
+// many goroutines filled it.
+func gramLower(k RBFKernel, rows [][]float64, diag float64) *mat.Dense {
+	n := len(rows)
+	g := mat.NewDense(n, n)
+	if n < gramFanOutMin {
+		fillGram(g, k, rows, diag, 0, n)
+	} else {
+		mat.FanOut(0, n, gramFanOutRows, func(from, to int) { fillGram(g, k, rows, diag, from, to) })
+	}
+	return g
+}
+
+// fillGram writes rows [from, to) of gramLower's triangle.
+func fillGram(g *mat.Dense, k RBFKernel, rows [][]float64, diag float64, from, to int) {
+	for i := from; i < to; i++ {
+		out, ri := g.Row(i), rows[i]
+		for j := 0; j < i; j++ {
+			out[j] = k.Eval(rows[j], ri)
+		}
+		out[i] = k.Eval(ri, ri) + diag
+	}
+}
+
 // KernelRidge is kernel ridge regression with an RBF kernel. It plays the
 // role of the paper's SVR surrogate (scikit-learn's SVR with an RBF kernel):
 // a smooth non-parametric fit whose ridge penalty absorbs observation noise,
@@ -83,16 +123,7 @@ func (k *KernelRidge) Fit(x [][]float64, y []float64) error {
 	for i, v := range y {
 		centred[i] = v - k.yMean
 	}
-	gram := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := k.Kernel.Eval(rows[i], rows[j])
-			gram.Set(i, j, v)
-			gram.Set(j, i, v)
-		}
-	}
-	mat.AddDiag(gram, k.Alpha+1e-10)
-	ch, err := mat.NewCholesky(gram)
+	ch, err := mat.NewCholeskyInPlace(gramLower(k.Kernel, rows, k.Alpha+1e-10))
 	if err != nil {
 		return err
 	}

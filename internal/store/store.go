@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"path"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -51,6 +52,17 @@ var (
 // EventPath returns the event-file path for one run of a job.
 func EventPath(jobID string, seq int) string {
 	return path.Join("events", jobID, fmt.Sprintf("run-%06d.jsonl", seq))
+}
+
+// EventSeq returns the run sequence number an EventPath path ends in; ok is
+// false for a path that is not an event file.
+func EventSeq(p string) (seq int, ok bool) {
+	name := path.Base(p)
+	if !strings.HasPrefix(name, "run-") || !strings.HasSuffix(name, ".jsonl") {
+		return 0, false
+	}
+	seq, err := strconv.Atoi(name[len("run-") : len(name)-len(".jsonl")])
+	return seq, err == nil && seq >= 0
 }
 
 // ArtifactPath returns the shared folder path for an artifact-scoped object.
