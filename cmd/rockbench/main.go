@@ -7,26 +7,14 @@
 //
 //	rockbench [-fig all|1|2|3|8|9|10|11|12|13|14|15|16|embedding|arch|applevel|ablations|guardrail|baselines|catalog|aqe]
 //	          [-scale quick|paper] [-seed N] [-workers N]
-//	rockbench -json [-short] [-out BENCH.json]
-//	rockbench -compare OLD.json NEW.json [-tol 0.25]
 //
 // -scale quick (the default) runs reduced budgets suitable for a laptop
 // minute; -scale paper uses the paper's run counts and horizons. -workers
 // bounds the per-experiment worker pool (0 = NumCPU); results are
 // byte-identical for any value.
-//
-// -json runs the pinned performance suite (internal/perfsuite) instead of
-// the figures and writes a schema-versioned report; commit it as
-// BENCH_<n>.json to extend the repository's performance trajectory. -short
-// trims the slowest entries for CI. -compare diffs two reports and exits
-// nonzero when a machine-independent metric (allocations per op, derived
-// speedup ratios) regresses beyond -tol; raw ns/op differences are printed
-// as advisory notes only. Both modes also enforce the absolute floors
-// (incremental-GP speedup, zero-alloc event codec) from DESIGN.md §9.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +23,6 @@ import (
 
 	"github.com/rockhopper-db/rockhopper/internal/experiments"
 	"github.com/rockhopper-db/rockhopper/internal/parallel"
-	"github.com/rockhopper-db/rockhopper/internal/perfsuite"
 )
 
 func main() {
@@ -43,19 +30,7 @@ func main() {
 	scale := flag.String("scale", "quick", "experiment scale: quick or paper")
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = per-figure default)")
 	workers := flag.Int("workers", 0, "experiment worker pool size (0 = NumCPU; output identical for any value; values above NumCPU oversubscribe the cores and inflate the printed speedup estimate)")
-	jsonMode := flag.Bool("json", false, "run the pinned performance suite and emit a JSON report instead of figures")
-	short := flag.Bool("short", false, "with -json: trim the slowest suite entries (skips the n=1024 GP sizes)")
-	out := flag.String("out", "", "with -json: write the report here instead of stdout")
-	compare := flag.Bool("compare", false, "compare two reports: rockbench -compare OLD.json NEW.json")
-	tol := flag.Float64("tol", 0.25, "with -compare: fractional noise tolerance for derived ratios")
 	flag.Parse()
-
-	if *jsonMode {
-		os.Exit(runJSON(*short, *out))
-	}
-	if *compare {
-		os.Exit(runCompare(flag.Args(), *tol))
-	}
 
 	paper := false
 	switch *scale {
@@ -208,89 +183,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rockbench: no experiment matched -fig=%s\n", *fig)
 		os.Exit(2)
 	}
-}
-
-// runJSON executes the pinned performance suite and writes the report.
-// Exit status 1 means the suite ran but violated an absolute floor.
-func runJSON(short bool, out string) int {
-	rep, err := perfsuite.Run(short)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rockbench: %v\n", err)
-		return 2
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rockbench: %v\n", err)
-		return 2
-	}
-	blob = append(blob, '\n')
-	if out == "" {
-		os.Stdout.Write(blob)
-	} else if err := os.WriteFile(out, blob, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "rockbench: %v\n", err)
-		return 2
-	}
-	if bad := perfsuite.CheckFloors(rep); len(bad) > 0 {
-		for _, v := range bad {
-			fmt.Fprintf(os.Stderr, "rockbench: floor violated: %s\n", v)
-		}
-		return 1
-	}
-	return 0
-}
-
-// runCompare diffs two reports. Exit status 1 means a regression (or a new
-// report that violates the absolute floors); 2 means the inputs were bad.
-func runCompare(paths []string, tol float64) int {
-	if len(paths) != 2 {
-		fmt.Fprintln(os.Stderr, "rockbench: -compare needs exactly two report paths: rockbench -compare OLD.json NEW.json")
-		return 2
-	}
-	oldRep, err := loadReport(paths[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rockbench: %v\n", err)
-		return 2
-	}
-	newRep, err := loadReport(paths[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rockbench: %v\n", err)
-		return 2
-	}
-	regs, notes := perfsuite.Compare(oldRep, newRep, tol)
-	for _, n := range notes {
-		fmt.Printf("note: %s\n", n)
-	}
-	bad := perfsuite.CheckFloors(newRep)
-	for _, v := range bad {
-		fmt.Printf("FLOOR: %s\n", v)
-	}
-	if len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Printf("REGRESSION: %s\n", r)
-		}
-	}
-	if len(regs) > 0 || len(bad) > 0 {
-		fmt.Printf("rockbench: %d regression(s), %d floor violation(s) (tol %.0f%%)\n", len(regs), len(bad), tol*100)
-		return 1
-	}
-	fmt.Printf("rockbench: no regressions against %s (tol %.0f%%)\n", paths[0], tol*100)
-	return 0
-}
-
-func loadReport(path string) (*perfsuite.Report, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep perfsuite.Report
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != perfsuite.Schema {
-		return nil, fmt.Errorf("%s: report schema %d, this rockbench understands %d", path, rep.Schema, perfsuite.Schema)
-	}
-	if rep.Suite != perfsuite.SuiteName {
-		return nil, fmt.Errorf("%s: suite %q, want %q", path, rep.Suite, perfsuite.SuiteName)
-	}
-	return &rep, nil
 }

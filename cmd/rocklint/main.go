@@ -7,14 +7,16 @@
 //
 // Usage:
 //
-//	rocklint [-tests=false] [-suppressed] [-list] [-json] [-parallel=false] [packages]
+//	rocklint [-tests=false] [-suppressed] [-list] [-json] [packages]
 //
 // packages default to ./... — patterns are module-relative directories,
-// with /... for subtrees. -parallel (the default) loads and checks
-// packages across GOMAXPROCS workers in module-import dependency order;
-// its output is byte-identical to the serial engine, which CI asserts.
-// -json emits a machine-readable report instead of the line-per-finding
-// text form. Deliberate exceptions are annotated in source:
+// with /... for subtrees. Every module package is loaded and feeds the call
+// graph the interprocedural rules read; patterns select only whose
+// findings are reported, so a package's findings are the same whether it
+// is named alone or as part of ./..., and the package count printed is the
+// number loaded. -json emits a machine-readable report instead of the
+// line-per-finding text form. Deliberate exceptions are annotated in
+// source:
 //
 //	//rocklint:allow <rule>[,<rule>] -- <reason>
 //
@@ -37,7 +39,6 @@ func main() {
 	suppressed := flag.Bool("suppressed", false, "also print suppressed findings with their reasons")
 	list := flag.Bool("list", false, "list the registered rules and exit")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON on stdout")
-	parallel := flag.Bool("parallel", true, "load and check packages across GOMAXPROCS workers")
 	flag.Parse()
 
 	rules := lint.DefaultRules()
@@ -53,37 +54,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rocklint:", err)
 		os.Exit(2)
 	}
-	var pkgs []*lint.Package
-	if *parallel {
-		pkgs, err = loader.LoadAllParallel(0)
-	} else {
-		pkgs, err = loader.LoadAll()
-	}
+	pkgs, err := loader.LoadAll()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rocklint:", err)
 		os.Exit(2)
 	}
-	pkgs = filterPatterns(pkgs, flag.Args())
-	extra, err := loadTestdata(loader, flag.Args())
+	fixtures, err := loadTestdata(loader, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rocklint:", err)
 		os.Exit(2)
-	}
-	pkgs = append(pkgs, extra...)
-
-	for _, p := range pkgs {
-		for _, terr := range p.TypeErrors {
-			fmt.Fprintf(os.Stderr, "rocklint: warning: %s: incomplete type info: %v\n", p.Path, terr)
-		}
 	}
 
 	cfg := lint.DefaultConfig()
 	cfg.IncludeTests = *tests
-	var diags []lint.Diagnostic
-	if *parallel {
-		diags = lint.RunParallel(pkgs, rules, cfg, 0)
-	} else {
-		diags = lint.Run(pkgs, rules, cfg)
+	diags := lint.Run(pkgs, rules, cfg, flag.Args()...)
+	if len(fixtures) > 0 {
+		// Testdata packages are not module packages: they get a call graph
+		// of their own.
+		diags = append(diags, lint.Run(fixtures, rules, cfg)...)
+	}
+	pkgs = append(pkgs, fixtures...)
+	for _, p := range pkgs {
+		for _, terr := range p.TypeErrors {
+			fmt.Fprintf(os.Stderr, "rocklint: warning: %s: incomplete type info: %v\n", p.Path, terr)
+		}
 	}
 
 	if *jsonOut {
@@ -223,36 +217,4 @@ func loadTestdata(loader *lint.Loader, patterns []string) ([]*lint.Package, erro
 		}
 	}
 	return out, nil
-}
-
-// filterPatterns selects packages matching the command-line patterns.
-// Supported forms: "./..." (everything), "./dir/..." (subtree), "./dir"
-// (exact); the leading "./" is optional.
-func filterPatterns(pkgs []*lint.Package, patterns []string) []*lint.Package {
-	if len(patterns) == 0 {
-		return pkgs
-	}
-	match := func(relPath string) bool {
-		for _, pat := range patterns {
-			pat = strings.TrimPrefix(filepath.ToSlash(pat), "./")
-			if pat == "..." || pat == "" {
-				return true
-			}
-			if prefix, wild := strings.CutSuffix(pat, "/..."); wild {
-				if relPath == prefix || strings.HasPrefix(relPath, prefix+"/") {
-					return true
-				}
-			} else if relPath == pat {
-				return true
-			}
-		}
-		return false
-	}
-	var out []*lint.Package
-	for _, p := range pkgs {
-		if match(p.RelPath) {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -7,7 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // This file builds rocklint's module-wide call graph: the substrate the
@@ -148,31 +147,20 @@ type Module struct {
 	// Order holds the keys sorted, for deterministic iteration.
 	Order []string
 
-	implMu    sync.Mutex // guards implCache (queried from memoized analyses, which run concurrently under RunParallel)
 	implCache map[string][]*FuncInfo
-	memoMu    sync.Mutex
-	memo      map[string]*memoEntry
-}
-
-type memoEntry struct {
-	once sync.Once
-	val  any
+	memo      map[string]any
 }
 
 // Memo computes fn at most once per module under the given key and returns
 // the cached value thereafter — module rules run once per package, but
-// their whole-module analysis must run once per module (and must be safe
-// under RunParallel).
+// their whole-module analysis must run once per module.
 func (m *Module) Memo(key string, fn func() any) any {
-	m.memoMu.Lock()
-	e := m.memo[key]
-	if e == nil {
-		e = &memoEntry{}
-		m.memo[key] = e
+	v, ok := m.memo[key]
+	if !ok {
+		v = fn()
+		m.memo[key] = v
 	}
-	m.memoMu.Unlock()
-	e.once.Do(func() { e.val = fn() })
-	return e.val
+	return v
 }
 
 // ModuleRule marks rules that need the whole-module call graph. Run builds
@@ -191,7 +179,7 @@ func BuildModule(pkgs []*Package) *Module {
 		Funcs:     make(map[string]*FuncInfo),
 		Pkgs:      pkgs,
 		implCache: make(map[string][]*FuncInfo),
-		memo:      make(map[string]*memoEntry),
+		memo:      make(map[string]any),
 	}
 	// Pass 1: register every function and literal.
 	for _, pkg := range pkgs {
@@ -432,9 +420,7 @@ func recvIsInterface(fn *types.Func) bool {
 // method; a fan-out past maxInterfaceImpls resolves to nothing.
 func (m *Module) implementations(ifaceMethod *types.Func) []*FuncInfo {
 	cacheKey := ifaceMethod.FullName()
-	m.implMu.Lock()
 	impls, ok := m.implCache[cacheKey]
-	m.implMu.Unlock()
 	if ok {
 		return impls
 	}
@@ -471,8 +457,6 @@ func (m *Module) implementations(ifaceMethod *types.Func) []*FuncInfo {
 	if len(impls) > maxInterfaceImpls {
 		impls = nil // bounded treatment: too wide to reason about
 	}
-	m.implMu.Lock()
 	m.implCache[cacheKey] = impls
-	m.implMu.Unlock()
 	return impls
 }

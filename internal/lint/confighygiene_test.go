@@ -3,7 +3,9 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -66,22 +68,24 @@ func TestDefaultConfigAllowPathsExist(t *testing.T) {
 	}
 }
 
-// TestModuleCleanAndWaiversLive loads the real module and runs the full
-// default rule set: the tree must be finding-free, and — because the
-// engine reports directives that suppress nothing as unsuppressable
-// "rocklint" findings — every committed waiver must still be doing work.
-// This is the in-process twin of CI's `rocklint ./...` gate. maxLiveWaivers
-// is a ratchet on the suppressed-finding count: it may only go down, so a
-// change that removes waivers lowers the ceiling with them.
-func TestModuleCleanAndWaiversLive(t *testing.T) {
+// loadModule loads and type-checks the real module once per test binary;
+// the tests that need the whole tree share it.
+var loadModule = sync.OnceValues(func() ([]*Package, error) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		return nil, err
+	}
+	return loader.LoadAll()
+})
+
+// modulePackages returns the shared whole-module load, failing the test on
+// a load error or incomplete type information.
+func modulePackages(t *testing.T) []*Package {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module; skipped under -short")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAllParallel(0)
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +97,23 @@ func TestModuleCleanAndWaiversLive(t *testing.T) {
 			t.Fatalf("%s: incomplete type info: %v", p.Path, p.TypeErrors[0])
 		}
 	}
+	return pkgs
+}
+
+// TestModuleCleanAndWaiversLive loads the real module and runs the full
+// default rule set: the tree must be finding-free, and — because the
+// engine reports directives that suppress nothing as unsuppressable
+// "rocklint" findings — every committed waiver must still be doing work.
+// This is the in-process twin of CI's `rocklint ./...` gate. maxLiveWaivers
+// is a ratchet on the suppressed-finding count: it may only go down, so a
+// change that removes waivers lowers the ceiling with them. It counts
+// findings, not directive lines: one directive over a line with two
+// unbounded labels waives two findings (38 findings under 34 directives
+// today), so it is already exact, and any new directive trips it.
+func TestModuleCleanAndWaiversLive(t *testing.T) {
+	pkgs := modulePackages(t)
 	const maxLiveWaivers = 38
-	diags := RunParallel(pkgs, DefaultRules(), DefaultConfig(), 0)
+	diags := Run(pkgs, DefaultRules(), DefaultConfig())
 	waivers := 0
 	for _, d := range diags {
 		if d.Suppressed {
@@ -113,4 +132,40 @@ func TestModuleCleanAndWaiversLive(t *testing.T) {
 		t.Errorf("%d live waivers, ceiling is %d: the count may only go down", waivers, maxLiveWaivers)
 	}
 	t.Logf("module clean: %d packages, %d live waivers", len(pkgs), waivers)
+}
+
+// TestRunPatternsReportOnly pins what `rocklint <pattern>` means: a pattern
+// selects which packages' findings are reported, never which packages the
+// call graph is built from. internal/fleet's deadlockcycle waiver is live
+// only through the fsync chain into internal/store, and internal/client's
+// metric label is bounded only through a callee in internal/telemetry; a
+// graph built from the named package alone would report the first waiver
+// as unused and the second label as unbounded.
+func TestRunPatternsReportOnly(t *testing.T) {
+	pkgs := modulePackages(t)
+	all := Run(pkgs, DefaultRules(), DefaultConfig())
+	for _, pat := range []string{"./internal/fleet", "internal/client/..."} {
+		dirs := make(map[string]bool)
+		for _, p := range pkgs {
+			if matchAny([]string{pat}, p.RelPath) {
+				dirs[p.Dir] = true
+			}
+		}
+		var want []Diagnostic
+		for _, d := range all {
+			if dirs[filepath.Dir(d.Pos.Filename)] {
+				want = append(want, d)
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: the whole-module run reports nothing there; the comparison would be vacuous", pat)
+		}
+		got := Run(pkgs, DefaultRules(), DefaultConfig(), pat)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d diagnostics, the whole-module run restricted to it has %d", pat, len(got), len(want))
+			for _, d := range got {
+				t.Logf("got: %s (suppressed=%v)", d, d.Suppressed)
+			}
+		}
+	}
 }

@@ -31,10 +31,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
+	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one finding at one position.
@@ -150,7 +149,19 @@ func DefaultConfig() Config {
 
 // allowed reports whether rule is exempt in the package at relPath.
 func (c Config) allowed(rule, relPath string) bool {
-	for _, pat := range c.Allow[rule] {
+	return matchAny(c.Allow[rule], relPath)
+}
+
+// matchAny reports whether relPath matches one of patterns. A pattern is a
+// module-relative directory ("internal/stats"), a subtree
+// ("internal/resilience/..."), or "..." for everything; a leading "./" is
+// ignored.
+func matchAny(patterns []string, relPath string) bool {
+	for _, pat := range patterns {
+		pat = strings.TrimPrefix(filepath.ToSlash(pat), "./")
+		if pat == "..." || pat == "" {
+			return true
+		}
 		if prefix, wild := strings.CutSuffix(pat, "/..."); wild {
 			if relPath == prefix || strings.HasPrefix(relPath, prefix+"/") {
 				return true
@@ -162,62 +173,35 @@ func (c Config) allowed(rule, relPath string) bool {
 	return false
 }
 
-// Run executes every rule over every package, applies suppression
-// directives and allowlists, and returns all diagnostics (suppressed ones
-// included, flagged) sorted by position. Engine findings — malformed and
-// unused directives — are appended under the rule name "rocklint".
-func Run(pkgs []*Package, rules []Rule, cfg Config) []Diagnostic {
-	return run(pkgs, rules, cfg, moduleFor(pkgs, rules))
-}
-
-// RunParallel is Run with package checking fanned out over up to workers
-// goroutines (GOMAXPROCS when workers <= 0). The module graph, when any
-// rule needs it, is built serially up front; the module-wide analyses the
-// rules memoize through Module.Memo run exactly once regardless of which
-// worker gets there first. Each package's diagnostics land in a
-// per-package slot and the slots are concatenated in package order before
-// the same final sort Run uses, so the output is byte-identical to the
-// serial engine for any worker count.
-func RunParallel(pkgs []*Package, rules []Rule, cfg Config, workers int) []Diagnostic {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	mod := moduleFor(pkgs, rules)
-	slots := make([][]Diagnostic, len(pkgs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range pkgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			slots[i] = checkPackage(pkgs[i], rules, cfg, mod)
-		}(i)
-	}
-	wg.Wait()
-	var out []Diagnostic
-	for _, s := range slots {
-		out = append(out, s...)
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// moduleFor builds the call graph iff some registered rule is a ModuleRule.
-func moduleFor(pkgs []*Package, rules []Rule) *Module {
-	for _, rule := range rules {
-		if _, ok := rule.(ModuleRule); ok {
-			return BuildModule(pkgs)
+// Run executes every rule over the packages of pkgs whose RelPath matches
+// one of patterns (every package when no pattern is given), applies
+// suppression directives and allowlists, and returns their diagnostics
+// (suppressed ones included, flagged) sorted by position. Engine findings —
+// malformed and unused directives — are appended under the rule name
+// "rocklint".
+//
+// Patterns select only what is reported. The call graph the
+// interprocedural rules read is always built from all of pkgs, so a
+// package's findings do not depend on which other packages were selected.
+func Run(pkgs []*Package, rules []Rule, cfg Config, patterns ...string) []Diagnostic {
+	var selected []*Package
+	for _, pkg := range pkgs {
+		if len(patterns) == 0 || matchAny(patterns, pkg.RelPath) {
+			selected = append(selected, pkg)
 		}
 	}
-	return nil
-}
-
-// run is the serial engine body.
-func run(pkgs []*Package, rules []Rule, cfg Config, mod *Module) []Diagnostic {
+	if len(selected) == 0 {
+		return nil
+	}
+	var mod *Module
+	for _, rule := range rules {
+		if _, ok := rule.(ModuleRule); ok {
+			mod = BuildModule(pkgs)
+			break
+		}
+	}
 	var out []Diagnostic
-	for _, pkg := range pkgs {
+	for _, pkg := range selected {
 		out = append(out, checkPackage(pkg, rules, cfg, mod)...)
 	}
 	sortDiagnostics(out)
@@ -225,9 +209,7 @@ func run(pkgs []*Package, rules []Rule, cfg Config, mod *Module) []Diagnostic {
 }
 
 // checkPackage runs every rule over one package and applies its
-// suppression directives. It touches no state outside the package except
-// the read-only module graph (whose memoized analyses are themselves
-// concurrency-safe), so RunParallel may call it from many goroutines.
+// suppression directives.
 func checkPackage(pkg *Package, rules []Rule, cfg Config, mod *Module) []Diagnostic {
 	dirs, malformed := collectDirectives(pkg)
 	out := malformed

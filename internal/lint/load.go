@@ -10,10 +10,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, parsed, type-checked analysis unit. In-package
@@ -69,16 +67,11 @@ type Loader struct {
 	// Fset is shared by every parsed file.
 	Fset *token.FileSet
 
-	std types.ImporterFrom
-	// stdMu serializes the stdlib source importer, which mutates internal
-	// caches and is not safe for concurrent use.
-	stdMu sync.Mutex
-	// mu guards the module-internal import caches below. Concurrency-safe
-	// lookup is what LoadAllParallel needs; the maps stay correct for the
-	// serial path too.
-	mu       sync.Mutex
+	std      types.ImporterFrom
 	imported map[string]*types.Package
 	failed   map[string]error
+	// checking holds the module-internal paths being type-checked right
+	// now; re-entering one of them is an import cycle.
 	checking map[string]bool
 }
 
@@ -131,26 +124,9 @@ func NewLoaderAt(root, modulePath string) *Loader {
 }
 
 // LoadAll loads every package under the module root, skipping testdata,
-// vendor, hidden, and underscore-prefixed directories.
+// vendor, hidden, and underscore-prefixed directories, in sorted directory
+// order.
 func (l *Loader) LoadAll() ([]*Package, error) {
-	dirs, err := l.moduleDirs()
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		got, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, got...)
-	}
-	return pkgs, nil
-}
-
-// moduleDirs walks the module tree and returns the candidate package
-// directories in sorted order.
-func (l *Loader) moduleDirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -170,159 +146,12 @@ func (l *Loader) moduleDirs() ([]string, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// LoadAllParallel loads the same package set as LoadAll, in the same order,
-// using up to workers goroutines (GOMAXPROCS when workers <= 0).
-//
-// Directories are scheduled in waves over the module-internal import DAG: a
-// directory's unit is checked only after every module-internal package its
-// files (tests included) import has finished, and each wave's worker warms
-// the import cache for its own package before type-checking the unit. By
-// the time any unit asks the importer for a module-internal dependency the
-// answer is already cached, so concurrent workers never race to build the
-// same package. Stdlib imports go through the (serialized) source importer.
-// Directories whose imports form a cycle at directory granularity — legal
-// in Go when test files import a package that imports the package under
-// test — fall back to serial loading after the parallel waves.
-func (l *Loader) LoadAllParallel(workers int) ([]*Package, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	dirs, err := l.moduleDirs()
-	if err != nil {
-		return nil, err
-	}
-
-	// Scan each directory's imports to build the DAG. A scan failure is not
-	// an error here: LoadDir reports the authoritative result later.
-	type node struct {
-		imports []string // module-internal import paths, self excluded
-		path    string   // this directory's import path ("" = no Go files)
-		level   int
-	}
-	nodes := make([]node, len(dirs))
-	byPath := make(map[string]int, len(dirs))
-	for i, dir := range dirs {
-		bp, err := build.Default.ImportDir(dir, 0)
-		if err != nil {
-			continue
-		}
-		_, ip, err := l.relPath(dir)
+	var pkgs []*Package
+	for _, dir := range dirs {
+		got, err := l.LoadDir(dir)
 		if err != nil {
 			return nil, err
 		}
-		nodes[i].path = ip
-		seen := map[string]bool{}
-		for _, group := range [3][]string{bp.Imports, bp.TestImports, bp.XTestImports} {
-			for _, imp := range group {
-				if _, ok := l.moduleRel(imp); ok && imp != ip && !seen[imp] {
-					seen[imp] = true
-					nodes[i].imports = append(nodes[i].imports, imp)
-				}
-			}
-		}
-		byPath[ip] = i
-	}
-
-	// Stratify: level(n) = 1 + max(level(deps)); unresolved after len(dirs)
-	// rounds means a directory-level cycle.
-	const cyclic = -1
-	for i := range nodes {
-		nodes[i].level = cyclic
-	}
-	for changed, round := true, 0; changed && round <= len(dirs); round++ {
-		changed = false
-		for i := range nodes {
-			if nodes[i].level != cyclic {
-				continue
-			}
-			lvl := 0
-			ready := true
-			for _, imp := range nodes[i].imports {
-				j, ok := byPath[imp]
-				if !ok {
-					continue // outside the walked tree; the importer handles it
-				}
-				if nodes[j].level == cyclic {
-					ready = false
-					break
-				}
-				if nodes[j].level+1 > lvl {
-					lvl = nodes[j].level + 1
-				}
-			}
-			if ready {
-				nodes[i].level = lvl
-				changed = true
-			}
-		}
-	}
-
-	maxLevel := 0
-	var leftover []int
-	for i := range nodes {
-		if nodes[i].level == cyclic {
-			leftover = append(leftover, i)
-		} else if nodes[i].level > maxLevel {
-			maxLevel = nodes[i].level
-		}
-	}
-
-	results := make([][]*Package, len(dirs))
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	process := func(i int) {
-		if nodes[i].path != "" {
-			// Warm the import cache with the library-only view of this
-			// package; dependents in later waves then hit the cache instead
-			// of racing to type-check it themselves. Errors are deferred to
-			// LoadDir, which attaches them to the unit as TypeErrors.
-			l.ImportFrom(nodes[i].path, l.ModuleRoot, 0)
-		}
-		got, err := l.LoadDir(dirs[i])
-		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-			return
-		}
-		results[i] = got
-	}
-	for level := 0; level <= maxLevel; level++ {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := range nodes {
-			if nodes[i].level != level {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				process(i)
-			}(i)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-	for _, i := range leftover {
-		process(i)
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-
-	var pkgs []*Package
-	for _, got := range results {
 		pkgs = append(pkgs, got...)
 	}
 	return pkgs, nil
@@ -439,47 +268,31 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // type-checked by the loader (library files only, cached — failures too,
 // so a broken package is diagnosed once, not once per dependent);
 // everything else is delegated to the stdlib source importer.
-//
-// Concurrent imports of distinct paths are safe. A concurrent import of a
-// path already being checked is reported as a cycle — LoadAllParallel's
-// dependency-ordered warming guarantees that situation never arises there,
-// and on a single goroutine re-entering a path genuinely is a cycle.
 func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
 	rel, ok := l.moduleRel(path)
 	if !ok {
-		l.stdMu.Lock()
-		defer l.stdMu.Unlock()
 		return l.std.ImportFrom(path, dir, mode)
 	}
-	l.mu.Lock()
 	if p, ok := l.imported[path]; ok {
-		l.mu.Unlock()
 		return p, nil
 	}
 	if err, ok := l.failed[path]; ok {
-		l.mu.Unlock()
 		return nil, err
 	}
 	if l.checking[path] {
-		l.mu.Unlock()
 		return nil, fmt.Errorf("lint: import cycle through %s", path)
 	}
 	l.checking[path] = true
-	l.mu.Unlock()
-
 	tpkg, err := l.checkImport(path, rel)
-
-	l.mu.Lock()
+	delete(l.checking, path)
 	if err != nil {
 		l.failed[path] = err
 	} else {
 		l.imported[path] = tpkg
 	}
-	delete(l.checking, path)
-	l.mu.Unlock()
 	return tpkg, err
 }
 

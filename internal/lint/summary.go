@@ -21,8 +21,7 @@ import (
 //
 // The propagation is a monotone worklist over the sorted function keys, so
 // the result — including the deterministic cause/witness strings used in
-// diagnostics — is byte-identical regardless of load order or worker
-// count.
+// diagnostics — is byte-identical regardless of load order.
 
 // Summary is the propagated per-function analysis state.
 type Summary struct {

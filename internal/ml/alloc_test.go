@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/rockhopper-db/rockhopper/internal/stats"
@@ -71,5 +72,47 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 				t.Fatalf("%T n=%d: blob did not decode", m, n)
 			}
 		}
+	}
+}
+
+// TestGPObserveIsNotARefit pins the incremental update's cost class by the
+// bytes it allocates, which, unlike its speed, does not depend on the
+// machine or GOMAXPROCS. An Observe + ForgetLast pair at n = 1024 borders
+// and trims the existing factor, allocating one kernel row (8·n bytes); a
+// refit allocates the n×n Gram/factor matrix, 8·n² bytes = 8 MiB. Not
+// parallel: TotalAlloc is process-wide.
+func TestGPObserveIsNotARefit(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	const dim, n, pairs = 8, 1024, 10
+	rng := stats.NewRNG(1024)
+	xs := make([][]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i], ys[i] = synthPoint(rng, dim)
+	}
+	g := NewGP()
+	if err := g.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	q, yq := synthPoint(rng, dim)
+	pair := func() {
+		if err := g.Observe(q, yq); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.ForgetLast(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair() // the first Observe reserves the factor's room for one more row
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	if perPair, budget := (after.TotalAlloc-before.TotalAlloc)/pairs, uint64(64*n); perPair > budget {
+		t.Fatalf("Observe+ForgetLast at n=%d allocates %d B per pair; budget is %d B (a refit allocates %d B)", n, perPair, budget, 8*n*n)
 	}
 }
