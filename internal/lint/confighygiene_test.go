@@ -144,28 +144,33 @@ func TestModuleCleanAndWaiversLive(t *testing.T) {
 func TestRunPatternsReportOnly(t *testing.T) {
 	pkgs := modulePackages(t)
 	all := Run(pkgs, DefaultRules(), DefaultConfig())
-	for _, pat := range []string{"./internal/fleet", "internal/client/..."} {
-		dirs := make(map[string]bool)
-		for _, p := range pkgs {
-			if matchAny([]string{pat}, p.RelPath) {
-				dirs[p.Dir] = true
+	for _, tc := range []struct{ name, pat string }{
+		{"fleet", "./internal/fleet"},
+		{"client", "internal/client/..."},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dirs := make(map[string]bool)
+			for _, p := range pkgs {
+				if matchAny([]string{tc.pat}, p.RelPath) {
+					dirs[p.Dir] = true
+				}
 			}
-		}
-		var want []Diagnostic
-		for _, d := range all {
-			if dirs[filepath.Dir(d.Pos.Filename)] {
-				want = append(want, d)
+			var want []Diagnostic
+			for _, d := range all {
+				if dirs[filepath.Dir(d.Pos.Filename)] {
+					want = append(want, d)
+				}
 			}
-		}
-		if len(want) == 0 {
-			t.Fatalf("%s: the whole-module run reports nothing there; the comparison would be vacuous", pat)
-		}
-		got := Run(pkgs, DefaultRules(), DefaultConfig(), pat)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: %d diagnostics, the whole-module run restricted to it has %d", pat, len(got), len(want))
-			for _, d := range got {
-				t.Logf("got: %s (suppressed=%v)", d, d.Suppressed)
+			if len(want) == 0 {
+				t.Fatalf("%s: the whole-module run reports nothing there; the comparison would be vacuous", tc.pat)
 			}
-		}
+			got := Run(pkgs, DefaultRules(), DefaultConfig(), tc.pat)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d diagnostics, the whole-module run restricted to it has %d", tc.pat, len(got), len(want))
+				for _, d := range got {
+					t.Logf("got: %s (suppressed=%v)", d, d.Suppressed)
+				}
+			}
+		})
 	}
 }

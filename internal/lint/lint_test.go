@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -429,5 +430,111 @@ func TestUnusedResultFixture(t *testing.T) {
 	}
 	if want := "best-effort cache warm"; !strings.Contains(sup[0].SuppressReason, want) {
 		t.Errorf("suppress reason = %q, want it to contain %q", sup[0].SuppressReason, want)
+	}
+}
+
+// TestMatchAny pins the pattern grammar shared by allowlists and rocklint's
+// package arguments: an exact directory, a subtree, or everything, with a
+// leading "./" ignored. A subtree pattern must not match a sibling that
+// merely shares its prefix.
+func TestMatchAny(t *testing.T) {
+	for _, tc := range []struct {
+		pat, rel string
+		want     bool
+	}{
+		{"internal/fleet", "internal/fleet", true},
+		{"./internal/fleet", "internal/fleet", true},
+		{"internal/fleet", "internal/fleettest", false},
+		{"internal/fleet", "internal/fleet/sub", false},
+		{"internal/fleet/...", "internal/fleet", true},
+		{"internal/fleet/...", "internal/fleet/sub", true},
+		{"./internal/fleet/...", "internal/fleet/sub", true},
+		{"internal/fleet/...", "internal/fleettest", false},
+		{"...", "cmd/rocklint", true},
+		{"./...", ".", true},
+		{".", ".", true},
+		{"internal/client", "internal/fleet", false},
+	} {
+		if got := matchAny([]string{tc.pat}, tc.rel); got != tc.want {
+			t.Errorf("matchAny(%q, %q) = %v, want %v", tc.pat, tc.rel, got, tc.want)
+		}
+	}
+	if matchAny(nil, "internal/fleet") {
+		t.Error("no patterns matched a package")
+	}
+	if !matchAny([]string{"internal/client", "internal/fleet/..."}, "internal/fleet") {
+		t.Error("second of two patterns was not consulted")
+	}
+}
+
+// TestRunPatternMatchingNothing: a pattern that selects no package reports
+// nothing, not the findings of the packages it did not name.
+func TestRunPatternMatchingNothing(t *testing.T) {
+	pkg := fixture(t, "wallclock")
+	if all := Run([]*Package{pkg}, []Rule{WallClock{}}, Config{}); len(all) == 0 {
+		t.Fatal("wallclock fixture reports nothing; the check would be vacuous")
+	}
+	if diags := Run([]*Package{pkg}, []Rule{WallClock{}}, Config{}, "no/such/dir"); diags != nil {
+		t.Errorf("pattern matching no package reported %v", diags)
+	}
+	if diags := Run([]*Package{pkg}, []Rule{WallClock{}}, Config{}, "wallclock"); len(diags) == 0 {
+		t.Error("pattern naming the package reported nothing")
+	}
+}
+
+// TestMemoComputesOnce: a module rule runs once per package, but its
+// whole-module analysis must run once per key.
+func TestMemoComputesOnce(t *testing.T) {
+	m := BuildModule(nil)
+	calls := map[string]int{}
+	for i := 0; i < 3; i++ {
+		for _, key := range []string{"a", "b"} {
+			got := m.Memo(key, func() any {
+				calls[key]++
+				return key + "!"
+			})
+			if got != key+"!" {
+				t.Fatalf("Memo(%q) = %v, want %q", key, got, key+"!")
+			}
+		}
+	}
+	if calls["a"] != 1 || calls["b"] != 1 {
+		t.Errorf("Memo ran fn %v times per key, want once each", calls)
+	}
+}
+
+// TestLoaderReportsImportCycle: two module packages importing each other
+// load to a type error naming the cycle, rather than recursing forever.
+func TestLoaderReportsImportCycle(t *testing.T) {
+	root := t.TempDir()
+	for _, f := range []struct{ dir, src string }{
+		{"a", "package a\n\nimport \"cyc/b\"\n\nvar A = b.B\n"},
+		{"b", "package b\n\nimport \"cyc/a\"\n\nvar B = a.A\n"},
+	} {
+		dir := filepath.Join(root, f.dir)
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.dir+".go"), []byte(f.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := NewLoaderAt(root, "cyc").LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages, want 2", len(pkgs))
+	}
+	for _, p := range pkgs {
+		found := false
+		for _, e := range p.TypeErrors {
+			if strings.Contains(e.Error(), "import cycle") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: no import-cycle error among %v", p.RelPath, p.TypeErrors)
+		}
 	}
 }
