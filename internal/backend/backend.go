@@ -18,6 +18,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,8 +149,9 @@ func (s *Server) checkOwnership(w http.ResponseWriter, endpoint, signature strin
 
 // awaitReplication gates an ingest acknowledgement on follower replicas.
 // On failure the commit is locally durable and the model update enqueued,
-// but the client must NOT treat the request as acknowledged — it retries,
-// and a duplicate event file is harmless noise the retrain tolerates.
+// but the client must NOT treat the request as acknowledged. Its retry is
+// not deduplicated: it stores the run again under a fresh sequence number,
+// and the retrain fits it twice (ROADMAP.md item 4).
 func (s *Server) awaitReplication(ctx context.Context, w http.ResponseWriter) bool {
 	if s.fleet == nil {
 		return true
@@ -469,124 +471,96 @@ func validSegment(v string) bool {
 	return v != "" && v != "." && v != ".." && !strings.Contains(v, "/")
 }
 
-// handleEvents ingests a JSON-lines batch of execution traces for one query
-// signature, persists it as an event file, and enqueues a model update —
-// the Event Hub trigger of Figure 7.
+// handleEvents ingests a JSON-lines batch of execution traces for the one
+// query signature the request names — the Event Hub trigger of Figure 7.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	user, signature, jobID := q.Get("user"), q.Get("signature"), q.Get("job_id")
-	if !validSegment(user) || !validSegment(signature) || jobID == "" {
-		http.Error(w, "user, signature (one path segment each) and job_id required", http.StatusBadRequest)
-		return
-	}
-	if !s.checkOwnership(w, "events", signature) {
-		return
-	}
-	start := s.clock().Now()
-	admitted := 0
-	defer func() { s.observeIngest(user, start, admitted) }()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Validate the payload parses before persisting.
-	traces, err := flighting.ReadTraces(bytesReader(body))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if ok, retry := s.admitTenant(user, float64(len(traces))); !ok {
-		s.shedRateLimited(w, "events", user, retry)
-		return
-	}
-	// Reserve the updater slot atomically (see tryAdmit); every error path
-	// below must release it.
-	if !s.tryAdmit(1) {
-		s.shedQueueFull(w, "events", user)
-		return
-	}
-	seq := s.nextSeq(jobID)
-	p := store.EventPath(jobID, seq)
-	err = s.Store.Verify(r.Header.Get(SASTokenHeader), p, store.PermWrite)
-	if err == nil {
-		// The event file (the request body, byte for byte) and the index
-		// entry the updater finds it by are one commit: a 202 means both are
-		// durable, and a crash or store fault leaves both or neither.
-		err = s.Store.Commit(r.Context(), []store.Entry{
-			{Path: p, Data: body},
-			{Path: signatureIndexPath(user, signature, jobID, seq)},
-		})
-	}
-	if err != nil {
-		s.releaseAdmit(1)
-		http.Error(w, err.Error(), storeStatus(err))
-		return
-	}
-	s.enqueueReserved(updateJob{user: user, signature: signature, trace: telemetry.SpanFrom(r.Context())})
-	if !s.awaitReplication(r.Context(), w) {
-		return
-	}
-	admitted = len(traces)
-	w.WriteHeader(http.StatusAccepted)
+	s.ingest(w, r, "events", 64<<20, true, func(q url.Values, body []byte) (map[string][]flighting.Trace, int, error) {
+		signature := q.Get("signature")
+		if !validSegment(signature) {
+			return nil, 0, errors.New("signature (one path segment) required")
+		}
+		traces, err := flighting.ReadTraces(bytes.NewReader(body))
+		return map[string][]flighting.Trace{signature: traces}, len(traces), err
+	})
+}
+
+// handleEventBatch ingests pre-digested traces spanning many query
+// signatures in ONE call: the body is the same JSON-lines trace format as
+// /api/events, but each trace's query_id names its signature.
+func (s *Server) handleEventBatch(w http.ResponseWriter, r *http.Request) {
+	s.ingest(w, r, "events_batch", 64<<20, true, func(_ url.Values, body []byte) (map[string][]flighting.Trace, int, error) {
+		traces, err := flighting.ReadTraces(bytes.NewReader(body))
+		if err != nil {
+			return nil, 0, err
+		}
+		if len(traces) == 0 {
+			return nil, 0, unprocessable("batch contains no traces")
+		}
+		bySig := map[string][]flighting.Trace{}
+		for i, tr := range traces {
+			if !validSegment(tr.QueryID) {
+				return nil, 0, fmt.Errorf("trace %d needs a query_id (the batch signature key) that is one path segment", i)
+			}
+			bySig[tr.QueryID] = append(bySig[tr.QueryID], tr)
+		}
+		return bySig, len(traces), nil
+	})
 }
 
 // handleEventLog ingests a RAW Spark event log: the Embedding ETL parses
 // the listener events, extracts plans/configs/durations, computes workload
-// embeddings, and the digested traces are committed exactly as a batch of
-// pre-digested events is. The signature is derived from each execution's
-// plan, so one log may feed several signatures. Raw event logs are accepted
-// on any node — the signatures inside are unknown until the ETL runs, so
-// clients cannot route them.
+// embeddings, and groups the digested traces by the signature derived from
+// each execution's plan, so one log may feed several signatures. Raw event
+// logs are accepted on any node — the signatures inside are unknown until
+// the ETL runs, so clients cannot route them.
 func (s *Server) handleEventLog(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	user, jobID := q.Get("user"), q.Get("job_id")
-	if !validSegment(user) || jobID == "" {
-		http.Error(w, "user (one path segment) and job_id required", http.StatusBadRequest)
-		return
-	}
-	start := s.clock().Now()
-	admitted := 0
-	defer func() { s.observeIngest(user, start, admitted) }()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	runs, err := eventlog.ParseBytes(body, s.Space)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(runs) == 0 {
-		http.Error(w, "event log contains no complete executions", http.StatusUnprocessableEntity)
-		return
-	}
-	// Group digested traces by plan signature.
-	bySig := map[string][]flighting.Trace{}
-	for _, run := range runs {
-		sig := sparksim.Signature(run.Plan)
-		tr := eventlog.ETL([]eventlog.Run{run}, nil)
-		if len(tr) == 0 {
-			continue
+	s.ingest(w, r, "eventlog", 256<<20, false, func(_ url.Values, body []byte) (map[string][]flighting.Trace, int, error) {
+		runs, err := eventlog.ParseBytes(body, s.Space)
+		if err != nil {
+			return nil, 0, err
 		}
-		tr[0].QueryID = sig
-		bySig[sig] = append(bySig[sig], tr[0])
-	}
-	admitted = s.ingestGroups(w, r, "eventlog", user, jobID, bySig, len(runs))
+		if len(runs) == 0 {
+			return nil, 0, unprocessable("event log contains no complete executions")
+		}
+		bySig := map[string][]flighting.Trace{}
+		for _, run := range runs {
+			sig := sparksim.Signature(run.Plan)
+			tr := eventlog.ETL([]eventlog.Run{run}, nil)
+			if len(tr) == 0 {
+				continue
+			}
+			tr[0].QueryID = sig
+			bySig[sig] = append(bySig[sig], tr[0])
+		}
+		return bySig, len(runs), nil
+	})
 }
 
-// BatchResponse acknowledges a batched ingest: how many signatures were
-// indexed and how many traces they carried.
+// unprocessable rejects a well-formed ingest body that carries nothing to
+// ingest (422); every other decode error is a 400.
+type unprocessable string
+
+func (u unprocessable) Error() string { return string(u) }
+
+// BatchResponse acknowledges an ingest on every ingest endpoint: how many
+// signatures were indexed and how many events they carried.
 type BatchResponse struct {
 	Signatures int `json:"signatures"`
 	Events     int `json:"events"`
 }
 
-// handleEventBatch ingests pre-digested traces spanning many query
-// signatures in ONE call: the body is the same JSON-lines trace format as
-// /api/events, but each trace's queryId names its signature.
-func (s *Server) handleEventBatch(w http.ResponseWriter, r *http.Request) {
+// ingest is the one pipeline behind the three ingest endpoints. They differ
+// only in the body limit, in whether their signatures are routed to an
+// owner, and in decode, which turns the body into traces grouped by the
+// signature each trains plus the event count to charge the tenant. A routed
+// request holding any signature this node does not own is bounced with 421
+// before admission: the commit is all-or-nothing, and the router partitions
+// by owner. The whole request — every signature's event file, the canonical
+// flighting.WriteTraces rendering of its traces, and its index entry — is ONE
+// store commit (one WAL append + one fsync), so a 202 means all of it is
+// durable and a crash or store fault can never surface part of it.
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request, endpoint string, limit int64, routed bool,
+	decode func(q url.Values, body []byte) (bySig map[string][]flighting.Trace, events int, err error)) {
 	q := r.URL.Query()
 	user, jobID := q.Get("user"), q.Get("job_id")
 	if !validSegment(user) || jobID == "" {
@@ -596,74 +570,48 @@ func (s *Server) handleEventBatch(w http.ResponseWriter, r *http.Request) {
 	start := s.clock().Now()
 	admitted := 0
 	defer func() { s.observeIngest(user, start, admitted) }()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	traces, err := flighting.ReadTraces(bytesReader(body))
+	bySig, events, err := decode(q, body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if errors.As(err, new(unprocessable)) {
+			status = http.StatusUnprocessableEntity
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
-	if len(traces) == 0 {
-		http.Error(w, "batch contains no traces", http.StatusUnprocessableEntity)
-		return
-	}
-	bySig := map[string][]flighting.Trace{}
-	for i, tr := range traces {
-		if !validSegment(tr.QueryID) {
-			http.Error(w, fmt.Sprintf("trace %d needs a queryId (the batch signature key) that is one path segment", i), http.StatusBadRequest)
-			return
-		}
-		bySig[tr.QueryID] = append(bySig[tr.QueryID], tr)
-	}
-	// A batch must be wholly owned by this node: the group commit is
-	// all-or-nothing, so a partially misrouted batch is bounced before any
-	// admission state is touched (the router partitions batches by owner).
-	if s.fleet != nil {
-		for _, sig := range sortedKeys(bySig) {
-			if !s.checkOwnership(w, "events_batch", sig) {
-				return
-			}
-		}
-	}
-	admitted = s.ingestGroups(w, r, "events_batch", user, jobID, bySig, len(traces))
-}
-
-// sortedKeys returns the signatures of a grouped ingest in stable order.
-func sortedKeys(bySig map[string][]flighting.Trace) []string {
+	// Signatures are walked in stable order, so the 421 names the same
+	// signature and sequence assignment is deterministic for a given body.
 	sigs := make([]string, 0, len(bySig))
 	for sig := range bySig {
 		sigs = append(sigs, sig)
 	}
 	sort.Strings(sigs)
-	return sigs
-}
-
-// ingestGroups is the tail /api/events/batch and /api/eventlog share. The
-// whole request — every signature's event file and index entry — is ONE
-// store commit (one WAL append + one fsync), so a 202 means all of it is
-// durable and a crash or store fault can never surface part of it. It
-// returns the event count to account as admitted: events on a 202, else 0.
-func (s *Server) ingestGroups(w http.ResponseWriter, r *http.Request, endpoint, user, jobID string, bySig map[string][]flighting.Trace, events int) int {
+	for _, sig := range sigs {
+		if routed && !s.checkOwnership(w, endpoint, sig) {
+			return
+		}
+	}
 	if ok, retry := s.admitTenant(user, float64(events)); !ok {
 		s.shedRateLimited(w, endpoint, user, retry)
-		return 0
+		return
 	}
 	// Verify the write token against the job's event folder BEFORE burning
 	// sequence numbers or updater slots.
 	if err := s.Store.Verify(r.Header.Get(SASTokenHeader), "events/"+jobID+"/", store.PermWrite); err != nil {
 		http.Error(w, err.Error(), storeStatus(err))
-		return 0
+		return
 	}
 	// One updater slot per signature, reserved atomically up front so the
-	// request is admitted or shed as a unit. Signatures are walked in stable
-	// order so sequence assignment is deterministic for a given body.
-	sigs := sortedKeys(bySig)
+	// request is admitted or shed as a unit; every error path below must
+	// release them.
 	if !s.tryAdmit(len(sigs)) {
 		s.shedQueueFull(w, endpoint, user)
-		return 0
+		return
 	}
 	entries := make([]store.Entry, 0, 2*len(sigs))
 	for _, sig := range sigs {
@@ -671,7 +619,7 @@ func (s *Server) ingestGroups(w http.ResponseWriter, r *http.Request, endpoint, 
 		if err := flighting.WriteTraces(&buf, bySig[sig]); err != nil {
 			s.releaseAdmit(len(sigs))
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return 0
+			return
 		}
 		seq := s.nextSeq(jobID)
 		entries = append(entries,
@@ -681,21 +629,21 @@ func (s *Server) ingestGroups(w http.ResponseWriter, r *http.Request, endpoint, 
 	}
 	if err := s.Store.Commit(r.Context(), entries); err != nil {
 		s.releaseAdmit(len(sigs))
-		http.Error(w, fmt.Sprintf("store: batch commit not persisted: %v", err), storeStatus(err))
-		return 0
+		http.Error(w, fmt.Sprintf("store: ingest commit not persisted: %v", err), storeStatus(err))
+		return
 	}
 	for _, sig := range sigs {
 		s.enqueueReserved(updateJob{user: user, signature: sig, trace: telemetry.SpanFrom(r.Context())})
 	}
 	if !s.awaitReplication(r.Context(), w) {
-		return 0
+		return
 	}
+	admitted = events
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	if err := json.NewEncoder(w).Encode(BatchResponse{Signatures: len(sigs), Events: events}); err != nil {
-		s.logf("backend: encode batch response: %v", err)
+		s.logf("backend: encode ingest response: %v", err)
 	}
-	return events
 }
 
 // nextSeq allocates the next event-file sequence number for a job. The
@@ -818,7 +766,7 @@ func (s *Server) retrain(j updateJob) {
 			s.logf("backend: index entry %q points at unreadable event file: %v", idx, err)
 			continue
 		}
-		ts, err := flighting.ReadTraces(bytesReader(blob))
+		ts, err := flighting.ReadTraces(bytes.NewReader(blob))
 		if err != nil {
 			s.logf("backend: corrupt event file for index entry %q: %v", idx, err)
 			continue
@@ -998,5 +946,3 @@ func isTokenErr(err error) bool {
 		errors.Is(err, store.ErrTokenExpired) ||
 		errors.Is(err, store.ErrTokenScope)
 }
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rockhopper-db/rockhopper/internal/eventlog"
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
@@ -82,7 +84,7 @@ func tenantEventCount(t *testing.T, st ObjectStore, user string) int {
 		if err != nil {
 			t.Fatalf("index entry %q points at unreadable event file: %v", p, err)
 		}
-		traces, err := flighting.ReadTraces(bytesReader(blob))
+		traces, err := flighting.ReadTraces(bytes.NewReader(blob))
 		if err != nil {
 			t.Fatalf("corrupt event file behind %q: %v", p, err)
 		}
@@ -272,14 +274,14 @@ func TestEventBatchEndpoint(t *testing.T) {
 	}
 }
 
-// badSegments are the user / signature / queryId values every ingest
+// badSegments are the user / signature / query_id values every ingest
 // endpoint must refuse: spliced into index/<user>/<sig>/… and
 // models/<user>/<sig>.model they would alias another tenant's keys ("a/b")
 // or be cleaned out of the path ("." and "..").
 var badSegments = []string{"", ".", "..", "a/b", "/"}
 
 // TestEventBatchValidation pins the endpoint's reject paths: missing or
-// non-segment params, empty body, and traces whose queryId signature key is
+// non-segment params, empty body, and traces whose query_id signature key is
 // missing or not one path segment.
 func TestEventBatchValidation(t *testing.T) {
 	srv, hs := newServer(t)
@@ -288,7 +290,7 @@ func TestEventBatchValidation(t *testing.T) {
 			t.Errorf("user %q status = %d, want 400", bad, code)
 		}
 		if code, _, _ := postBatch(srv, hs.URL, "u", "j", sigTraces([]string{"s", bad}, 1, 3)); code != http.StatusBadRequest {
-			t.Errorf("queryId %q status = %d, want 400", bad, code)
+			t.Errorf("query_id %q status = %d, want 400", bad, code)
 		}
 	}
 	if code, _, _ := postBatch(srv, hs.URL, "u", "j", nil); code != http.StatusUnprocessableEntity {
@@ -321,11 +323,17 @@ func TestEventLogValidation(t *testing.T) {
 // postEventLog ships a raw event log to POST /api/eventlog.
 func postEventLog(t *testing.T, srv *Server, hs, user string, log []byte) (int, BatchResponse) {
 	t.Helper()
-	req, err := http.NewRequest("POST", hs+"/api/eventlog?user="+user+"&job_id=j", bytes.NewReader(log))
+	return postIngest(t, hs, "/api/eventlog?user="+user+"&job_id=j", srv.Store.Sign("events/", store.PermWrite, srv.TokenTTL), log)
+}
+
+// postIngest posts body to an ingest path under tok and decodes the 202.
+func postIngest(t *testing.T, hs, path, tok string, body []byte) (int, BatchResponse) {
+	t.Helper()
+	req, err := http.NewRequest("POST", hs+path, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(SASTokenHeader, srv.Store.Sign("events/", store.PermWrite, srv.TokenTTL))
+	req.Header.Set(SASTokenHeader, tok)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -447,14 +455,30 @@ func walAppendsServer(t *testing.T) (*Server, *httptest.Server, func() float64) 
 }
 
 // TestEventsIsOneCommit: one /api/events request is one WAL append carrying
-// the event file — the request body, byte for byte — and its index entry.
+// the event file and its index entry. The event file is the canonical
+// rendering of the parsed traces, whatever spacing and key order the
+// request body used.
 func TestEventsIsOneCommit(t *testing.T) {
 	srv, hs, appends := walAppendsServer(t)
+	traces := traceBatch(3, 3)
 	var body bytes.Buffer
-	if err := flighting.WriteTraces(&body, traceBatch(3, 3)); err != nil {
+	for _, tr := range traces {
+		// A map marshals its keys sorted, not in the struct's order.
+		line, err := json.MarshalIndent(map[string]any{
+			"query_id": tr.QueryID, "config": tr.Config, "data_size": tr.DataSize, "time_ms": tr.TimeMs,
+		}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Write(append(line, '\n'))
+	}
+	var want bytes.Buffer
+	if err := flighting.WriteTraces(&want, traces); err != nil {
 		t.Fatal(err)
 	}
-	want := append([]byte(nil), body.Bytes()...)
+	if bytes.Equal(body.Bytes(), want.Bytes()) {
+		t.Fatal("the request body is already canonical; the test proves nothing")
+	}
 	if resp := postTraces(t, srv, hs.URL, "/api/events?user=u&signature=s&job_id=j", &body); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %d, want 202", resp.StatusCode)
 	}
@@ -462,11 +486,88 @@ func TestEventsIsOneCommit(t *testing.T) {
 	if got := appends(); got != 1 {
 		t.Errorf("one /api/events request cost %v WAL appends, want 1", got)
 	}
-	if got, err := srv.Store.GetInternal(store.EventPath("j", 0)); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("event file = %q, %v; want the request body", got, err)
+	got, err := srv.Store.GetInternal(store.EventPath("j", 0))
+	if err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("event file = %q, %v; want the canonical rendering %q", got, err, want.Bytes())
+	}
+	if back, err := flighting.ReadTraces(bytes.NewReader(got)); err != nil || !reflect.DeepEqual(back, traces) {
+		t.Errorf("event file reads back as %+v, %v; want %+v", back, err, traces)
 	}
 	if idx := srv.Store.List("index/"); len(idx) != 1 || idx[0] != "index/u/s/j-000000" {
 		t.Errorf("index entries = %v, want [index/u/s/j-000000]", idx)
+	}
+}
+
+// TestIngestOneTail holds each ingest endpoint to what the tail they share
+// promises: a token scoped off the job's event folder is a 403 that stores
+// nothing and uses no sequence number, so the next accepted post lands at
+// events/j/000000; the 202 body counts the signatures and events; and each
+// signature's event file is the flighting.WriteTraces rendering of its
+// traces, in signature order.
+func TestIngestOneTail(t *testing.T) {
+	space := sparksim.QuerySpace()
+	log := rawTwoSigLog(t)
+	runs, err := eventlog.ParseBytes(log, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digested []flighting.Trace
+	for _, run := range runs {
+		tr := eventlog.ETL([]eventlog.Run{run}, nil)[0]
+		tr.QueryID = sparksim.Signature(run.Plan)
+		digested = append(digested, tr)
+	}
+	single, batch := traceBatch(3, 3), sigTraces([]string{"sigB", "sigA"}, 2, 3)
+	render := func(traces []flighting.Trace) []byte {
+		var buf bytes.Buffer
+		if err := flighting.WriteTraces(&buf, traces); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cases := []struct {
+		name, path string
+		body       []byte
+		traces     []flighting.Trace // what the request ingests, each under its QueryID
+	}{
+		{"events", "/api/events?user=u&signature=s&job_id=j", render(single), single},
+		{"events_batch", "/api/events/batch?user=u&job_id=j", render(batch), batch},
+		{"eventlog", "/api/eventlog?user=u&job_id=j", log, digested},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, hs := newServer(t)
+			bySig := map[string][]flighting.Trace{}
+			for _, tr := range tc.traces {
+				bySig[tr.QueryID] = append(bySig[tr.QueryID], tr)
+			}
+			sigs := make([]string, 0, len(bySig))
+			for sig := range bySig {
+				sigs = append(sigs, sig)
+			}
+			sort.Strings(sigs)
+
+			offJob := srv.Store.Sign("events/other/", store.PermWrite, srv.TokenTTL)
+			if code, _ := postIngest(t, hs.URL, tc.path, offJob, tc.body); code != http.StatusForbidden {
+				t.Fatalf("token scoped off the job: status = %d, want 403", code)
+			}
+			if got := srv.Store.List(""); len(got) != 0 {
+				t.Fatalf("a 403 stored %v", got)
+			}
+			code, br := postIngest(t, hs.URL, tc.path, srv.Store.Sign("events/j/", store.PermWrite, srv.TokenTTL), tc.body)
+			if want := (BatchResponse{Signatures: len(sigs), Events: len(tc.traces)}); code != http.StatusAccepted || br != want {
+				t.Fatalf("status %d, body %+v; want 202 with %+v", code, br, want)
+			}
+			for seq, sig := range sigs {
+				if got, err := srv.Store.GetInternal(store.EventPath("j", seq)); err != nil || !bytes.Equal(got, render(bySig[sig])) {
+					t.Errorf("%s: event file = %q, %v; want the rendering of its %d traces", sig, got, err, len(bySig[sig]))
+				}
+				if idx := srv.Store.List("index/u/" + sig + "/"); len(idx) != 1 || idx[0] != signatureIndexPath("u", sig, "j", seq) {
+					t.Errorf("%s: index entries = %v, want [%s]", sig, idx, signatureIndexPath("u", sig, "j", seq))
+				}
+			}
+			srv.Flush()
+		})
 	}
 }
 

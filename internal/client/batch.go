@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -12,47 +11,28 @@ import (
 	"github.com/rockhopper-db/rockhopper/internal/backend"
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
-	"github.com/rockhopper-db/rockhopper/internal/store"
 )
 
 // PostEventBatch ships traces spanning many query signatures in one call to
-// POST /api/events/batch — each trace's queryId names its signature, and the
-// backend commits the whole batch as a single store group commit. This is
-// the amortized path for chatty listeners: one round trip and one fsync per
-// flush instead of one per signature.
+// POST /api/events/batch — each trace's query_id names its signature, and
+// the backend commits the whole batch as a single store group commit. This
+// is the amortized path for chatty listeners: one round trip and one fsync
+// per flush instead of one per signature.
 func (c *Client) PostEventBatch(ctx context.Context, user, jobID string, traces []flighting.Trace) (backend.BatchResponse, error) {
-	var ack backend.BatchResponse
 	if len(traces) == 0 {
-		return ack, nil
+		return backend.BatchResponse{}, nil
 	}
 	for i, tr := range traces {
 		if tr.QueryID == "" {
-			return ack, fmt.Errorf("client: batch trace %d has no QueryID (the signature key)", i)
+			return backend.BatchResponse{}, fmt.Errorf("client: batch trace %d has no QueryID (the signature key)", i)
 		}
-	}
-	tok, err := c.Token(ctx, "events/"+jobID+"/", store.PermWrite)
-	if err != nil {
-		return ack, err
 	}
 	var buf bytes.Buffer
 	if err := flighting.WriteTraces(&buf, traces); err != nil {
-		return ack, err
+		return backend.BatchResponse{}, err
 	}
-	body := buf.Bytes()
-	url := fmt.Sprintf("%s/api/events/batch?user=%s&job_id=%s", c.BaseURL, user, jobID)
-	err = c.do(ctx, "post_events_batch", "post event batch "+jobID, http.StatusAccepted,
-		func(ctx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set(backend.SASTokenHeader, tok)
-			return req, nil
-		},
-		func(resp *http.Response) error {
-			return json.NewDecoder(resp.Body).Decode(&ack)
-		})
-	return ack, err
+	return c.postIngest(ctx, "post_events_batch", "post event batch", jobID,
+		fmt.Sprintf("/api/events/batch?user=%s&job_id=%s", user, jobID), buf.Bytes())
 }
 
 // Batcher default thresholds.

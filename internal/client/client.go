@@ -444,25 +444,13 @@ func (c *Client) FetchModel(ctx context.Context, user, signature string) (ml.Reg
 // PostEvents ships a batch of execution traces to the backend — the query
 // listener's event write (Step 6 of Figure 7).
 func (c *Client) PostEvents(ctx context.Context, user, signature, jobID string, traces []flighting.Trace) error {
-	tok, err := c.Token(ctx, "events/"+jobID+"/", store.PermWrite)
-	if err != nil {
-		return err
-	}
 	var buf bytes.Buffer
 	if err := flighting.WriteTraces(&buf, traces); err != nil {
 		return err
 	}
-	body := buf.Bytes()
-	url := fmt.Sprintf("%s/api/events?user=%s&signature=%s&job_id=%s", c.BaseURL, user, signature, jobID)
-	return c.do(ctx, "post_events", "post events "+jobID, http.StatusAccepted,
-		func(ctx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set(backend.SASTokenHeader, tok)
-			return req, nil
-		}, nil)
+	_, err := c.postIngest(ctx, "post_events", "post events", jobID,
+		fmt.Sprintf("/api/events?user=%s&signature=%s&job_id=%s", user, signature, jobID), buf.Bytes())
+	return err
 }
 
 // PostEventLog ships a RAW Spark event log to the backend, which runs the
@@ -470,20 +458,34 @@ func (c *Client) PostEvents(ctx context.Context, user, signature, jobID string, 
 // the log. Use this when the client cannot (or should not) digest events
 // itself.
 func (c *Client) PostEventLog(ctx context.Context, user, jobID string, log []byte) error {
+	_, err := c.postIngest(ctx, "post_eventlog", "post event log", jobID,
+		fmt.Sprintf("/api/eventlog?user=%s&job_id=%s", user, jobID), log)
+	return err
+}
+
+// postIngest is the request path every ingest post shares: a write token on
+// the job's event folder, one POST of body to path, and the decoded 202
+// body. Decoding is not optional: a response body left unread costs the
+// keep-alive connection, and the next post dials anew.
+func (c *Client) postIngest(ctx context.Context, kind, op, jobID, path string, body []byte) (backend.BatchResponse, error) {
+	var ack backend.BatchResponse
 	tok, err := c.Token(ctx, "events/"+jobID+"/", store.PermWrite)
 	if err != nil {
-		return err
+		return ack, err
 	}
-	url := fmt.Sprintf("%s/api/eventlog?user=%s&job_id=%s", c.BaseURL, user, jobID)
-	return c.do(ctx, "post_eventlog", "post event log "+jobID, http.StatusAccepted,
+	err = c.do(ctx, kind, op+" "+jobID, http.StatusAccepted,
 		func(ctx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(log))
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 			if err != nil {
 				return nil, err
 			}
 			req.Header.Set(backend.SASTokenHeader, tok)
 			return req, nil
-		}, nil)
+		},
+		func(resp *http.Response) error {
+			return json.NewDecoder(resp.Body).Decode(&ack)
+		})
+	return ack, err
 }
 
 // FetchAppCache retrieves the pre-computed app-level configuration for a

@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"github.com/rockhopper-db/rockhopper/internal/backend"
@@ -329,5 +331,65 @@ func TestPostEventLogEndToEnd(t *testing.T) {
 	}
 	if err := c.PostEventLog(context.Background(), "u1", "job-raw", []byte("garbage")); err == nil {
 		t.Fatal("garbage event log should be rejected")
+	}
+}
+
+// TestIngestPostsReuseConnections: every ingest post reads its 202 body, so
+// its keep-alive connection goes back to the pool. A post that closed the
+// body unread would dial a new connection per call.
+func TestIngestPostsReuseConnections(t *testing.T) {
+	space := sparksim.QuerySpace()
+	srv := backend.New(space, store.New([]byte("signing-key")), secret, 1)
+	var dials atomic.Int64
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	hs.Start()
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	c := New(hs.URL, secret)
+	c.HTTP = &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(c.HTTP.CloseIdleConnections)
+
+	e := sparksim.NewEngine(space)
+	q := workloads.NewGenerator(1).Query(workloads.TPCDS, 2)
+	traces := makeTraces(e, q, 2, 5)
+	var log bytes.Buffer
+	r := stats.NewRNG(5)
+	for i := 0; i < 2; i++ {
+		cfg := space.Random(r)
+		o := e.Run(q, cfg, 1, r, noise.Low)
+		stages, _ := e.Explain(q, cfg, 1)
+		if err := eventlog.WriteRun(&log, int64(i), space, q, o, stages, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	posts := []struct {
+		name string
+		post func() error
+	}{
+		{"PostEvents", func() error { return c.PostEvents(ctx, "u", q.ID, "j", traces[:1]) }},
+		{"PostEventBatch", func() error { _, err := c.PostEventBatch(ctx, "u", "j", traces); return err }},
+		{"PostEventLog", func() error { return c.PostEventLog(ctx, "u", "j", log.Bytes()) }},
+	}
+	// Warm up: fetch the write token and open the pooled connection.
+	for _, p := range posts {
+		if err := p.post(); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+	}
+	for _, p := range posts {
+		before := dials.Load()
+		for i := 0; i < 20; i++ {
+			if err := p.post(); err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+		}
+		if n := dials.Load() - before; n > 1 {
+			t.Errorf("20 calls of %s opened %d new connections; want at most 1", p.name, n)
+		}
 	}
 }

@@ -230,11 +230,12 @@ func (r *ShardRouter) FetchModel(ctx context.Context, user, signature string) (m
 	return m, err
 }
 
-// PostEventBatch partitions traces by their queryId's owning node and
+// PostEventBatch partitions traces by their query_id's owning node and
 // posts one wholly-owned batch per node — fleet nodes bounce mixed
 // batches. The returned response aggregates all partitions; on error,
-// partitions already posted stay posted (ingest is idempotent per trace
-// file, so the caller simply retries the whole batch).
+// partitions already posted stay posted. Ingest is not idempotent: a
+// retry of the whole batch stores the posted partitions' runs again under
+// fresh sequence numbers (ROADMAP.md item 4).
 func (r *ShardRouter) PostEventBatch(ctx context.Context, user, jobID string, traces []flighting.Trace) (backend.BatchResponse, error) {
 	parts := make(map[string][]flighting.Trace)
 	for _, tr := range traces {
