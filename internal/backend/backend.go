@@ -479,7 +479,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if !validSegment(signature) {
 			return nil, 0, errors.New("signature (one path segment) required")
 		}
-		traces, err := flighting.ReadTraces(bytes.NewReader(body))
+		traces, err := flighting.ParseTraces(body)
 		return map[string][]flighting.Trace{signature: traces}, len(traces), err
 	})
 }
@@ -489,7 +489,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // /api/events, but each trace's query_id names its signature.
 func (s *Server) handleEventBatch(w http.ResponseWriter, r *http.Request) {
 	s.ingest(w, r, "events_batch", 64<<20, true, func(_ url.Values, body []byte) (map[string][]flighting.Trace, int, error) {
-		traces, err := flighting.ReadTraces(bytes.NewReader(body))
+		traces, err := flighting.ParseTraces(body)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -766,7 +766,7 @@ func (s *Server) retrain(j updateJob) {
 			s.logf("backend: index entry %q points at unreadable event file: %v", idx, err)
 			continue
 		}
-		ts, err := flighting.ReadTraces(bytes.NewReader(blob))
+		ts, err := flighting.ParseTraces(blob)
 		if err != nil {
 			s.logf("backend: corrupt event file for index entry %q: %v", idx, err)
 			continue

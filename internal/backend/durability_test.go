@@ -2,10 +2,18 @@ package backend
 
 import (
 	"bytes"
+	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,5 +199,93 @@ func TestSequenceSeedSurvivesRetentionSweep(t *testing.T) {
 	}
 	if !seen[103] || !seen[104] || !seen[105] {
 		t.Fatalf("payloads after restart = %v; want runs 103, 104 and 105 (an acknowledged event was overwritten)", seen)
+	}
+}
+
+// TestDurableDamagedEventPayload: a byte of a stored event file flipped on
+// disk — the durable store keeps payloads only in its WAL and snapshot — is
+// an error, never the wrong bytes. GET /api/object answers 500 (the object
+// exists, so not 404), and the retrain skips that event with its
+// "unreadable event file" line and fits the model on the rest.
+func TestDurableDamagedEventPayload(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{NoSync: true, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(sparksim.QuerySpace(), ds, secret, 1)
+	var logs bytes.Buffer
+	srv.Logger = log.New(&logs, "", 0)
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+		ds.Close()
+	})
+	const runs, victim = 6, 2
+	for seq := 0; seq < runs; seq++ {
+		var buf bytes.Buffer
+		if err := flighting.WriteTraces(&buf, []flighting.Trace{{
+			QueryID: "s", Config: sparksim.QuerySpace().Default(), DataSize: 1, TimeMs: float64(100 + seq),
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Commit(context.Background(), []store.Entry{
+			{Path: store.EventPath("j", seq), Data: buf.Bytes()},
+			{Path: signatureIndexPath("u", "s", "j", seq)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload, err := ds.GetInternal(store.EventPath("j", victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip the first character of the payload's base64 in the WAL.
+	wal := filepath.Join(dir, "wal.log")
+	img, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(img, []byte(base64.StdEncoding.EncodeToString(payload)))
+	if at < 0 {
+		t.Fatal("event payload not found in the WAL")
+	}
+	flipped := byte('A')
+	if img[at] == 'A' {
+		flipped = 'B'
+	}
+	f, err := os.OpenFile(wal, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte{flipped}, int64(at))
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	req, err := http.NewRequest("GET", hs.URL+"/api/object?path="+store.EventPath("j", victim), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(SASTokenHeader, srv.Store.Sign("events/", store.PermRead, time.Hour))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("GET of a damaged object: status %d (%q); want 500", resp.StatusCode, body)
+	}
+
+	srv.retrain(updateJob{user: "u", signature: "s"})
+	idx := signatureIndexPath("u", "s", "j", victim)
+	if !strings.Contains(logs.String(), fmt.Sprintf("index entry %q points at unreadable event file", idx)) {
+		t.Fatalf("retrain did not log the damaged event as unreadable: %q", logs.String())
+	}
+	if _, err := ds.GetInternal(store.ModelPath("u", "s")); err != nil {
+		t.Fatalf("retrain on the %d intact events wrote no model: %v", runs-1, err)
 	}
 }

@@ -12,6 +12,7 @@
 package flighting
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -164,6 +165,30 @@ func ReadTraces(r io.Reader) ([]Trace, error) {
 		}
 		out = append(out, t)
 	}
+}
+
+// ParseTraces is ReadTraces over a stream already in memory, at a fraction
+// of the garbage: a canonical WriteTraces stream — one trace per line — is
+// decoded line by line with json.Unmarshal, where ReadTraces' json.Decoder
+// allocates and regrows a read buffer per stream. Any other layout (a value
+// spanning lines, several on one line, a decode error) is handed to
+// ReadTraces whole, so both accept the same streams and report the same
+// errors.
+func ParseTraces(b []byte) ([]Trace, error) {
+	var out []Trace
+	for rest := b; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var t Trace
+		if json.Unmarshal(line, &t) != nil {
+			return ReadTraces(bytes.NewReader(b))
+		}
+		out = append(out, t)
+	}
+	return out, nil
 }
 
 // ToBaseline converts traces into surrogate warm-start points.

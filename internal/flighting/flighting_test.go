@@ -2,6 +2,7 @@ package flighting
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -234,6 +235,43 @@ func TestLHSAlgorithm(t *testing.T) {
 		}
 		if !lo || !hi {
 			t.Fatalf("dim %d not stratified", j)
+		}
+	}
+}
+
+// TestParseTracesMatchesReadTraces: ParseTraces must accept exactly the
+// streams ReadTraces accepts and return the same traces or the same error,
+// whether the stream is one trace per line (its fast path) or any other
+// layout JSON allows.
+func TestParseTracesMatchesReadTraces(t *testing.T) {
+	t.Parallel()
+	traces, err := pipeline().Run(Config{
+		Suite: workloads.TPCH, ScaleFactor: 1, RunsPerQuery: 2, Queries: []int{1, 2}, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var canonical bytes.Buffer
+	if err := WriteTraces(&canonical, traces); err != nil {
+		t.Fatal(err)
+	}
+	line := strings.SplitN(canonical.String(), "\n", 2)[0]
+	for _, in := range []string{
+		canonical.String(),
+		"",
+		"\n\n",
+		"\n" + line + "\r\n\n" + line, // blank lines, CRLF, no final newline
+		line + " " + line + "\n",      // two values on one line
+		strings.ReplaceAll(line, ",", ",\n  ") + "\n",        // one value over many lines
+		"null\n" + line + "\n",                               // a null decodes to a zero trace
+		line + "\n{broken\n",                                 // an error after a good line
+		line + "\n[1]\n",                                     // a value of the wrong type
+		`{"query_id":"x","query_id":"y","time_ms":1}` + "\n", // a duplicate key
+	} {
+		want, werr := ReadTraces(strings.NewReader(in))
+		got, gerr := ParseTraces([]byte(in))
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("ParseTraces(%q) = (%+v, %v); ReadTraces = (%+v, %v)", in, got, gerr, want, werr)
 		}
 	}
 }

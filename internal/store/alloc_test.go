@@ -17,11 +17,12 @@ func TestAppendWALRecordAllocFree(t *testing.T) {
 	put := walRecord{Seq: 9, Op: opPut, Path: "models/sig-17.gob", Data: make([]byte, 256), Created: 171717}
 	del := walRecord{Seq: 10, Op: opDel, Path: "models/sig-17.gob"}
 	buf := make([]byte, 0, 1024)
+	spans := make([]int, 0, 2)
 	var sink int
 	if n := testing.AllocsPerRun(1000, func() {
-		b := appendWALRecord(buf[:0], put)
-		b = appendWALRecord(b, del)
-		sink += len(b)
+		b, sp := appendWALRecord(buf[:0], put, spans[:0])
+		b, sp = appendWALRecord(b, del, sp)
+		sink += len(b) + len(sp)
 	}); n != 0 {
 		t.Fatalf("appendWALRecord allocates %v times per put+del pair; budget is 0", n)
 	}

@@ -1,9 +1,14 @@
-// DurableStore persists the in-memory object store to disk: every mutation
-// is appended to a CRC-framed write-ahead log before it is acknowledged,
-// and the log is periodically compacted into an atomic snapshot. Opening a
+// DurableStore persists the object store to disk: every mutation is
+// appended to a CRC-framed write-ahead log before it is acknowledged, and
+// the log is periodically compacted into an atomic snapshot. Opening a
 // directory replays snapshot + WAL suffix back to byte-identical state —
 // object bytes and creation timestamps included — so an autotuned restart
 // keeps every trained model and every retention clock.
+//
+// Payloads stay in those two files. The in-memory index holds, per object,
+// its key, its creation time and a locator of its payload's base64 span in
+// the WAL line or snapshot image that made it durable; a read preads the
+// span, decodes it and checks it against the locator's CRC32.
 //
 // Durability contract: a mutation is acknowledged (returns nil) only after
 // its WAL record is on disk (fsync unless NoSync). Recovery after a crash
@@ -17,14 +22,20 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
@@ -78,6 +89,10 @@ var (
 	ErrCrashed = errors.New("store: durable store is down")
 	// ErrClosed marks a store after Close.
 	ErrClosed = errors.New("store: durable store is closed")
+	// ErrCorrupt marks a payload whose bytes on disk no longer match the
+	// CRC32 recorded when it was committed. The read fails; the store
+	// never returns bytes other than those committed.
+	ErrCorrupt = errors.New("store: object payload fails its checksum")
 )
 
 // DurableOptions parameterizes OpenDurable. The zero value is production
@@ -126,10 +141,10 @@ const DefaultCompactEvery = 4096
 
 // DurableStore is an object store with snapshot + WAL persistence. It
 // satisfies the backend's ObjectStore interface; reads are served from the
-// in-memory image, mutations are logged before they are applied. All
-// methods are safe for concurrent use.
+// data directory's files through the in-memory index, mutations are logged
+// before they are applied. All methods are safe for concurrent use.
 type DurableStore struct {
-	mem      *Store
+	signer
 	dir      string
 	clock    resilience.Clock
 	logger   *log.Logger
@@ -152,14 +167,70 @@ type DurableStore struct {
 	fsyncSeconds    telemetry.Histogram
 	snapshotSeconds telemetry.Histogram
 
+	// ix is the index: every live object's key, creation time and payload
+	// locator. A mutation holds mu and then ix.mu; a reader holds ix.mu's
+	// read lock from the lookup through the pread, so a compaction or
+	// InstallSnapshot re-pointing entries under the write lock never races a
+	// read of a truncated WAL or a replaced snapshot. ix.mu also guards snap
+	// and held; mu alone excludes every index mutation, so a holder of mu
+	// may walk the index without ix.mu.
+	ix   index[loc]
+	snap *os.File // read handle on the live snapshot; nil before the first
+	// held keeps the payloads of records and images that are valid but not
+	// in this store's own rendering, so no span of them can be located; the
+	// compaction that follows their apply writes them into a snapshot and
+	// clears it. Non-nil means that compaction is due.
+	held map[string][]byte
+
 	mu       sync.Mutex
-	wal      *os.File
-	seq      uint64 // last sequence number durably assigned
-	snapSeq  uint64 // sequence number the on-disk snapshot covers
-	walCount int    // records appended since the last snapshot
+	wal      *os.File      // read-write, appending; readers pread it under ix.mu
+	walSize  int64         // bytes in the WAL
+	seq      atomic.Uint64 // last sequence number durably assigned; stored under mu, loaded anywhere
+	snapSeq  uint64        // sequence number the on-disk snapshot covers
+	walCount int           // records appended since the last snapshot
 	lastSnap time.Time
 	down     error  // non-nil once the store refuses mutations (crash/close)
 	lineBuf  []byte // reusable WAL line buffer (guarded by mu)
+	spans    []int  // reusable span offsets of lineBuf's payloads (guarded by mu)
+	locs     []loc  // reusable locators of one record's payloads (guarded by mu)
+}
+
+// loc locates one payload: the base64 span of its JSON string in the WAL or
+// the snapshot image, and the CRC32 of the decoded bytes. 16 bytes, so an
+// index entry is 40.
+type loc struct {
+	at  uint64 // the file in the top two bits (inWAL, inSnap, inHeld), the span's byte offset below
+	n   uint32 // span length in base64 characters; 0 for an empty payload
+	crc uint32 // IEEE CRC32 of the decoded payload
+}
+
+// The files a locator can name. inHeld is not a file: the payload is in the
+// store's held map until the next compaction.
+const (
+	inWAL    uint64 = 0
+	inSnap   uint64 = 1 << 62
+	inHeld   uint64 = 2 << 62
+	fileMask        = 3 << 62
+)
+
+func (l loc) file() uint64 { return l.at & fileMask }
+func (l loc) off() int64   { return int64(l.at &^ fileMask) }
+
+// locate returns the locator of data rendered as base64 at offset off of
+// file.
+func locate(file uint64, off int64, data []byte) loc {
+	return loc{at: file | uint64(off), n: uint32(base64.StdEncoding.EncodedLen(len(data))), crc: crc32.ChecksumIEEE(data)}
+}
+
+// decodeSpan decodes one payload's base64 span into dst's storage and checks
+// the bytes against l's CRC.
+func decodeSpan(dst, span []byte, l loc) ([]byte, error) {
+	dst = slices.Grow(dst[:0], base64.StdEncoding.DecodedLen(len(span)))
+	n, err := base64.StdEncoding.Decode(dst[:cap(dst)], span)
+	if err != nil || crc32.ChecksumIEEE(dst[:n]) != l.crc {
+		return dst, ErrCorrupt
+	}
+	return dst[:n], nil
 }
 
 // OpenDurable opens (creating if needed) the durable store rooted at dir,
@@ -172,10 +243,8 @@ func OpenDurable(dir string, secret []byte, opts DurableOptions) (*DurableStore,
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open durable: %w", err)
 	}
-	mem := New(secret)
-	mem.SetClock(clock.Now)
 	d := &DurableStore{
-		mem:          mem,
+		signer:       signer{secret: append([]byte(nil), secret...), now: clock.Now},
 		dir:          dir,
 		clock:        clock,
 		logger:       opts.Logger,
@@ -205,22 +274,46 @@ func OpenDurable(dir string, secret []byte, opts DurableOptions) (*DurableStore,
 		return nil, fmt.Errorf("store: open durable: %w", err)
 	}
 	if err := d.replay(); err != nil {
+		d.closeFiles()
 		return nil, err
 	}
 	d.lastSnap = clock.Now()
+	if d.held != nil {
+		// Something on disk was valid but not in this store's rendering:
+		// fold it into a snapshot of our own now, so nothing stays held.
+		if err := d.compactLocked(); err != nil {
+			d.logf("store: compaction after open failed (payloads stay held): %v", err)
+		}
+	}
 	return d, nil
 }
 
 // replay loads the snapshot, applies the WAL suffix, and truncates the log
 // to its valid prefix so future appends extend a clean file.
 func (d *DurableStore) replay() error {
-	if data, err := os.ReadFile(filepath.Join(d.dir, snapshotFile)); err == nil {
-		snap, err := decodeSnapshot(data)
+	snapPath := filepath.Join(d.dir, snapshotFile)
+	if image, err := os.ReadFile(snapPath); err == nil {
+		snap, err := decodeSnapshot(image)
 		if err != nil {
 			return err
 		}
-		d.mem.resetTo(snap.Entries)
-		d.seq, d.snapSeq = snap.WALSeq, snap.WALSeq
+		f, err := os.Open(snapPath)
+		if err != nil {
+			return fmt.Errorf("store: open snapshot: %w", err)
+		}
+		own, es := ownSnapshot(snap)
+		var held map[string][]byte
+		if !bytes.Equal(own, image) {
+			// Valid, but not this store's rendering: no span can be located.
+			held = make(map[string][]byte, len(es))
+			for i, e := range snap.Entries {
+				es[i].val.at = inHeld
+				held[e.Path] = e.Data
+			}
+		}
+		d.resetLocked(es, held, f)
+		d.seq.Store(snap.WALSeq)
+		d.snapSeq = snap.WALSeq
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: read snapshot: %w", err)
 	}
@@ -230,30 +323,45 @@ func (d *DurableStore) replay() error {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: read WAL: %w", err)
 	}
-	recs, lastSeq, validLen, err := scanWAL(image, d.snapSeq)
+	lines, lastSeq, validLen, err := scanWAL(image, d.snapSeq)
 	if err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		d.applyLocked(rec)
+	for _, l := range lines {
+		d.applyLocked(l.rec, d.locateLocked(l, 0))
 	}
-	d.seq = lastSeq
-	d.walCount = len(recs)
-	d.walReplayed.Add(float64(len(recs)))
+	d.seq.Store(lastSeq)
+	d.walCount = len(lines)
+	d.walReplayed.Add(float64(len(lines)))
 
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open WAL: %w", err)
 	}
+	d.wal = f
 	if int64(len(image)) > validLen {
 		if err := f.Truncate(validLen); err != nil {
-			f.Close()
 			return fmt.Errorf("store: truncate torn WAL tail: %w", err)
 		}
 		d.logf("store: recovery dropped %d invalid WAL byte(s) after offset %d", int64(len(image))-validLen, validLen)
 	}
-	d.wal = f
+	d.walSize = validLen
 	return nil
+}
+
+// closeFiles releases the WAL and snapshot handles; reads fail afterwards.
+func (d *DurableStore) closeFiles() error {
+	d.ix.mu.Lock()
+	defer d.ix.mu.Unlock()
+	var err error
+	if d.wal != nil {
+		err = d.wal.Close()
+	}
+	if d.snap != nil {
+		d.snap.Close()
+		d.snap = nil
+	}
+	return err
 }
 
 func (d *DurableStore) logf(format string, args ...any) {
@@ -264,7 +372,7 @@ func (d *DurableStore) logf(format string, args ...any) {
 
 // Err reports why the store refuses mutations: nil while healthy,
 // ErrCrashed (wrapped with the cause) after a durability failure,
-// ErrClosed after Close. Reads keep working either way.
+// ErrClosed after Close. Reads keep working until Close.
 func (d *DurableStore) Err() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -311,27 +419,35 @@ func (d *DurableStore) crashLocked(p CrashPoint) error {
 // live heap on a long-history signature).
 const maxKeptLineBuf = 4 << 10
 
-// appendLocked writes one record to the WAL. On success the record is
-// durable and the sequence counter advances; on any failure the store goes
-// down, because a half-written log must not accept further appends. sc is
-// the causing request's trace identity (zero for untraced work): it parents
-// the wal_append/wal_fsync spans and rides the OnAppend tap so log shipping
-// stays inside the same causal tree.
-func (d *DurableStore) appendLocked(rec walRecord, sc telemetry.SpanContext) error {
-	// Render into the store-owned buffer (mu is held): after warmup the
-	// append path allocates nothing for framing.
-	d.lineBuf = appendWALRecord(d.lineBuf[:0], rec)
+// renderLocked renders rec into the reusable line buffer, with the span
+// offsets of its payloads in d.spans, and returns the line.
+func (d *DurableStore) renderLocked(rec walRecord) []byte {
+	d.lineBuf, d.spans = appendWALRecord(d.lineBuf[:0], rec, d.spans[:0])
 	line := d.lineBuf
 	if cap(line) > maxKeptLineBuf {
 		d.lineBuf = nil
 	}
+	return line
+}
+
+// appendLocked writes one record to the WAL and returns the offset its line
+// starts at; d.spans then holds its payloads' span offsets within the line.
+// On success the record is durable and the sequence counter advances; on
+// any failure the store goes down, because a half-written log must not
+// accept further appends. sc is the causing request's trace identity (zero
+// for untraced work): it parents the wal_append/wal_fsync spans and rides
+// the OnAppend tap so log shipping stays inside the same causal tree.
+func (d *DurableStore) appendLocked(rec walRecord, sc telemetry.SpanContext) (int64, error) {
+	// Render into the store-owned buffer (mu is held): after warmup the
+	// append path allocates nothing for framing.
+	line := d.renderLocked(rec)
 	sp := d.tracer.StartRemote(sc, "wal_append", "store")
 	sp.Annotate("seq %d (%d bytes)", rec.Seq, len(line))
 	status := "ok"
 	defer func() { sp.Finish(status) }()
 	if err := d.crashLocked(CrashPreWrite); err != nil {
 		status = "error"
-		return err
+		return 0, err
 	}
 	if d.hooks != nil {
 		if herr := d.hooks(CrashMidRecord); herr != nil {
@@ -341,12 +457,12 @@ func (d *DurableStore) appendLocked(rec walRecord, sc telemetry.SpanContext) err
 				d.wal.Sync()
 			}
 			status = "error"
-			return d.latchLocked(fmt.Errorf("%w: injected crash at %s: %v", ErrCrashed, CrashMidRecord, herr))
+			return 0, d.latchLocked(fmt.Errorf("%w: injected crash at %s: %v", ErrCrashed, CrashMidRecord, herr))
 		}
 	}
 	if _, err := d.wal.Write(line); err != nil {
 		status = "error"
-		return d.latchLocked(fmt.Errorf("%w: WAL append: %v", ErrCrashed, err))
+		return 0, d.latchLocked(fmt.Errorf("%w: WAL append: %v", ErrCrashed, err))
 	}
 	if !d.noSync {
 		fsp := d.tracer.StartRemote(sp.Context(), "wal_fsync", "store")
@@ -354,18 +470,20 @@ func (d *DurableStore) appendLocked(rec walRecord, sc telemetry.SpanContext) err
 		if err := d.wal.Sync(); err != nil {
 			fsp.Finish("error")
 			status = "error"
-			return d.latchLocked(fmt.Errorf("%w: WAL sync: %v", ErrCrashed, err))
+			return 0, d.latchLocked(fmt.Errorf("%w: WAL sync: %v", ErrCrashed, err))
 		}
 		d.fsyncSeconds.Observe(d.clock.Now().Sub(start).Seconds())
 		fsp.Finish("ok")
 	}
-	d.seq = rec.Seq
+	base := d.walSize
+	d.walSize += int64(len(line))
+	d.seq.Store(rec.Seq)
 	d.walCount++
 	d.walAppends.Inc()
 	if d.onAppend != nil {
 		d.onAppend(rec.Seq, line, sc)
 	}
-	return nil
+	return base, nil
 }
 
 // commitLocked is the one mutation path: refuse when down, log the record,
@@ -375,13 +493,102 @@ func (d *DurableStore) commitLocked(rec walRecord, sc telemetry.SpanContext) err
 	if d.down != nil {
 		return d.down
 	}
-	rec.Seq = d.seq + 1
-	if err := d.appendLocked(rec, sc); err != nil {
+	rec.Seq = d.seq.Load() + 1
+	base, err := d.appendLocked(rec, sc)
+	if err != nil {
 		return err
 	}
-	d.applyLocked(rec)
+	d.applyLocked(rec, d.walLocsLocked(rec, base))
 	d.maybeCompactCountLocked()
 	return nil
+}
+
+// walLocsLocked returns the locators of rec's payloads, rendered into the
+// WAL line at offset base whose span offsets d.spans holds.
+func (d *DurableStore) walLocsLocked(rec walRecord, base int64) []loc {
+	d.locs = d.locs[:0]
+	for i, off := range d.spans {
+		d.locs = append(d.locs, locate(inWAL, base+int64(off), recordPayload(rec, i)))
+	}
+	return d.locs
+}
+
+// locateLocked returns the locators of a replayed or replicated record whose
+// line lies in the WAL at base + l.off. A line that is valid but not this
+// store's own rendering of its record has no span to point at: its payloads
+// are held instead, for the next compaction to write out.
+func (d *DurableStore) locateLocked(l walLine, base int64) []loc {
+	line := d.renderLocked(l.rec)
+	if bytes.Equal(line[:len(line)-1], l.line) {
+		return d.walLocsLocked(l.rec, base+l.off)
+	}
+	d.locs = d.locs[:0]
+	for i := range d.spans {
+		d.locs = append(d.locs, locate(inHeld, 0, recordPayload(l.rec, i)))
+	}
+	return d.locs
+}
+
+// applyLocked applies one WAL record to the index — the shared
+// interpretation used by commit, recovery replay and follower apply. locs
+// locates its payloads: one for a put, one per entry for a batch.
+func (d *DurableStore) applyLocked(rec walRecord, locs []loc) {
+	d.ix.mu.Lock()
+	defer d.ix.mu.Unlock()
+	switch rec.Op {
+	case opPut:
+		d.putLocked(rec.Path, rec.Data, rec.Created, locs[0])
+	case opDel:
+		d.ix.removeLocked(rec.Path)
+	case opSweep:
+		d.ix.removeLocked(rec.Paths...)
+	case opBatch:
+		for i, e := range rec.Entries {
+			d.putLocked(e.Path, e.Data, e.Created, locs[i])
+		}
+	}
+}
+
+// putLocked installs one object; data is kept only when l says it is held.
+// Callers hold d.mu and d.ix.mu.
+func (d *DurableStore) putLocked(p string, data []byte, created int64, l loc) {
+	if l.file() == inHeld {
+		if d.held == nil {
+			d.held = make(map[string][]byte)
+		}
+		d.held[p] = data
+	}
+	d.ix.putLocked(p, l, created)
+}
+
+// ownSnapshot renders snap in this store's own format — byte-identical to
+// encodeSnapshot — and returns the image with index entries pointing into
+// it, in snap's order.
+func ownSnapshot(snap snapshot) ([]byte, []slot[loc]) {
+	es := make([]slot[loc], len(snap.Entries))
+	image := appendSnapshotHead(nil, snap.WALSeq)
+	for i, e := range snap.Entries {
+		var at int
+		image, at = appendSnapshotEntry(image, i == 0, e.Path, e.Created, base64.StdEncoding.EncodedLen(len(e.Data)))
+		if len(e.Data) > 0 {
+			base64.StdEncoding.Encode(image[at:], e.Data)
+		}
+		es[i] = slot[loc]{key: e.Path, created: e.Created, val: locate(inSnap, int64(at), e.Data)}
+	}
+	return finishSnapshot(image), es
+}
+
+// resetLocked replaces the whole index with es, makes f the live snapshot,
+// and holds the payloads in held. Callers hold d.mu.
+func (d *DurableStore) resetLocked(es []slot[loc], held map[string][]byte, f *os.File) {
+	d.ix.mu.Lock()
+	old := d.snap
+	d.ix.resetLocked(es)
+	d.snap, d.held = f, held
+	d.ix.mu.Unlock()
+	if old != nil {
+		old.Close()
+	}
 }
 
 // Commit is the group-commit primitive and the store's only write: it logs
@@ -413,27 +620,21 @@ func (d *DurableStore) Commit(ctx context.Context, entries []Entry) error {
 	return d.commitLocked(rec, telemetry.SpanFrom(ctx))
 }
 
-// Sign issues a scoped access token; tokens are stateless, so this is the
-// in-memory implementation verbatim.
-func (d *DurableStore) Sign(prefix string, perm Permission, ttl time.Duration) string {
-	return d.mem.Sign(prefix, perm, ttl)
-}
-
-// Verify checks a token against a path and permission.
-func (d *DurableStore) Verify(tok, p string, perm Permission) error {
-	return d.mem.Verify(tok, p, perm)
-}
-
 // Put writes an object after verifying the write token.
 func (d *DurableStore) Put(tok, p string, data []byte) error {
-	if err := d.mem.Verify(tok, p, PermWrite); err != nil {
+	if err := d.Verify(tok, p, PermWrite); err != nil {
 		return err
 	}
 	return d.Commit(context.Background(), []Entry{{Path: p, Data: data}})
 }
 
 // Get reads an object after verifying the read token.
-func (d *DurableStore) Get(tok, p string) ([]byte, error) { return d.mem.Get(tok, p) }
+func (d *DurableStore) Get(tok, p string) ([]byte, error) {
+	if err := d.Verify(tok, p, PermRead); err != nil {
+		return nil, err
+	}
+	return d.GetInternal(p)
+}
 
 // PutInternal is a one-entry Commit for callers with no error slot: a
 // durability failure is logged and latched, so Err reports it and every
@@ -444,8 +645,59 @@ func (d *DurableStore) PutInternal(p string, data []byte) {
 	}
 }
 
-// GetInternal reads without a token.
-func (d *DurableStore) GetInternal(p string) ([]byte, error) { return d.mem.GetInternal(p) }
+// GetInternal reads without a token: one pread of the payload's span,
+// decoded and checked against its CRC. A payload damaged on disk is
+// ErrCorrupt, never other bytes.
+func (d *DurableStore) GetInternal(p string) ([]byte, error) {
+	d.ix.mu.RLock()
+	defer d.ix.mu.RUnlock()
+	e := d.ix.findLocked(p)
+	if e == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
+	}
+	return d.readLocked(e)
+}
+
+// readLocked returns a fresh copy of e's payload. Callers hold d.ix.mu.
+func (d *DurableStore) readLocked(e *slot[loc]) ([]byte, error) {
+	l := e.val
+	switch {
+	case l.n == 0:
+		return nil, nil
+	case l.file() == inHeld:
+		return append([]byte(nil), d.held[e.key]...), nil
+	}
+	f := d.wal
+	if l.file() == inSnap {
+		f = d.snap
+	}
+	if f == nil {
+		return nil, fmt.Errorf("store: read %s: %w", e.key, ErrClosed)
+	}
+	buf := spanPool.Get().(*[]byte)
+	span := slices.Grow((*buf)[:0], int(l.n))[:l.n]
+	defer func() {
+		if cap(span) <= maxPooledSpan {
+			*buf = span
+			spanPool.Put(buf)
+		}
+	}()
+	if _, err := f.ReadAt(span, l.off()); err != nil {
+		return nil, fmt.Errorf("store: read %s: %w", e.key, err)
+	}
+	data, err := decodeSpan(nil, span, l)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s", err, e.key)
+	}
+	return data, nil
+}
+
+// spanPool recycles the buffers reads pread base64 spans into, so a read
+// allocates only the payload it returns; a span over maxPooledSpan (a large
+// model) is let go instead of pinned.
+var spanPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledSpan = 16 << 10
 
 // PutBatch is Commit without a context.
 func (d *DurableStore) PutBatch(entries []BatchEntry) error {
@@ -453,10 +705,10 @@ func (d *DurableStore) PutBatch(entries []BatchEntry) error {
 }
 
 // List returns the paths under prefix, sorted.
-func (d *DurableStore) List(prefix string) []string { return d.mem.List(prefix) }
+func (d *DurableStore) List(prefix string) []string { return d.ix.list(prefix) }
 
 // Len returns the number of stored objects.
-func (d *DurableStore) Len() int { return d.mem.Len() }
+func (d *DurableStore) Len() int { return d.ix.len() }
 
 // Delete removes an object; deleting a missing object is logged as a
 // mutation all the same, keeping replay a pure function of the log.
@@ -475,7 +727,7 @@ func (d *DurableStore) Delete(p string) error {
 func (d *DurableStore) CleanupOlderThan(retention time.Duration) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	reaped := d.mem.expiredEvents(retention)
+	reaped := d.ix.expiredEvents(d.clock.Now().Add(-retention).UnixNano())
 	if len(reaped) == 0 {
 		return 0
 	}
@@ -488,9 +740,9 @@ func (d *DurableStore) CleanupOlderThan(retention time.Duration) int {
 }
 
 // maybeCompactCountLocked compacts when the WAL has grown past the
-// record-count threshold.
+// record-count threshold, or when payloads are held in memory.
 func (d *DurableStore) maybeCompactCountLocked() {
-	if d.compactEvery <= 0 || d.walCount < d.compactEvery {
+	if d.held == nil && (d.compactEvery <= 0 || d.walCount < d.compactEvery) {
 		return
 	}
 	if err := d.compactLocked(); err != nil {
@@ -526,46 +778,140 @@ func (d *DurableStore) Compact() error {
 }
 
 // compactLocked folds the full store state into a new snapshot via
-// write-temp + rename, then resets the WAL. A crash before the rename
-// leaves the old snapshot + full WAL authoritative; a crash after it
-// leaves stale WAL records that replay skips by sequence number — both
-// recover to the identical state.
+// write-temp + rename, re-points the index at it, then resets the WAL. A
+// crash before the rename leaves the old snapshot + full WAL authoritative;
+// a crash after it leaves stale WAL records that replay skips by sequence
+// number — both recover to the identical state.
 func (d *DurableStore) compactLocked() error {
 	started := d.clock.Now()
-	snap := snapshot{Version: snapshotVersion, WALSeq: d.seq, Entries: d.mem.export()}
-	image, err := encodeSnapshot(snap)
+	seq := d.seq.Load()
+	image, locs, err := d.imageLocked(seq)
 	if err != nil {
 		return err
 	}
 	tmp := filepath.Join(d.dir, snapshotTemp)
-	if err := writeFileSync(tmp, image); err != nil {
+	f, err := writeSnapshotTemp(tmp, image)
+	if err != nil {
 		return fmt.Errorf("store: write snapshot temp: %w", err)
 	}
 	if err := d.crashLocked(CrashPreRename); err != nil {
+		f.Close()
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(d.dir, snapshotFile)); err != nil {
+		f.Close()
 		return fmt.Errorf("store: commit snapshot: %w", err)
 	}
 	syncDir(d.dir)
 	// The snapshot is committed from here on: state-tracking updates must
 	// happen even if truncation fails, because replay trusts the rename.
-	d.snapSeq = snap.WALSeq
+	d.snapSeq = seq
 	d.lastSnap = d.clock.Now()
 	d.walCount = 0
 	d.snapshotSeconds.Observe(d.lastSnap.Sub(started).Seconds())
+	d.repointLocked(f, locs)
 	if err := d.crashLocked(CrashPostRename); err != nil {
 		return err
 	}
-	if err := d.wal.Truncate(0); err != nil {
-		// Safe to continue: replay skips records at or below snapSeq.
-		d.logf("store: WAL truncate after snapshot: %v", err)
-	}
+	d.truncateWALLocked()
 	return nil
 }
 
+// imageLocked renders the whole store as a snapshot image covering walSeq,
+// byte-identical to encodeSnapshot of its entries, and returns it with the
+// locators of every payload's span in it, in index order. Each payload's
+// base64 is copied out of the file that holds it — the files read in offset
+// order, coalescing nearby spans into one pread — and checked against its
+// CRC on the way, so a damaged payload fails the image instead of being
+// sealed into a fresh snapshot under a valid checksum. Callers hold d.mu.
+func (d *DurableStore) imageLocked(walSeq uint64) ([]byte, []loc, error) {
+	type span struct {
+		src loc
+		dst int
+		key string
+	}
+	locs := make([]loc, 0, d.ix.lenLocked())
+	var spans []span
+	image := appendSnapshotHead(nil, walSeq)
+	d.ix.eachLocked(func(e *slot[loc]) {
+		var at int
+		image, at = appendSnapshotEntry(image, len(locs) == 0, e.key, e.created, int(e.val.n))
+		switch {
+		case e.val.n == 0:
+		case e.val.file() == inHeld:
+			base64.StdEncoding.Encode(image[at:], d.held[e.key])
+		default:
+			spans = append(spans, span{src: e.val, dst: at, key: e.key})
+		}
+		locs = append(locs, loc{at: inSnap | uint64(at), n: e.val.n, crc: e.val.crc})
+	})
+	// Read through gaps up to a page; cap one read at 1 MiB.
+	const maxGap, maxRead = 4 << 10, 1 << 20
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.src.at, b.src.at) })
+	var block, scratch []byte
+	for i := 0; i < len(spans); {
+		first := spans[i].src
+		start, end := first.off(), first.off()+int64(first.n)
+		j := i + 1
+		for ; j < len(spans) && spans[j].src.file() == first.file(); j++ {
+			s := spans[j].src
+			if s.off() > end+maxGap || s.off()+int64(s.n)-start > maxRead {
+				break
+			}
+			end = max(end, s.off()+int64(s.n))
+		}
+		f := d.wal
+		if first.file() == inSnap {
+			f = d.snap
+		}
+		block = slices.Grow(block[:0], int(end-start))[:end-start]
+		if _, err := f.ReadAt(block, start); err != nil {
+			return nil, nil, fmt.Errorf("store: read payloads for snapshot: %w", err)
+		}
+		for _, s := range spans[i:j] {
+			b64 := block[s.src.off()-start:][:s.src.n]
+			var err error
+			if scratch, err = decodeSpan(scratch, b64, s.src); err != nil {
+				return nil, nil, fmt.Errorf("%w: %s", err, s.key)
+			}
+			copy(image[s.dst:], b64)
+		}
+		i = j
+	}
+	return finishSnapshot(image), locs, nil
+}
+
+// repointLocked makes f the live snapshot and points every index entry, in
+// order, at locs: its payload's span in f. Nothing is held afterwards.
+func (d *DurableStore) repointLocked(f *os.File, locs []loc) {
+	d.ix.mu.Lock()
+	old := d.snap
+	d.snap, d.held = f, nil
+	i := 0
+	d.ix.eachLocked(func(e *slot[loc]) {
+		e.val = locs[i]
+		i++
+	})
+	d.ix.mu.Unlock()
+	if old != nil {
+		old.Close()
+	}
+}
+
+// truncateWALLocked empties the WAL once the live snapshot covers it and no
+// index entry points into it.
+func (d *DurableStore) truncateWALLocked() {
+	if err := d.wal.Truncate(0); err != nil {
+		// Safe to continue: replay skips records at or below snapSeq.
+		d.logf("store: WAL truncate after snapshot: %v", err)
+		return
+	}
+	d.walSize = 0
+}
+
 // Close takes a final snapshot (the graceful-shutdown flush) and releases
-// the WAL handle. The store refuses all mutations afterwards.
+// the WAL and snapshot handles. The store refuses all mutations afterwards,
+// and reads fail.
 func (d *DurableStore) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -574,7 +920,7 @@ func (d *DurableStore) Close() error {
 		//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
 		first = d.compactLocked()
 	}
-	if err := d.wal.Close(); err != nil && first == nil {
+	if err := d.closeFiles(); err != nil && first == nil {
 		first = err
 	}
 	if d.down == nil {
@@ -583,21 +929,23 @@ func (d *DurableStore) Close() error {
 	return first
 }
 
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// writeSnapshotTemp writes a snapshot image to path, fsyncs it, and returns
+// the file open for reading: it becomes the live snapshot's handle once
+// renamed.
+func writeSnapshotTemp(path string, image []byte) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := f.Write(data); err != nil {
+	if _, err := f.Write(image); err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
-	return f.Close()
+	return f, nil
 }
 
 // syncDir fsyncs a directory so a rename survives power loss. Best effort:

@@ -24,7 +24,7 @@ func (d *DurableStore) abandon() {
 	if d.down == nil {
 		d.down = ErrClosed
 	}
-	d.wal.Close()
+	d.closeFiles()
 }
 
 // exportOf returns the full state of either store flavor for comparison.
@@ -33,7 +33,11 @@ func exportOf(v any) []snapEntry {
 	case *Store:
 		return s.export()
 	case *DurableStore:
-		return s.mem.export()
+		es, err := s.export()
+		if err != nil {
+			panic(err)
+		}
+		return es
 	}
 	panic("exportOf: unsupported store type")
 }

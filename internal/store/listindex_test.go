@@ -17,6 +17,31 @@ import (
 	"github.com/rockhopper-db/rockhopper/internal/testutil"
 )
 
+// export returns a deep copy of the store's full state, in path order: the
+// state tests compare the durable store's against.
+func (s *Store) export() []snapEntry {
+	s.ix.mu.RLock()
+	defer s.ix.mu.RUnlock()
+	out := make([]snapEntry, 0, s.ix.lenLocked())
+	s.ix.eachLocked(func(e *slot[[]byte]) {
+		out = append(out, snapEntry{Path: e.key, Data: append([]byte(nil), e.val...), Created: e.created})
+	})
+	return out
+}
+
+// resetTo replaces the store's whole state with a decoded snapshot's entries,
+// taking ownership of their payloads, as the durable store's replay and
+// InstallSnapshot do with theirs.
+func (s *Store) resetTo(entries []snapEntry) {
+	es := make([]slot[[]byte], len(entries))
+	for i, e := range entries {
+		es[i] = slot[[]byte]{key: e.Path, created: e.Created, val: e.Data}
+	}
+	s.ix.mu.Lock()
+	defer s.ix.mu.Unlock()
+	s.ix.resetLocked(es)
+}
+
 // oracleObject is what the test's own map remembers about one stored object.
 type oracleObject struct {
 	data    []byte

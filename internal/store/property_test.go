@@ -17,7 +17,10 @@ import (
 // durable store that only ever appends to its WAL, and a durable store that
 // compacts aggressively mid-trace — must agree on final state, and both
 // durable flavors must still agree after an unclean reopen (pure WAL replay
-// versus snapshot + WAL-suffix replay). Trials split deterministically from
+// versus snapshot + WAL-suffix replay). After every step, every read path of
+// both durable stores — GetInternal of each path, Export — must return the
+// reference's bytes, whichever file the index points into at that moment.
+// Trials split deterministically from
 // per-seed root RNGs, so any failure reproduces from its seed and index.
 func TestPropertyReplayEquivalence(t *testing.T) {
 	t.Parallel()
@@ -90,6 +93,8 @@ func runEquivalenceTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 				t.Fatalf("%s: %v", label("compact", i), err)
 			}
 		}
+		wantReadsMatch(t, label("reads wal-only", i), ref, walOnly, paths)
+		wantReadsMatch(t, label("reads mixed", i), ref, mixed, paths)
 	}
 	wantSameState(t, label("final wal-only", nops), ref, walOnly)
 	wantSameState(t, label("final mixed", nops), ref, mixed)
@@ -102,6 +107,10 @@ func runEquivalenceTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 	reMix := mustOpen(t, mixDir, DurableOptions{Clock: clock, CompactEvery: 3})
 	wantSameState(t, label("reopen wal-only", nops), ref, reWAL)
 	wantSameState(t, label("reopen mixed", nops), ref, reMix)
+	for _, d := range []*DurableStore{reWAL, reMix} {
+		wantReadsMatch(t, label("reads after reopen", nops), ref, d, paths)
+		wantNothingHeld(t, label("reopen", nops), d)
+	}
 
 	// The recovered stores must keep accepting and agreeing on mutations.
 	clock.Advance(time.Minute)
@@ -116,6 +125,7 @@ func runEquivalenceTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 		t.Fatalf("%s: recovered stores diverged from each other", label("post-reopen", nops))
 	}
 	wantSameState(t, label("post-reopen", nops), ref, reWAL)
+	wantReadsMatch(t, label("reads post-reopen", nops), ref, reMix, paths)
 	if err := reWAL.Close(); err != nil {
 		t.Fatal(err)
 	}

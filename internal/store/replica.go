@@ -16,6 +16,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -31,17 +32,20 @@ import (
 // records in between are missing — and must catch up from a snapshot.
 var ErrReplicaGap = errors.New("store: replicated frames skip past the next expected sequence")
 
-// Seq returns the last durably applied WAL sequence number.
-func (d *DurableStore) Seq() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.seq
-}
+// Seq returns the last durably applied WAL sequence number. It takes no
+// lock: an ingest reads it right after its own commit to know which
+// replication to wait for, and must not queue behind another committer's
+// fsync or a whole compaction.
+func (d *DurableStore) Seq() uint64 { return d.seq.Load() }
 
 // Export returns a deep copy of the full store state, sorted by path. Two
-// stores are byte-identical exactly when their Exports are equal.
+// stores are byte-identical exactly when their Exports are equal. A payload
+// that fails its checksum is logged and left out.
 func (d *DurableStore) Export() []Entry {
-	es := d.mem.export()
+	es, err := d.export()
+	if err != nil {
+		d.logf("store: export: %v", err)
+	}
 	out := make([]Entry, len(es))
 	for i, e := range es {
 		out[i] = Entry{Path: e.Path, Data: e.Data, Created: time.Unix(0, e.Created)}
@@ -49,8 +53,26 @@ func (d *DurableStore) Export() []Entry {
 	return out
 }
 
+// export reads every object, in path order. It returns every readable entry,
+// and the first read error.
+func (d *DurableStore) export() ([]snapEntry, error) {
+	d.ix.mu.RLock()
+	defer d.ix.mu.RUnlock()
+	out := make([]snapEntry, 0, d.ix.lenLocked())
+	var first error
+	d.ix.eachLocked(func(e *slot[loc]) {
+		data, err := d.readLocked(e)
+		if err != nil {
+			first = cmp.Or(first, err)
+			return
+		}
+		out = append(out, snapEntry{Path: e.key, Data: data, Created: e.created})
+	})
+	return out, first
+}
+
 // ApplyReplicated appends a batch of verbatim WAL frames shipped from a
-// shard owner and applies them to the in-memory image. Frames are newline-
+// shard owner and applies them to the index. Frames are newline-
 // terminated lines in the owner's on-disk format; they are validated (CRC,
 // shape, sequence) before a single byte reaches the follower's log.
 //
@@ -69,46 +91,48 @@ func (d *DurableStore) ApplyReplicated(ctx context.Context, frames []byte) (uint
 	sc := telemetry.SpanFrom(ctx)
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	seq := d.seq.Load()
 	if d.down != nil {
-		return d.seq, d.down
+		return seq, d.down
 	}
 	var (
-		accepted []walRecord
+		accepted []walLine
 		buf      []byte
 	)
 	off := 0
 	for off < len(frames) {
 		nl := bytes.IndexByte(frames[off:], '\n')
 		if nl < 0 {
-			return d.seq, fmt.Errorf("store: replicated frame batch has a torn tail at offset %d", off)
+			return seq, fmt.Errorf("store: replicated frame batch has a torn tail at offset %d", off)
 		}
 		line := frames[off : off+nl]
 		rec, err := decodeWALRecord(line)
 		if err != nil {
-			return d.seq, fmt.Errorf("store: replicated frame at offset %d: %w", off, err)
+			return seq, fmt.Errorf("store: replicated frame at offset %d: %w", off, err)
 		}
-		next := d.seq + uint64(len(accepted)) + 1
+		next := seq + uint64(len(accepted)) + 1
 		switch {
-		case rec.Seq <= d.seq:
+		case rec.Seq <= seq:
 			// Redelivered prefix: already durable here, skip silently.
 		case rec.Seq == next:
-			accepted = append(accepted, rec)
+			accepted = append(accepted, walLine{rec: rec, line: line, off: int64(len(buf))})
 			buf = append(buf, frames[off:off+nl+1]...)
 		default:
-			return d.seq, fmt.Errorf("%w: got seq=%d, want seq=%d", ErrReplicaGap, rec.Seq, next)
+			return seq, fmt.Errorf("%w: got seq=%d, want seq=%d", ErrReplicaGap, rec.Seq, next)
 		}
 		off += nl + 1
 	}
 	if len(accepted) == 0 {
-		return d.seq, nil
+		return seq, nil
 	}
+	last := accepted[len(accepted)-1].rec.Seq
 	sp := d.tracer.StartRemote(sc, "replica_apply", "store")
-	sp.Annotate("%d frame(s) through seq %d", len(accepted), accepted[len(accepted)-1].Seq)
+	sp.Annotate("%d frame(s) through seq %d", len(accepted), last)
 	status := "ok"
 	defer func() { sp.Finish(status) }()
 	if _, err := d.wal.Write(buf); err != nil {
 		status = "error"
-		return d.seq, d.latchLocked(fmt.Errorf("%w: replicated WAL append: %v", ErrCrashed, err))
+		return seq, d.latchLocked(fmt.Errorf("%w: replicated WAL append: %v", ErrCrashed, err))
 	}
 	if !d.noSync {
 		fsp := d.tracer.StartRemote(sp.Context(), "wal_fsync", "store")
@@ -117,37 +141,22 @@ func (d *DurableStore) ApplyReplicated(ctx context.Context, frames []byte) (uint
 		if err := d.wal.Sync(); err != nil {
 			fsp.Finish("error")
 			status = "error"
-			return d.seq, d.latchLocked(fmt.Errorf("%w: replicated WAL sync: %v", ErrCrashed, err))
+			return seq, d.latchLocked(fmt.Errorf("%w: replicated WAL sync: %v", ErrCrashed, err))
 		}
 		d.fsyncSeconds.Observe(d.clock.Now().Sub(start).Seconds())
 		fsp.Finish("ok")
 	}
-	for _, rec := range accepted {
-		d.applyLocked(rec)
+	base := d.walSize
+	d.walSize += int64(len(buf))
+	for _, l := range accepted {
+		d.applyLocked(l.rec, d.locateLocked(l, base))
 	}
-	d.seq = accepted[len(accepted)-1].Seq
+	d.seq.Store(last)
 	d.walCount += len(accepted)
 	d.walAppends.Add(float64(len(accepted)))
 	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
 	d.maybeCompactCountLocked()
-	return d.seq, nil
-}
-
-// applyLocked applies one decoded WAL record to the in-memory image — the
-// shared interpretation used by recovery replay and follower apply.
-func (d *DurableStore) applyLocked(rec walRecord) {
-	switch rec.Op {
-	case opPut:
-		d.mem.putAt(rec.Path, rec.Data, rec.Created)
-	case opDel:
-		d.mem.remove(rec.Path)
-	case opSweep:
-		d.mem.remove(rec.Paths...)
-	case opBatch:
-		for _, e := range rec.Entries {
-			d.mem.putAt(e.Path, e.Data, e.Created)
-		}
-	}
+	return last, nil
 }
 
 // SnapshotImage renders the full store state as a snapshot image in the
@@ -156,14 +165,15 @@ func (d *DurableStore) applyLocked(rec walRecord) {
 func (d *DurableStore) SnapshotImage() ([]byte, uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	seq := d.seq.Load()
 	if d.down != nil {
-		return nil, d.seq, d.down
+		return nil, seq, d.down
 	}
-	image, err := encodeSnapshot(snapshot{Version: snapshotVersion, WALSeq: d.seq, Entries: d.mem.export()})
+	image, _, err := d.imageLocked(seq)
 	if err != nil {
-		return nil, d.seq, err
+		return nil, seq, err
 	}
-	return image, d.seq, nil
+	return image, seq, nil
 }
 
 // InstallSnapshot replaces the store's entire state with a shipped snapshot
@@ -179,29 +189,33 @@ func (d *DurableStore) InstallSnapshot(image []byte) (uint64, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	seq := d.seq.Load()
 	if d.down != nil {
-		return d.seq, d.down
+		return seq, d.down
 	}
-	if snap.WALSeq < d.seq {
-		return d.seq, fmt.Errorf("store: refusing snapshot rewind from seq=%d to seq=%d", d.seq, snap.WALSeq)
+	if snap.WALSeq < seq {
+		return seq, fmt.Errorf("store: refusing snapshot rewind from seq=%d to seq=%d", seq, snap.WALSeq)
 	}
+	// The image is written in this store's own rendering, which is the
+	// shipped image byte for byte unless the peer rendered it otherwise.
+	own, es := ownSnapshot(snap)
 	tmp := filepath.Join(d.dir, snapshotTemp)
 	//rocklint:allow deadlockcycle -- snapshot install under d.mu IS the catch-up serialization point: the follower may not apply frames while the image is half-written, so the sync blocks by design
-	if err := writeFileSync(tmp, image); err != nil {
-		return d.seq, fmt.Errorf("store: write shipped snapshot: %w", err)
+	f, err := writeSnapshotTemp(tmp, own)
+	if err != nil {
+		return seq, fmt.Errorf("store: write shipped snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(d.dir, snapshotFile)); err != nil {
-		return d.seq, fmt.Errorf("store: commit shipped snapshot: %w", err)
+		f.Close()
+		return seq, fmt.Errorf("store: commit shipped snapshot: %w", err)
 	}
 	//rocklint:allow deadlockcycle -- snapshot install under d.mu IS the catch-up serialization point: the follower may not apply frames while the image is half-written, so the sync blocks by design
 	syncDir(d.dir)
-	d.mem.resetTo(snap.Entries)
-	d.seq, d.snapSeq = snap.WALSeq, snap.WALSeq
+	d.resetLocked(es, nil, f)
+	d.seq.Store(snap.WALSeq)
+	d.snapSeq = snap.WALSeq
 	d.walCount = 0
 	d.lastSnap = d.clock.Now()
-	if err := d.wal.Truncate(0); err != nil {
-		// Safe to continue: replay skips records at or below snapSeq.
-		d.logf("store: WAL truncate after shipped snapshot: %v", err)
-	}
-	return d.seq, nil
+	d.truncateWALLocked()
+	return snap.WALSeq, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,7 +237,10 @@ func TestCommitPreservesTimestampsIdempotently(t *testing.T) {
 // snapshot catch-up) to a follower. After the trace the follower must hold
 // byte-identical state; after the owner dies and the follower reopens
 // uncleanly — the promote path — the follower's replayed state must still
-// be byte-identical to the dead owner's durable state.
+// be byte-identical to the dead owner's durable state. An in-memory
+// reference mirrors the owner's mutations: after every step the owner's
+// reads (GetInternal of each path, Export) must match it, and so must the
+// follower's whenever it has caught up, by frames or by InstallSnapshot.
 func TestPropertyTwoNodeReplicationEquivalence(t *testing.T) {
 	t.Parallel()
 	trials := 120
@@ -266,6 +270,8 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 	ownerDir, followerDir := t.TempDir(), t.TempDir()
 	owner := mustOpen(t, ownerDir, DurableOptions{Clock: clock, CompactEvery: 5, OnAppend: tap.observe})
 	follower := mustOpen(t, followerDir, DurableOptions{Clock: clock, CompactEvery: 7})
+	ref := New([]byte("k"))
+	ref.SetClock(clock.Now)
 
 	label := func(step string) string {
 		return fmt.Sprintf("seed %d trial %d: %s", seed, trial, step)
@@ -295,12 +301,16 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 				t.Fatalf("%s: %v", label("install snapshot"), serr)
 			}
 			shipped = len(tap.frames) // snapshot covers every captured frame
+			wantReadsMatch(t, label("follower reads after install"), ref, follower, paths)
 			return
 		}
 		if err != nil {
 			t.Fatalf("%s: seq=%d err=%v", label("apply"), seq, err)
 		}
 		shipped = to
+		if seq == owner.Seq() {
+			wantReadsMatch(t, label("follower reads after apply"), ref, follower, paths)
+		}
 	}
 
 	nops := 6 + r.Intn(24)
@@ -309,15 +319,22 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 		p := paths[r.Intn(len(paths))]
 		switch r.Intn(10) {
 		case 0, 1, 2, 3, 4, 5:
-			if err := owner.Commit(context.Background(), randomCommit(r, paths, clock.Now(), i)); err != nil {
-				t.Fatalf("%s: %v", label("commit"), err)
+			entries := randomCommit(r, paths, clock.Now(), i)
+			for _, err := range []error{owner.Commit(context.Background(), entries), ref.Commit(context.Background(), entries)} {
+				if err != nil {
+					t.Fatalf("%s: %v", label("commit"), err)
+				}
 			}
 		case 6:
 			if err := owner.Delete(p); err != nil {
 				t.Fatalf("%s: %v", label("del"), err)
 			}
+			ref.Delete(p)
 		case 7:
-			owner.CleanupOlderThan(time.Duration(1+r.Intn(12)) * time.Hour)
+			ret := time.Duration(1+r.Intn(12)) * time.Hour
+			if no, nr := owner.CleanupOlderThan(ret), ref.CleanupOlderThan(ret); no != nr {
+				t.Fatalf("%s: owner reaped %d, reference %d", label("sweep"), no, nr)
+			}
 		case 8:
 			// Follower outage: a run of frames is lost in flight. The next
 			// delivery must detect the gap and trigger snapshot catch-up.
@@ -329,6 +346,7 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 				t.Fatalf("%s: %v", label("compact"), err)
 			}
 		}
+		wantReadsMatch(t, label(fmt.Sprintf("owner reads after op %d", i)), ref, owner, paths)
 		if r.Intn(3) == 0 {
 			ship(len(tap.frames))
 		}
@@ -354,6 +372,10 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 	deadOwner := mustOpen(t, ownerDir, DurableOptions{Clock: clock, CompactEvery: -1})
 	promoted := mustOpen(t, followerDir, DurableOptions{Clock: clock, CompactEvery: -1})
 	wantExportsEqual(t, label("promoted"), deadOwner, promoted)
+	for _, d := range []*DurableStore{deadOwner, promoted} {
+		wantReadsMatch(t, label("reads after reopen"), ref, d, paths)
+		wantNothingHeld(t, label("reopen"), d)
+	}
 
 	// The promoted store absorbs into a fresh survivor via Commit; the
 	// survivor must agree byte-for-byte, timestamps included.
@@ -374,5 +396,49 @@ func runTwoNodeTrial(t *testing.T, r *stats.RNG, seed uint64, trial int) {
 		if err := d.Close(); err != nil {
 			t.Fatalf("%s: %v", label("close"), err)
 		}
+	}
+}
+
+// TestDurableSeqDoesNotWaitForCommitter: Seq is the replication-wait target an
+// ingest reads right after its own commit, so it must not queue behind an
+// unrelated committer holding the store lock across its write and fsync.
+// One Commit is parked inside the WAL append; Seq must answer at once with
+// the last durable sequence number, and see the parked record once it lands.
+func TestDurableSeqDoesNotWaitForCommitter(t *testing.T) {
+	t.Parallel()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var arm atomic.Bool
+	hooks := func(p CrashPoint) error {
+		if p == CrashPreWrite && arm.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+		return nil
+	}
+	d := mustOpen(t, t.TempDir(), DurableOptions{CompactEvery: -1, Hooks: hooks})
+	defer d.Close()
+	if err := commit1(d, "models/u/a.model", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	arm.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- commit1(d, "models/u/b.model", []byte("b")) }()
+	<-parked
+	got := make(chan uint64, 1)
+	go func() { got <- d.Seq() }()
+	select {
+	case seq := <-got:
+		if seq != 1 {
+			t.Errorf("Seq during a parked commit = %d; want 1", seq)
+		}
+	case <-time.After(2 * time.Second):
+		t.Errorf("Seq blocked behind a commit parked inside appendLocked")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if seq := d.Seq(); seq != 2 {
+		t.Fatalf("Seq after the parked commit landed = %d; want 2", seq)
 	}
 }

@@ -4,12 +4,20 @@
 // temporary file, synced, then renamed over the live name — so the live
 // snapshot is either the complete old state or the complete new state,
 // never a torn mix.
+//
+// The durable store renders images itself, one entry at a time, byte-
+// identical to encodeSnapshot: that is what lets its index point into the
+// image it wrote, and lets a compaction build the next image by copying
+// each payload's base64 span out of the files that already hold it.
 package store
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
+
+	"github.com/rockhopper-db/rockhopper/internal/jsonz"
 )
 
 // On-disk layout inside a durable store directory.
@@ -33,13 +41,51 @@ type snapshot struct {
 	Entries []snapEntry `json:"entries"`
 }
 
-// encodeSnapshot renders a snapshot as one framed line.
+// encodeSnapshot renders a snapshot as one framed line: the reference
+// encoding the store's own renderer below must reproduce byte for byte.
 func encodeSnapshot(s snapshot) ([]byte, error) {
 	payload, err := json.Marshal(s)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode snapshot: %w", err)
 	}
 	return frame(payload), nil
+}
+
+// appendSnapshotHead starts a snapshot image at dst: the frame's checksum
+// placeholder and the document up to its first entry.
+func appendSnapshotHead(dst []byte, walSeq uint64) []byte {
+	dst = append(dst, "00000000 "...)
+	dst = append(dst, `{"version":`...)
+	dst = jsonz.AppendInt(dst, snapshotVersion)
+	dst = append(dst, `,"wal_seq":`...)
+	dst = jsonz.AppendUint(dst, walSeq)
+	return append(dst, `,"entries":[`...)
+}
+
+// appendSnapshotEntry appends one entry whose payload is n base64 characters
+// long, leaving those n bytes for the caller to fill, and returns the offset
+// they start at (meaningless when n is 0: an empty payload is omitted).
+func appendSnapshotEntry(dst []byte, first bool, path string, created int64, n int) ([]byte, int) {
+	if !first {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `{"path":`...)
+	dst = jsonz.AppendString(dst, path)
+	at := len(dst) + len(`,"data":"`)
+	if n > 0 {
+		dst = append(dst, `,"data":"`...)
+		dst = slices.Grow(dst, n+1)[:at+n]
+		dst = append(dst, '"')
+	}
+	dst = append(dst, `,"created":`...)
+	dst = jsonz.AppendInt(dst, created)
+	return append(dst, '}'), at
+}
+
+// finishSnapshot closes an image appendSnapshotHead started at dst[0], once
+// every entry's payload is in place, and seals its frame.
+func finishSnapshot(dst []byte) []byte {
+	return sealFrame(append(dst, "]}"...), 0)
 }
 
 // decodeSnapshot parses a snapshot image. Unlike WAL corruption — expected

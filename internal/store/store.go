@@ -90,41 +90,57 @@ type token struct {
 	Sig []byte `json:"s"`
 }
 
+// signer issues and checks the stateless access tokens; both stores embed
+// it.
+type signer struct {
+	secret []byte
+	now    func() time.Time
+}
+
 // Store is an in-memory object store with token-gated access. All methods
 // are safe for concurrent use. The clock is injectable for tests.
 type Store struct {
-	secret []byte
-	now    func() time.Time
+	signer
+	ix index[[]byte]
+}
 
-	mu sync.RWMutex
-	// sorted and recent are the one index: every live object is an entry in
-	// exactly one of them, and both are ordered by key. A lookup is a binary
-	// search of each; List, the retention sweep and export walk a key range of
-	// both in order. A new key is inserted into the small recent run (a
-	// bounded memmove), and a full run is merged into sorted with one linear
-	// copy, so an insert costs O(log n) plus an amortized O(n/recentMergeAt)
-	// — what keeps bulk ingest that Lists once per inserted key out of
-	// quadratic work — and an object costs its entry and nothing else.
-	sorted []entry
-	recent []entry
+// index is the one ordered index both stores keep, generic over what an
+// entry holds beside its key and creation time: the in-memory Store keeps
+// the payload itself, the durable store a 16-byte locator of the payload's
+// bytes in its own files.
+//
+// sorted and recent are the index: every live object is an entry in exactly
+// one of them, and both are ordered by key. A lookup is a binary search of
+// each; List, the retention sweep and export walk a key range of both in
+// order. A new key is inserted into the small recent run (a bounded
+// memmove), and a full run is merged into sorted with one linear copy, so an
+// insert costs O(log n) plus an amortized O(n/recentMergeAt) — what keeps
+// bulk ingest that Lists once per inserted key out of quadratic work — and
+// an object costs its entry and nothing else. Methods ending in Locked
+// leave mu to the caller; the others take it themselves.
+type index[V any] struct {
+	mu     sync.RWMutex
+	sorted []slot[V]
+	recent []slot[V]
 }
 
 // recentMergeAt bounds the recent run: reaching it merges the run into
 // sorted.
 const recentMergeAt = 512
 
-// entry is one stored object, 48 bytes beside its key and payload.
-type entry struct {
+// slot is one index entry: 24 bytes beside its value (a []byte payload
+// header in the Store, a locator in the durable store).
+type slot[V any] struct {
 	key     string
-	data    []byte
 	created int64 // Unix nanoseconds
+	val     V
 }
 
 // search returns the position of key in es, or the position it would be
 // inserted at, and whether it is there. Every read starts here; written out,
 // it is a fifth faster at 200k keys than slices.BinarySearchFunc over
 // strings.Compare.
-func search(es []entry, key string) (int, bool) {
+func search[V any](es []slot[V], key string) (int, bool) {
 	lo, hi := 0, len(es)
 	for lo < hi {
 		if m := int(uint(lo+hi) >> 1); es[m].key < key {
@@ -137,7 +153,7 @@ func search(es []entry, key string) (int, bool) {
 }
 
 // prefixRange returns the run of es whose keys start with prefix.
-func prefixRange(es []entry, prefix string) []entry {
+func prefixRange[V any](es []slot[V], prefix string) []slot[V] {
 	lo, _ := search(es, prefix)
 	hi := lo
 	for hi < len(es) && strings.HasPrefix(es[hi].key, prefix) {
@@ -146,19 +162,8 @@ func prefixRange(es []entry, prefix string) []entry {
 	return es[lo:hi]
 }
 
-// findLocked returns the entry stored under key, or nil.
-func (s *Store) findLocked(key string) *entry {
-	if i, ok := search(s.sorted, key); ok {
-		return &s.sorted[i]
-	}
-	if i, ok := search(s.recent, key); ok {
-		return &s.recent[i]
-	}
-	return nil
-}
-
 // inOrder calls fn on every entry of two key-ordered runs, in key order.
-func inOrder(a, b []entry, fn func(e *entry)) {
+func inOrder[V any](a, b []slot[V], fn func(e *slot[V])) {
 	for len(a) > 0 || len(b) > 0 {
 		if len(b) == 0 || (len(a) > 0 && a[0].key < b[0].key) {
 			fn(&a[0])
@@ -170,18 +175,149 @@ func inOrder(a, b []entry, fn func(e *entry)) {
 	}
 }
 
+// findLocked returns the entry stored under key, or nil.
+func (x *index[V]) findLocked(key string) *slot[V] {
+	if i, ok := search(x.sorted, key); ok {
+		return &x.sorted[i]
+	}
+	if i, ok := search(x.recent, key); ok {
+		return &x.recent[i]
+	}
+	return nil
+}
+
+// putLocked installs or overwrites the entry under key.
+func (x *index[V]) putLocked(key string, val V, created int64) {
+	if e := x.findLocked(key); e != nil {
+		e.val, e.created = val, created
+		return
+	}
+	i, _ := search(x.recent, key)
+	x.recent = slices.Insert(x.recent, i, slot[V]{key: key, created: created, val: val})
+	if len(x.recent) >= recentMergeAt {
+		x.mergeLocked()
+	}
+}
+
+// mergeLocked folds the recent run into sorted: one exact-size allocation
+// and one linear copy, split at the recent keys' insertion points.
+func (x *index[V]) mergeLocked() {
+	merged := make([]slot[V], 0, len(x.sorted)+len(x.recent))
+	rest := x.sorted
+	for _, e := range x.recent {
+		i, _ := search(rest, e.key)
+		merged = append(append(merged, rest[:i]...), e)
+		rest = rest[i:]
+	}
+	x.sorted = append(merged, rest...)
+	// Drop the run's references: sorted owns the values now.
+	clear(x.recent)
+	x.recent = x.recent[:0]
+}
+
+// removeLocked deletes the named entries; a key that is not stored is a
+// no-op.
+func (x *index[V]) removeLocked(keys ...string) {
+	x.sorted = removeKeys(x.sorted, keys)
+	x.recent = removeKeys(x.recent, keys)
+}
+
+// removeKeys closes the gaps the named keys leave in es with one pass of
+// copies, however many keys are named.
+func removeKeys[V any](es []slot[V], keys []string) []slot[V] {
+	var hits []int
+	for _, k := range keys {
+		if i, ok := search(es, k); ok {
+			hits = append(hits, i)
+		}
+	}
+	if len(hits) == 0 {
+		return es
+	}
+	slices.Sort(hits)
+	hits = slices.Compact(hits) // a key may be named twice
+	w := hits[0]
+	for n, i := range hits {
+		end := len(es)
+		if n+1 < len(hits) {
+			end = hits[n+1]
+		}
+		w += copy(es[w:], es[i+1:end])
+	}
+	clear(es[w:])
+	return es[:w]
+}
+
+// eachLocked calls fn on every entry, in key order.
+func (x *index[V]) eachLocked(fn func(e *slot[V])) { inOrder(x.sorted, x.recent, fn) }
+
+// lenLocked returns the number of entries.
+func (x *index[V]) lenLocked() int { return len(x.sorted) + len(x.recent) }
+
+// list returns the keys under prefix, sorted.
+func (x *index[V]) list(prefix string) []string {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	a, b := prefixRange(x.sorted, prefix), prefixRange(x.recent, prefix)
+	if len(a)+len(b) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(a)+len(b))
+	inOrder(a, b, func(e *slot[V]) { out = append(out, e.key) })
+	return out
+}
+
+// len returns the number of entries.
+func (x *index[V]) len() int {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.lenLocked()
+}
+
+// expiredEvents returns, sorted, the event paths created before cutoff (Unix
+// nanoseconds): one range scan over "events/".
+func (x *index[V]) expiredEvents(cutoff int64) []string {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	var reaped []string
+	inOrder(prefixRange(x.sorted, "events/"), prefixRange(x.recent, "events/"), func(e *slot[V]) {
+		if e.created < cutoff {
+			reaped = append(reaped, e.key)
+		}
+	})
+	return reaped
+}
+
+// resetLocked replaces the whole index with es, taking ownership of the
+// slice. The entries may come from a peer's image, so the order the index
+// rests on is established here, a later duplicate winning as a replayed put
+// would.
+func (x *index[V]) resetLocked(es []slot[V]) {
+	slices.SortStableFunc(es, func(a, b slot[V]) int { return strings.Compare(a.key, b.key) })
+	w := 0
+	for i, e := range es {
+		if i+1 < len(es) && es[i+1].key == e.key {
+			continue
+		}
+		es[w] = e
+		w++
+	}
+	clear(es[w:])
+	x.sorted, x.recent = es[:w], nil
+}
+
 // New returns a store signing tokens with the given secret.
 func New(secret []byte) *Store {
-	return &Store{
+	return &Store{signer: signer{
 		secret: append([]byte(nil), secret...),
 		now:    resilience.RealClock{}.Now,
-	}
+	}}
 }
 
 // SetClock overrides the store's clock (tests and simulations).
 func (s *Store) SetClock(now func() time.Time) { s.now = now }
 
-func (s *Store) sign(prefix string, perm Permission, expires int64) []byte {
+func (s *signer) sign(prefix string, perm Permission, expires int64) []byte {
 	mac := hmac.New(sha256.New, s.secret)
 	fmt.Fprintf(mac, "%s|%s|%d", prefix, perm, expires)
 	return mac.Sum(nil)
@@ -189,7 +325,7 @@ func (s *Store) sign(prefix string, perm Permission, expires int64) []byte {
 
 // Sign issues a token granting perm on every path under prefix until ttl
 // elapses — the analogue of generating a SAS URL.
-func (s *Store) Sign(prefix string, perm Permission, ttl time.Duration) string {
+func (s *signer) Sign(prefix string, perm Permission, ttl time.Duration) string {
 	exp := s.now().Add(ttl).UnixNano()
 	t := token{Prefix: prefix, Perm: perm, Expires: exp, Sig: s.sign(prefix, perm, exp)}
 	blob, _ := json.Marshal(t) // marshal of this struct cannot fail
@@ -197,7 +333,7 @@ func (s *Store) Sign(prefix string, perm Permission, ttl time.Duration) string {
 }
 
 // Verify checks that tok grants perm on p.
-func (s *Store) Verify(tok, p string, perm Permission) error {
+func (s *signer) Verify(tok, p string, perm Permission) error {
 	raw, err := base64.URLEncoding.DecodeString(tok)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrTokenInvalid, err)
@@ -230,82 +366,30 @@ func (s *Store) Get(tok, p string) ([]byte, error) {
 }
 
 // putAt installs an object with an explicit creation time (Unix
-// nanoseconds). The durability layer uses it so WAL replay reconstructs
-// byte-identical state, retention timestamps included.
+// nanoseconds), keeping a copy of data.
 func (s *Store) putAt(p string, data []byte, created int64) {
 	data = append([]byte(nil), data...)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e := s.findLocked(p); e != nil {
-		e.data, e.created = data, created
-		return
-	}
-	i, _ := search(s.recent, p)
-	s.recent = slices.Insert(s.recent, i, entry{key: p, data: data, created: created})
-	if len(s.recent) >= recentMergeAt {
-		s.mergeLocked()
-	}
-}
-
-// mergeLocked folds the recent run into sorted: one exact-size allocation
-// and one linear copy, split at the recent keys' insertion points.
-func (s *Store) mergeLocked() {
-	merged := make([]entry, 0, len(s.sorted)+len(s.recent))
-	rest := s.sorted
-	for _, e := range s.recent {
-		i, _ := search(rest, e.key)
-		merged = append(append(merged, rest[:i]...), e)
-		rest = rest[i:]
-	}
-	s.sorted = append(merged, rest...)
-	// Drop the run's references: sorted owns the payloads now.
-	clear(s.recent)
-	s.recent = s.recent[:0]
+	s.ix.mu.Lock()
+	defer s.ix.mu.Unlock()
+	s.ix.putLocked(p, data, created)
 }
 
 // remove deletes the named objects; a path that is not stored is a no-op.
 func (s *Store) remove(paths ...string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sorted = removeKeys(s.sorted, paths)
-	s.recent = removeKeys(s.recent, paths)
-}
-
-// removeKeys closes the gaps the named keys leave in es with one pass of
-// copies, however many keys are named.
-func removeKeys(es []entry, keys []string) []entry {
-	var hits []int
-	for _, k := range keys {
-		if i, ok := search(es, k); ok {
-			hits = append(hits, i)
-		}
-	}
-	if len(hits) == 0 {
-		return es
-	}
-	slices.Sort(hits)
-	hits = slices.Compact(hits) // a key may be named twice
-	w := hits[0]
-	for n, i := range hits {
-		end := len(es)
-		if n+1 < len(hits) {
-			end = hits[n+1]
-		}
-		w += copy(es[w:], es[i+1:end])
-	}
-	clear(es[w:])
-	return es[:w]
+	s.ix.mu.Lock()
+	defer s.ix.mu.Unlock()
+	s.ix.removeLocked(paths...)
 }
 
 // GetInternal reads without a token; for backend-internal readers.
 func (s *Store) GetInternal(p string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e := s.findLocked(p)
+	s.ix.mu.RLock()
+	defer s.ix.mu.RUnlock()
+	e := s.ix.findLocked(p)
 	if e == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
 	}
-	return append([]byte(nil), e.data...), nil
+	return append([]byte(nil), e.val...), nil
 }
 
 // Entry is one object write: the unit of Commit, and the public shape of a
@@ -380,85 +464,20 @@ func (s *Store) PutBatch(entries []BatchEntry) error {
 }
 
 // List returns the paths under prefix, sorted.
-func (s *Store) List(prefix string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	a, b := prefixRange(s.sorted, prefix), prefixRange(s.recent, prefix)
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(a)+len(b))
-	inOrder(a, b, func(e *entry) { out = append(out, e.key) })
-	return out
-}
+func (s *Store) List(prefix string) []string { return s.ix.list(prefix) }
 
 // Delete removes an object; deleting a missing object is a no-op.
 func (s *Store) Delete(p string) { s.remove(p) }
 
 // Len returns the number of stored objects.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sorted) + len(s.recent)
-}
+func (s *Store) Len() int { return s.ix.len() }
 
 // CleanupOlderThan removes event files older than the retention window and
 // returns how many were deleted — the Storage Manager's GDPR cleanup. Only
 // objects under "events/" are subject to retention; models and caches are
 // derived artifacts.
 func (s *Store) CleanupOlderThan(retention time.Duration) int {
-	reaped := s.expiredEvents(retention)
+	reaped := s.ix.expiredEvents(s.now().Add(-retention).UnixNano())
 	s.remove(reaped...)
 	return len(reaped)
-}
-
-// expiredEvents returns, sorted, the event paths the retention sweep would
-// reap right now: one range scan over "events/".
-func (s *Store) expiredEvents(retention time.Duration) []string {
-	cutoff := s.now().Add(-retention).UnixNano()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var reaped []string
-	inOrder(prefixRange(s.sorted, "events/"), prefixRange(s.recent, "events/"), func(e *entry) {
-		if e.created < cutoff {
-			reaped = append(reaped, e.key)
-		}
-	})
-	return reaped
-}
-
-// export returns a deep copy of the store's full state, in path order — the
-// payload of a durability snapshot.
-func (s *Store) export() []snapEntry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]snapEntry, 0, len(s.sorted)+len(s.recent))
-	inOrder(s.sorted, s.recent, func(e *entry) {
-		out = append(out, snapEntry{Path: e.key, Data: append([]byte(nil), e.data...), Created: e.created})
-	})
-	return out
-}
-
-// resetTo replaces the store's whole state with a decoded snapshot's entries,
-// taking ownership of their payloads. A snapshot is written in path order;
-// the image may still have come from a peer, so the order the index rests on
-// is established here, a later duplicate winning as a replayed put would.
-func (s *Store) resetTo(entries []snapEntry) {
-	es := make([]entry, len(entries))
-	for i, e := range entries {
-		es[i] = entry{key: e.Path, data: e.Data, created: e.Created}
-	}
-	slices.SortStableFunc(es, func(a, b entry) int { return strings.Compare(a.key, b.key) })
-	w := 0
-	for i, e := range es {
-		if i+1 < len(es) && es[i+1].key == e.key {
-			continue
-		}
-		es[w] = e
-		w++
-	}
-	clear(es[w:])
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sorted, s.recent = es[:w], nil
 }

@@ -103,15 +103,18 @@ func encodeWALRecord(rec walRecord) ([]byte, error) {
 }
 
 // appendWALRecord appends rec as a framed line to dst, byte-identical to
-// encodeWALRecord but without allocating beyond dst's growth: the payload is
-// rendered in place after a reserved checksum prefix, then the CRC is
-// written back into it. Record fields (strings, integers, byte blobs) have
-// no failure mode, so unlike the json.Marshal path there is no error to
-// return. The append/fsync hot path passes a store-owned reusable buffer.
-func appendWALRecord(dst []byte, rec walRecord) []byte {
+// encodeWALRecord but without allocating beyond dst's and spans' growth: the
+// payload is rendered in place after a reserved checksum prefix, then the
+// CRC is written back into it. Record fields (strings, integers, byte blobs)
+// have no failure mode, so unlike the json.Marshal path there is no error to
+// return. The append/fsync hot path passes store-owned reusable buffers.
+//
+// For each of the record's payloads — one for a put, one per entry for a
+// batch — spans gets the offset in dst, relative to the line's start, where
+// the payload's base64 begins: what the durable store's index points at.
+func appendWALRecord(dst []byte, rec walRecord, spans []int) ([]byte, []int) {
 	head := len(dst)
 	dst = append(dst, "00000000 "...)
-	body := len(dst)
 	dst = append(dst, `{"seq":`...)
 	dst = jsonz.AppendUint(dst, rec.Seq)
 	dst = append(dst, `,"op":`...)
@@ -130,6 +133,9 @@ func appendWALRecord(dst []byte, rec walRecord) []byte {
 		}
 		dst = append(dst, ']')
 	}
+	if rec.Op == opPut {
+		spans = append(spans, len(dst)-head+len(`,"data":"`))
+	}
 	if len(rec.Data) > 0 {
 		dst = append(dst, `,"data":`...)
 		dst = jsonz.AppendBase64(dst, rec.Data)
@@ -146,6 +152,7 @@ func appendWALRecord(dst []byte, rec walRecord) []byte {
 			}
 			dst = append(dst, `{"path":`...)
 			dst = jsonz.AppendString(dst, e.Path)
+			spans = append(spans, len(dst)-head+len(`,"data":"`))
 			if len(e.Data) > 0 {
 				dst = append(dst, `,"data":`...)
 				dst = jsonz.AppendBase64(dst, e.Data)
@@ -157,14 +164,29 @@ func appendWALRecord(dst []byte, rec walRecord) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	dst = append(dst, '}')
-	sum := crc32.ChecksumIEEE(dst[body:])
+	return sealFrame(append(dst, '}'), head), spans
+}
+
+// sealFrame completes the frame that starts at dst[head] with the
+// "00000000 " placeholder: it writes the CRC of everything after the
+// placeholder into it and appends the newline.
+func sealFrame(dst []byte, head int) []byte {
+	sum := crc32.ChecksumIEEE(dst[head+9:])
 	const hexDigits = "0123456789abcdef"
 	for i := 7; i >= 0; i-- {
 		dst[head+i] = hexDigits[sum&0xF]
 		sum >>= 4
 	}
 	return append(dst, '\n')
+}
+
+// recordPayload returns the i-th payload of a put or batch record, in the
+// order appendWALRecord reports their spans.
+func recordPayload(rec walRecord, i int) []byte {
+	if rec.Op == opPut {
+		return rec.Data
+	}
+	return rec.Entries[i].Data
 }
 
 // decodeWALRecord parses and validates one framed line (without newline).
@@ -206,17 +228,24 @@ func validWALOp(rec walRecord) bool {
 	return false
 }
 
+// walLine is one record as it lies in a WAL image or a replicated batch.
+type walLine struct {
+	rec  walRecord
+	line []byte // the framed line, without its newline
+	off  int64  // where line starts
+}
+
 // scanWAL decodes the longest valid prefix of a WAL image. afterSeq is the
 // sequence number the on-disk snapshot already covers: records at or below
 // it are scanned (they must still frame and chain correctly) but not
-// returned. validLen is the byte length of the valid prefix — the caller
+// returned; the rest come back with their lines. validLen is the byte length of the valid prefix — the caller
 // truncates the log there so new appends extend a clean file.
 //
 // A log whose first record skips past afterSeq+1 has lost acknowledged
 // mutations; that is not crash damage (a crash tears the TAIL) and no
 // automatic recovery is safe, so the scan fails with ErrWALGap — the
 // caller refuses to open rather than truncating away the evidence.
-func scanWAL(data []byte, afterSeq uint64) (applied []walRecord, lastSeq uint64, validLen int64, err error) {
+func scanWAL(data []byte, afterSeq uint64) (applied []walLine, lastSeq uint64, validLen int64, err error) {
 	lastSeq = afterSeq
 	var prev uint64
 	off := 0
@@ -237,12 +266,13 @@ func scanWAL(data []byte, afterSeq uint64) (applied []walRecord, lastSeq uint64,
 			break // sequence break: the suffix is not a continuation
 		}
 		prev = rec.Seq
+		line := data[off : off+nl]
 		off += nl + 1
 		validLen = int64(off)
 		if rec.Seq <= afterSeq {
 			continue // already folded into the snapshot
 		}
-		applied = append(applied, rec)
+		applied = append(applied, walLine{rec: rec, line: line, off: validLen - int64(len(line)) - 1})
 		lastSeq = rec.Seq
 	}
 	return applied, lastSeq, validLen, nil

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/base64"
 	"testing"
 	"testing/quick"
 )
@@ -33,9 +34,19 @@ func TestAppendWALRecordMatchesEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fixture %d: encodeWALRecord: %v", i, err)
 		}
-		got := appendWALRecord(nil, rec)
+		got, spans := appendWALRecord(nil, rec, nil)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("fixture %d:\n got %q\nwant %q", i, got, want)
+		}
+		// Each reported span is where a payload's base64 lies in the line.
+		for j, off := range spans {
+			data := recordPayload(rec, j)
+			if len(data) == 0 {
+				continue // an empty payload is omitted, and has no span
+			}
+			if b64 := base64.StdEncoding.EncodeToString(data); string(got[off:off+len(b64)]) != b64 {
+				t.Fatalf("fixture %d payload %d: span at %d does not hold its base64", i, j, off)
+			}
 		}
 		// And the fast line must decode back to the same record when valid.
 		if validWALOp(rec) && rec.Seq != 0 {
@@ -61,7 +72,8 @@ func TestAppendWALRecordMatchesEncode(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		return bytes.Equal(appendWALRecord(nil, rec), want)
+		got, _ := appendWALRecord(nil, rec, nil)
+		return bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -72,8 +84,8 @@ func TestAppendWALRecordMatchesEncode(t *testing.T) {
 // render into the same backing array must not allocate a new one.
 func TestAppendWALRecordReusesBuffer(t *testing.T) {
 	t.Parallel()
-	buf := appendWALRecord(nil, walRecord{Seq: 1, Op: opPut, Path: "a", Data: []byte("payload")})
-	grown := appendWALRecord(buf[:0], walRecord{Seq: 2, Op: opDel, Path: "b"})
+	buf, _ := appendWALRecord(nil, walRecord{Seq: 1, Op: opPut, Path: "a", Data: []byte("payload")}, nil)
+	grown, _ := appendWALRecord(buf[:0], walRecord{Seq: 2, Op: opDel, Path: "b"}, nil)
 	if &grown[0] != &buf[0] {
 		t.Fatal("small record did not reuse the existing buffer")
 	}
