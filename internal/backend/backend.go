@@ -80,9 +80,10 @@ type AppCacheRequest struct {
 	Queries    []QueryHistory  `json:"queries"`
 }
 
-// ObjectStore is the storage surface the backend consumes. *store.Store is
-// the production implementation; resilience tests substitute a fault-
-// injecting wrapper (internal/resilience/faultinject). Commit is the only
+// ObjectStore is the storage surface the backend consumes. A daemon with a
+// data directory, and every fleet node, runs on *store.DurableStore; without
+// one it runs on the in-memory *store.Store. Resilience tests substitute a
+// fault-injecting wrapper (internal/resilience/faultinject). Commit is the only
 // mutation: a group of writes that lands all-or-nothing under the trace
 // identity ctx carries. Token-gated writes Verify first.
 type ObjectStore interface {

@@ -105,11 +105,3 @@ func (q *fairQueue) advanceOrPrune(name string, tq *tenantQueue) {
 	}
 	q.rr = (q.rr + 1) % len(q.order)
 }
-
-// depth reports one tenant's queued jobs.
-func (q *fairQueue) depth(tenant string) int {
-	if tq, ok := q.queues[tenant]; ok {
-		return len(tq.jobs)
-	}
-	return 0
-}

@@ -20,6 +20,7 @@ import (
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
+	"github.com/rockhopper-db/rockhopper/internal/stats"
 	"github.com/rockhopper-db/rockhopper/internal/store"
 	"github.com/rockhopper-db/rockhopper/internal/telemetry"
 )
@@ -186,6 +187,73 @@ func TestFairQueueWeightedRoundRobin(t *testing.T) {
 	}
 	if _, ok := wq.queues["light"]; ok {
 		t.Error("default-weight tenant retained on drain — the map would grow unbounded")
+	}
+}
+
+// TestFairQueueConservesJobs: under a random interleaving of pushes and
+// pops, with one tenant weighted, every job comes out exactly once, each
+// tenant's jobs come out in the order they were pushed, size tracks the
+// backlog, and once drained only a tenant weighted above 1 keeps a sub-queue.
+func TestFairQueueConservesJobs(t *testing.T) {
+	for _, weight := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("weight=%d", weight), func(t *testing.T) {
+			tenants := []string{"heavy", "a", "b"}
+			rng := stats.NewRNG(uint64(weight))
+			var q fairQueue
+			q.setWeight("heavy", weight)
+			pushed := make(map[string]int, len(tenants))
+			popped := make(map[string]int, len(tenants))
+			backlog := 0
+			pop := func() {
+				j, ok := q.pop()
+				if !ok {
+					t.Fatalf("pop with %d jobs queued returned nothing", backlog)
+				}
+				var tenant string
+				var seq int
+				if _, err := fmt.Sscanf(j.signature, "%s %d", &tenant, &seq); err != nil {
+					t.Fatalf("unexpected job %q: %v", j.signature, err)
+				}
+				if seq != popped[tenant] {
+					t.Fatalf("%s popped job %d, want %d (FIFO within a tenant)", tenant, seq, popped[tenant])
+				}
+				popped[tenant]++
+				backlog--
+			}
+			for step := 0; step < 600; step++ {
+				if backlog > 0 && rng.Intn(5) < 2 {
+					pop()
+				} else {
+					tenant := tenants[rng.Intn(len(tenants))]
+					q.push(tenant, updateJob{signature: fmt.Sprintf("%s %d", tenant, pushed[tenant])})
+					pushed[tenant]++
+					backlog++
+				}
+				if q.size != backlog {
+					t.Fatalf("step %d: size = %d, backlog %d", step, q.size, backlog)
+				}
+			}
+			for backlog > 0 {
+				pop()
+			}
+			if j, ok := q.pop(); ok {
+				t.Fatalf("drained queue popped %q", j.signature)
+			}
+			for _, tenant := range tenants {
+				if popped[tenant] != pushed[tenant] {
+					t.Fatalf("%s: pushed %d, popped %d", tenant, pushed[tenant], popped[tenant])
+				}
+			}
+			// Weight 1 is the default, so then nothing distinguishes "heavy"
+			// from a fresh tenant and it is pruned with the others.
+			want := 1
+			if weight == 1 {
+				want = 0
+			}
+			if len(q.queues) != want || (want == 1 && q.queues["heavy"] == nil) {
+				t.Fatalf("sub-queues left after drain: %v, want %d (only a weighted tenant's)", q.order, want)
+			}
+		})
 	}
 }
 

@@ -1,15 +1,12 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/rockhopper-db/rockhopper/internal/backend"
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
@@ -61,223 +58,48 @@ func TestPostEventBatch(t *testing.T) {
 	}
 }
 
-// TestBatcherSizeFlush: Add flushes synchronously when the buffer hits
-// MaxEvents, and Close ships the remainder.
-func TestBatcherSizeFlush(t *testing.T) {
+// TestPostEventBatchStatusClassification: a rejected batch surfaces the
+// backend's status to the caller, and the retry policy decides from it
+// alone: a shed (429) or a server fault (5xx) is retried up to the policy's
+// attempt budget, while a request the backend refuses on its merits (other
+// 4xx) is sent exactly once.
+func TestPostEventBatchStatusClassification(t *testing.T) {
 	space := sparksim.QuerySpace()
-	srv, c := newStack(t, space)
-	b := c.NewBatcher("u", "job1")
-	b.MaxEvents = 4
-	traces := batchTraces(t, space, []string{"sigA", "sigB"}, 6)
-	for _, tr := range traces {
-		if err := b.Add(context.Background(), tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 6 adds with MaxEvents=4: one size flush at 4, two left buffered.
-	if got := b.Len(); got != 2 {
-		t.Fatalf("buffered after size flush = %d, want 2", got)
-	}
-	if got := len(srv.Store.List("events/job1/")); got != 2 {
-		t.Fatalf("event files after size flush = %d, want 2 (sigA+sigB)", got)
-	}
-	if err := b.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Len(); got != 0 {
-		t.Errorf("buffered after Close = %d, want 0", got)
-	}
-	srv.Flush()
-	if got := len(srv.Store.List("index/u/")); got != 4 {
-		t.Errorf("index entries = %d, want 4 (2 sigs x 2 flushes)", got)
-	}
-}
-
-// TestBatcherIntervalFlush: the background loop ships the buffer on its
-// cadence without any size trigger.
-func TestBatcherIntervalFlush(t *testing.T) {
-	space := sparksim.QuerySpace()
-	srv, c := newStack(t, space)
-	b := c.NewBatcher("u", "job1")
-	b.FlushInterval = 10 * time.Millisecond
-	b.Start(context.Background())
-	defer b.Close(context.Background())
-	if err := b.Add(context.Background(), batchTraces(t, space, []string{"sigA"}, 1)[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the flush to land in the store, not merely for the buffer to
-	// drain: Flush snapshots (and empties) the buffer before the POST
-	// completes, so Len()==0 races the actual ship.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.Store.List("events/job1/")) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval flusher never shipped the buffer")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := b.Len(); got != 0 {
-		t.Errorf("buffered after interval flush = %d, want 0", got)
-	}
-}
-
-// TestBatcherRebuffersOnFailure: a failed flush keeps the traces (in order)
-// for the next attempt instead of dropping acknowledged-to-caller data.
-func TestBatcherRebuffersOnFailure(t *testing.T) {
-	space := sparksim.QuerySpace()
-	st := store.New([]byte("signing-key"))
-	srv := backend.New(space, st, secret, 1)
-	hs := httptest.NewServer(srv.Handler())
-	c := New(hs.URL, secret)
-	c.Retry.MaxAttempts = 1
-
-	b := c.NewBatcher("u", "job1")
-	traces := batchTraces(t, space, []string{"sigA"}, 3)
-	for _, tr := range traces {
-		if err := b.Add(context.Background(), tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm the token cache, then kill the backend: the flush must fail and
-	// re-buffer.
-	if _, err := c.Token(context.Background(), "events/job1/", store.PermWrite); err != nil {
-		t.Fatal(err)
-	}
-	hs.Close()
-	srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := b.Flush(ctx); err == nil {
-		t.Fatal("flush against a dead backend should fail")
-	}
-	if got := b.Len(); got != 3 {
-		t.Errorf("buffered after failed flush = %d, want 3 (re-buffered)", got)
-	}
-	// A transport failure carries no status: the adaptive target must not
-	// shrink — only the backend's own 429 shed signal does that.
-	if got := b.FlushTarget(); got != DefaultBatchMaxEvents {
-		t.Errorf("flush target after transport failure = %d, want %d (unchanged)", got, DefaultBatchMaxEvents)
-	}
-}
-
-// TestBatcherAdaptiveFlushTarget drives the AIMD flush sizing on a fake
-// clock: 429 + Retry-After halves the target down to the floor, accepted
-// flushes add one back toward MaxEvents, and a recovered backlog drains in
-// target-sized requests.
-func TestBatcherAdaptiveFlushTarget(t *testing.T) {
-	space := sparksim.QuerySpace()
-	st := store.New([]byte("signing-key"))
-	srv := backend.New(space, st, secret, 1)
-
-	var shedding atomic.Bool
-	var batchCalls atomic.Int64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/events/batch" {
-			batchCalls.Add(1)
-			if shedding.Load() {
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "shed", http.StatusTooManyRequests)
-				return
-			}
-		}
-		srv.Handler().ServeHTTP(w, r)
-	})
-	hs := httptest.NewServer(h)
-	t.Cleanup(func() { hs.Close(); srv.Close() })
-
-	c := New(hs.URL, secret)
-	c.Clock = resilience.NewFakeClock(time.Unix(0, 0)) // no real sleeps, deterministic
-	c.Retry.MaxAttempts = 1                            // surface each 429 to the Batcher
-
-	b := c.NewBatcher("u", "job1")
-	b.MaxEvents = 16
-	if got := b.FlushTarget(); got != 16 {
-		t.Fatalf("initial flush target = %d, want MaxEvents (16)", got)
-	}
-
-	ctx := context.Background()
-	traces := batchTraces(t, space, []string{"sigA"}, 16)
-	for _, tr := range traces[:15] {
-		if err := b.Add(ctx, tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shedding.Store(true)
-	if err := b.Add(ctx, traces[15]); err == nil {
-		t.Fatal("size flush during shed should surface the 429")
-	}
-	if got := b.FlushTarget(); got != 8 {
-		t.Fatalf("target after one 429 = %d, want 8 (halved)", got)
-	}
-	if got := b.Len(); got != 16 {
-		t.Fatalf("buffered after failed flush = %d, want 16 (re-buffered)", got)
-	}
-
-	// Repeated sheds keep halving but never go below the floor.
-	for i := 0; i < 10; i++ {
-		if err := b.Flush(ctx); err == nil {
-			t.Fatal("flush during shed should fail")
-		}
-	}
-	if got := b.FlushTarget(); got != MinBatchFlushEvents {
-		t.Fatalf("target after sustained shedding = %d, want floor %d", got, MinBatchFlushEvents)
-	}
-
-	// Recovery: the backlog drains in target-sized requests, each accepted
-	// one raising the target by one (1,2,3,4,5 then the final 1 = 6 calls).
-	shedding.Store(false)
-	batchCalls.Store(0)
-	if err := b.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Len(); got != 0 {
-		t.Fatalf("buffered after recovered flush = %d, want 0", got)
-	}
-	if got := batchCalls.Load(); got != 6 {
-		t.Fatalf("recovered drain used %d requests, want 6 (additive growth)", got)
-	}
-	if got := b.FlushTarget(); got != 7 {
-		t.Fatalf("target after 6 accepted flushes = %d, want 7", got)
-	}
-}
-
-// TestBatcherConcurrentAdd: concurrent Adds with size flushes race-free and
-// lose nothing.
-func TestBatcherConcurrentAdd(t *testing.T) {
-	space := sparksim.QuerySpace()
-	srv, c := newStack(t, space)
-	b := c.NewBatcher("u", "job1")
-	b.MaxEvents = 8
-	traces := batchTraces(t, space, []string{"sigA", "sigB"}, 48)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g * 12; i < (g+1)*12; i++ {
-				if err := b.Add(context.Background(), traces[i]); err != nil && !errors.Is(err, context.Canceled) {
-					t.Error(err)
+	traces := batchTraces(t, space, []string{"sigA", "sigB"}, 4)
+	for _, tc := range []struct {
+		status   int
+		attempts int32
+	}{
+		{http.StatusBadRequest, 1},
+		{http.StatusForbidden, 1},
+		{http.StatusRequestEntityTooLarge, 1},
+		{http.StatusTooManyRequests, resilience.DefaultMaxAttempts},
+		{http.StatusInternalServerError, resilience.DefaultMaxAttempts},
+		{http.StatusServiceUnavailable, resilience.DefaultMaxAttempts},
+	} {
+		t.Run(fmt.Sprint(tc.status), func(t *testing.T) {
+			srv := backend.New(space, store.New([]byte("signing-key")), secret, 1)
+			h := srv.Handler()
+			var attempts atomic.Int32
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/api/events/batch" {
+					attempts.Add(1)
+					http.Error(w, "rejected by test", tc.status)
+					return
 				}
+				h.ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() { hs.Close(); srv.Close() })
+			c := New(hs.URL, secret)
+			harden(c)
+
+			_, err := c.PostEventBatch(context.Background(), "u", "job1", traces)
+			if got := resilience.StatusOf(err); got != tc.status {
+				t.Fatalf("PostEventBatch error %v carries status %d, want %d", err, got, tc.status)
 			}
-		}(g)
-	}
-	wg.Wait()
-	if err := b.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	srv.Flush()
-	total := 0
-	for _, p := range srv.Store.List("events/job1/") {
-		blob, err := srv.Store.GetInternal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, err := flighting.ReadTraces(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(ts)
-	}
-	if total != 48 {
-		t.Errorf("persisted traces = %d, want 48 (no loss, no duplication)", total)
+			if got := attempts.Load(); got != tc.attempts {
+				t.Fatalf("backend saw %d attempts, want %d", got, tc.attempts)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -274,6 +275,21 @@ func TestArchRoundTrip(t *testing.T) {
 	}
 	if r.FinalMs <= 0 || r.DefaultMs <= 0 {
 		t.Fatal("degenerate times")
+	}
+}
+
+// TestArchRoundTripDeterministic: EXPERIMENTS.md promises every run is
+// deterministic given the seed. The round trip crosses HTTP and an
+// asynchronous retrain queue, so each proposal must see the model its
+// previous post queued, not whichever model the queue happened to finish.
+func TestArchRoundTripDeterministic(t *testing.T) {
+	a := ArchRoundTrip(ArchParams{Iters: 20})
+	b := ArchRoundTrip(ArchParams{Iters: 20})
+	if math.Float64bits(a.FinalMs) != math.Float64bits(b.FinalMs) {
+		t.Fatalf("same seed, different results: final %v ms, then %v ms", a.FinalMs, b.FinalMs)
+	}
+	if a.ImprovementPct <= 0 {
+		t.Fatalf("round trip did not improve on the default: %.1f%%", a.ImprovementPct)
 	}
 }
 

@@ -16,6 +16,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -631,7 +632,7 @@ func (p *httpPeer) InstallSnapshot(ctx context.Context, image []byte) (uint64, e
 
 func (p *httpPeer) post(ctx context.Context, method, path string, body []byte) (uint64, error) {
 	u := p.base + path + "?from=" + url.QueryEscape(p.from)
-	req, err := http.NewRequestWithContext(ctx, method, u, strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}

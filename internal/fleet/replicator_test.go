@@ -5,8 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -251,4 +255,49 @@ func TestWaitReplicatedNoPeers(t *testing.T) {
 	if err := repl.WaitReplicated(context.Background(), owner.Seq()); err != nil {
 		t.Fatalf("single-node WaitReplicated = %v, want nil", err)
 	}
+}
+
+// discardTransport answers every request with a 200 replicate ack after
+// draining the body, so a test sees only what the sender allocates.
+type discardTransport struct{}
+
+func (discardTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		io.Copy(io.Discard, req.Body)
+		req.Body.Close()
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{},
+		Body:       io.NopCloser(strings.NewReader(`{"seq":1}`)),
+		Request:    req,
+	}, nil
+}
+
+// TestReplicatorHTTPPeerShipsWithoutCopy: the HTTP peer sends a frame batch
+// or a snapshot image as the request body without copying it. A shipment is
+// up to a whole snapshot image, so a copy per send would double the bytes a
+// catch-up allocates.
+func TestReplicatorHTTPPeerShipsWithoutCopy(t *testing.T) {
+	peer := &httpPeer{client: &http.Client{Transport: discardTransport{}}, base: "http://follower", from: "a", secret: "s"}
+	body := bytes.Repeat([]byte{'x'}, 1<<20)
+	ctx := context.Background()
+	if _, err := peer.Replicate(ctx, body); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 8
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := peer.Replicate(ctx, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if perCall > 64<<10 {
+		t.Fatalf("Replicate of a 1 MiB batch allocated %d B per call; the body is being copied", perCall)
+	}
+	t.Logf("%d B allocated per 1 MiB Replicate", perCall)
 }

@@ -4,12 +4,13 @@
 //   - Ring: a deterministic consistent-hash ring with virtual nodes.
 //     Signature ownership is a pure function of (node set, seed), so every
 //     node and every client computes identical placement with no
-//     coordination, and a membership change moves only ~K/N of the keys.
+//     coordination, and adding a member moves only ~K/N of the keys.
 //
 //   - Topology: the ring plus liveness. A dead node's keys are NOT
 //     re-hashed — they route to the node's first live follower in the
 //     cyclic node-ID order, because that follower holds the replicated
-//     data. Only a permanent Remove rebalances.
+//     data. Membership is fixed when the fleet is constructed, so placement
+//     never moves.
 //
 //   - Replicator/Node (replicator.go, node.go): WAL log-shipping from each
 //     shard owner to its followers, gap detection with snapshot catch-up,
@@ -114,24 +115,6 @@ func (r *Ring) Add(node string) {
 	})
 }
 
-// Remove deletes a node's virtual points — the permanent-rebalance path.
-// Transient failures go through Topology.MarkDead instead, which preserves
-// placement and routes to the replica holder.
-func (r *Ring) Remove(node string) {
-	i := sort.SearchStrings(r.nodes, node)
-	if i >= len(r.nodes) || r.nodes[i] != node {
-		return
-	}
-	r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Nodes returns the member IDs, sorted.
 func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
@@ -149,27 +132,4 @@ func (r *Ring) Lookup(key string) string {
 		i = 0
 	}
 	return r.points[i].node
-}
-
-// LookupN returns up to n distinct nodes clockwise of key — the owner
-// first. It is the placement primitive for replica sets.
-func (r *Ring) LookupN(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	h := r.keyHash(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
 }

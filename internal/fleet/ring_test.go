@@ -64,9 +64,8 @@ func TestRingDeterministicPlacement(t *testing.T) {
 }
 
 // TestRingRebalanceBound: a membership change may move only the keys that
-// have to move. On Remove, exactly the removed node's keys move (every
-// other key keeps its owner); on Add, keys move only TO the new node. Both
-// counts stay within K/N + ε, ε = K/(2N) for vnode placement variance.
+// have to move. On Add, keys move only TO the new node, and no more than
+// K/N + ε of them, ε = K/(2N) for vnode placement variance.
 func TestRingRebalanceBound(t *testing.T) {
 	t.Parallel()
 	const N, K = 10, 20000
@@ -80,34 +79,12 @@ func TestRingRebalanceBound(t *testing.T) {
 		before[k] = ring.Lookup(k)
 	}
 
-	// Leave: node-03 departs permanently.
-	ring.Remove("node-03")
-	movedOnLeave := 0
-	for _, k := range keys {
-		now := ring.Lookup(k)
-		if before[k] == "node-03" {
-			movedOnLeave++
-			if now == "node-03" {
-				t.Fatalf("key %q still routes to the removed node", k)
-			}
-		} else if now != before[k] {
-			t.Fatalf("collateral movement on leave: %q moved %q -> %q", k, before[k], now)
-		}
-	}
-	bound := K/N + K/(2*N)
-	if movedOnLeave > bound {
-		t.Fatalf("leave moved %d keys, bound %d (K/N + ε)", movedOnLeave, bound)
-	}
-
 	// Join: a brand-new node arrives.
 	ring.Add("node-99")
 	movedOnJoin := 0
 	for _, k := range keys {
 		now := ring.Lookup(k)
 		was := before[k]
-		if was == "node-03" {
-			continue // re-homed by the leave above
-		}
 		if now != was {
 			movedOnJoin++
 			if now != "node-99" {
@@ -115,11 +92,12 @@ func TestRingRebalanceBound(t *testing.T) {
 			}
 		}
 	}
+	bound := K/N + K/(2*N)
 	if movedOnJoin > bound {
 		t.Fatalf("join moved %d keys, bound %d (K/N + ε)", movedOnJoin, bound)
 	}
-	if movedOnLeave == 0 || movedOnJoin == 0 {
-		t.Fatalf("degenerate rebalance: leave=%d join=%d", movedOnLeave, movedOnJoin)
+	if movedOnJoin == 0 {
+		t.Fatal("degenerate rebalance: the join moved no keys")
 	}
 }
 
@@ -146,32 +124,68 @@ func TestRingLoadSpread(t *testing.T) {
 	}
 }
 
-// TestRingLookupN: replica sets are distinct nodes, owner first, and agree
-// with Lookup.
-func TestRingLookupN(t *testing.T) {
+// TestRingAddIsIdempotent: adding a current member again changes neither
+// the member list nor any key's owner. NewTopology adds each listed node,
+// so a node listed twice must be harmless.
+func TestRingAddIsIdempotent(t *testing.T) {
 	t.Parallel()
-	ring := NewRing(32, 5)
-	for _, n := range ringNodes(5) {
+	ring := NewRing(16, 3)
+	for _, n := range ringNodes(4) {
 		ring.Add(n)
 	}
-	for _, k := range ringKeys(500) {
-		set := ring.LookupN(k, 3)
-		if len(set) != 3 {
-			t.Fatalf("LookupN(%q, 3) = %v", k, set)
-		}
-		if set[0] != ring.Lookup(k) {
-			t.Fatalf("LookupN head %q != Lookup %q", set[0], ring.Lookup(k))
-		}
-		seen := map[string]bool{}
-		for _, n := range set {
-			if seen[n] {
-				t.Fatalf("duplicate node in replica set %v", set)
-			}
-			seen[n] = true
+	keys := ringKeys(2000)
+	before := make([]string, len(keys))
+	for i, k := range keys {
+		before[i] = ring.Lookup(k)
+	}
+	points := len(ring.points)
+	for _, n := range ringNodes(4) {
+		ring.Add(n)
+	}
+	if got := ring.Nodes(); fmt.Sprint(got) != fmt.Sprint(ringNodes(4)) {
+		t.Fatalf("Nodes after re-adding every member = %v", got)
+	}
+	if len(ring.points) != points {
+		t.Fatalf("re-adding members grew the ring from %d to %d points", points, len(ring.points))
+	}
+	for i, k := range keys {
+		if now := ring.Lookup(k); now != before[i] {
+			t.Fatalf("re-adding members moved %q from %q to %q", k, before[i], now)
 		}
 	}
-	if got := ring.LookupN("k", 99); len(got) != 5 {
-		t.Fatalf("LookupN beyond fleet size = %v, want all 5 members", got)
+}
+
+// TestRingEmptyLookup: an empty ring owns nothing and says so with "",
+// which Topology.Owner passes through as "no live owner".
+func TestRingEmptyLookup(t *testing.T) {
+	t.Parallel()
+	ring := NewRing(8, 1)
+	if got := ring.Lookup("sig-000001"); got != "" {
+		t.Fatalf("Lookup on an empty ring = %q, want \"\"", got)
+	}
+	if got := ring.Nodes(); len(got) != 0 {
+		t.Fatalf("Nodes on an empty ring = %v", got)
+	}
+}
+
+// TestRingNodesIsACopy: Nodes returns the sorted members, and writing to
+// the returned slice cannot corrupt the ring's own membership.
+func TestRingNodesIsACopy(t *testing.T) {
+	t.Parallel()
+	ring := NewRing(8, 1)
+	for _, n := range []string{"node-c", "node-a", "node-b"} {
+		ring.Add(n)
+	}
+	got := ring.Nodes()
+	if fmt.Sprint(got) != "[node-a node-b node-c]" {
+		t.Fatalf("Nodes = %v, want sorted [node-a node-b node-c]", got)
+	}
+	got[0] = "intruder"
+	if again := ring.Nodes(); again[0] != "node-a" {
+		t.Fatalf("writing to Nodes' result changed the ring: %v", again)
+	}
+	if owner := ring.Lookup("sig-000001"); owner == "intruder" {
+		t.Fatal("Lookup routed to a name written into Nodes' result")
 	}
 }
 
@@ -187,8 +201,8 @@ func FuzzRingLookup(f *testing.F) {
 		for _, id := range ringNodes(members) {
 			ring.Add(id)
 		}
-		// Churn: remove one member, re-add it, and add a stranger.
-		ring.Remove(fmt.Sprintf("node-%02d", int(seed)%members))
+		// Churn: re-add one member (a no-op) and add a stranger.
+		ring.Add(fmt.Sprintf("node-%02d", int(seed)%members))
 		ring.Add("node-zz")
 		live := map[string]bool{}
 		for _, id := range ring.Nodes() {
@@ -197,11 +211,6 @@ func FuzzRingLookup(f *testing.F) {
 		owner := ring.Lookup(key)
 		if !live[owner] {
 			t.Fatalf("Lookup(%q) = %q, not a live member of %v", key, owner, ring.Nodes())
-		}
-		for _, id := range ring.LookupN(key, members) {
-			if !live[id] {
-				t.Fatalf("LookupN(%q) includes dead node %q", key, id)
-			}
 		}
 	})
 }

@@ -2,9 +2,10 @@
 // must keep working while a node is down WITHOUT re-hashing — the dead
 // node's keys live on its followers, nowhere else — so a transient death
 // routes every key the dead node owned to its first live successor in the
-// cyclic node-ID order (the promotion rule), and only a permanent Remove
-// moves placement. Every party (backend nodes, clients, drills) computes
-// the same answer from the same membership + liveness facts.
+// cyclic node-ID order (the promotion rule). Membership is fixed when the
+// topology is constructed, so placement never moves. Every party (backend
+// nodes, clients, drills) computes the same answer from the same membership
+// + liveness facts.
 package fleet
 
 import (

@@ -108,11 +108,11 @@ func modulePackages(t *testing.T) []*Package {
 // is a ratchet on the suppressed-finding count: it may only go down, so a
 // change that removes waivers lowers the ceiling with them. It counts
 // findings, not directive lines: one directive over a line with two
-// unbounded labels waives two findings (38 findings under 34 directives
+// unbounded labels waives two findings (36 findings under 32 directives
 // today), so it is already exact, and any new directive trips it.
 func TestModuleCleanAndWaiversLive(t *testing.T) {
 	pkgs := modulePackages(t)
-	const maxLiveWaivers = 38
+	const maxLiveWaivers = 36
 	diags := Run(pkgs, DefaultRules(), DefaultConfig())
 	waivers := 0
 	for _, d := range diags {

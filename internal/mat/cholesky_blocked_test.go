@@ -199,9 +199,6 @@ func TestCholeskyInPlaceOperations(t *testing.T) {
 		if maxAbsDiff(in.L(), cp.L()) != 0 || maxAbsDiff(in.Reconstruct(), cp.Reconstruct()) != 0 {
 			t.Fatalf("%s: L or Reconstruct differ (the upper triangle leaked)", stage)
 		}
-		if in.LogDet() != cp.LogDet() {
-			t.Fatalf("%s: LogDet %g, copy path %g", stage, in.LogDet(), cp.LogDet())
-		}
 		b := vec()
 		x1, err1 := in.SolveVec(b)
 		x2, err2 := cp.SolveVec(b)
@@ -209,12 +206,12 @@ func TestCholeskyInPlaceOperations(t *testing.T) {
 			t.Fatalf("%s: SolveVec: %v / %v", stage, err1, err2)
 		}
 		sameVec(stage+": SolveVec", x1, x2)
-		y1, err1 := in.SolveTriLower(b)
-		y2, err2 := cp.SolveTriLower(b)
+		y1, y2 := append([]float64(nil), b...), append([]float64(nil), b...)
+		err1, err2 = in.SolveTriLowerInPlace(y1), cp.SolveTriLowerInPlace(y2)
 		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: SolveTriLower: %v / %v", stage, err1, err2)
+			t.Fatalf("%s: SolveTriLowerInPlace: %v / %v", stage, err1, err2)
 		}
-		sameVec(stage+": SolveTriLower", y1, y2)
+		sameVec(stage+": SolveTriLowerInPlace", y1, y2)
 	}
 	compare("factor")
 	x := vec()

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -245,17 +246,66 @@ func TestCholeskySolveInPlaceAgreement(t *testing.T) {
 			t.Fatalf("SolveVecInPlace diverges at %d: %g != %g", i, got[i], want[i])
 		}
 	}
-	wantL, err := ch.SolveTriLower(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gotL := append([]float64(nil), b...)
 	if err := ch.SolveTriLowerInPlace(gotL); err != nil {
 		t.Fatal(err)
 	}
-	for i := range wantL {
-		if gotL[i] != wantL[i] {
-			t.Fatalf("SolveTriLowerInPlace diverges at %d: %g != %g", i, gotL[i], wantL[i])
+	ly, err := MulVec(ch.L(), gotL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range b {
+		if !almostEq(ly[i], b[i], 1e-12) {
+			t.Fatalf("SolveTriLowerInPlace: (L·y)[%d] = %g, want %g", i, ly[i], b[i])
 		}
 	}
+}
+
+// TestSolveTriLowerInPlace: the forward substitution the GP's variance path
+// runs solves L·y = b to working precision at every order, including the
+// trivial 1×1 factor and factors spanning several panelWidth-column panels,
+// and refuses a right-hand side of the wrong length without touching it.
+func TestSolveTriLowerInPlace(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{1, 3, 17, 96} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			rng := stats.NewRNG(uint64(40 + n))
+			ch, err := NewCholesky(randSPD(rng, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			y := append([]float64(nil), b...)
+			if err := ch.SolveTriLowerInPlace(y); err != nil {
+				t.Fatal(err)
+			}
+			ly, err := MulVec(ch.L(), y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range b {
+				if !almostEq(ly[i], b[i], 1e-10) {
+					t.Fatalf("(L·y)[%d] = %g, want %g", i, ly[i], b[i])
+				}
+			}
+		})
+	}
+	t.Run("wrong length", func(t *testing.T) {
+		t.Parallel()
+		ch, err := NewCholesky(randSPD(stats.NewRNG(5), 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := []float64{1, 2, 3}
+		if err := ch.SolveTriLowerInPlace(b); !errors.Is(err, ErrShape) {
+			t.Fatalf("rhs of length 3 against order 4: err = %v, want ErrShape", err)
+		}
+		if b[0] != 1 || b[1] != 2 || b[2] != 3 {
+			t.Fatalf("a refused rhs was modified: %v", b)
+		}
+	})
 }

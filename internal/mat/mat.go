@@ -1,7 +1,7 @@
 // Package mat implements the dense linear algebra needed by Rockhopper's
-// machine-learning substrate: dense matrices and vectors, Cholesky and QR
-// factorizations, triangular and symmetric positive-definite solves, and
-// least-squares solvers.
+// machine-learning substrate: dense matrices and vectors, the Cholesky
+// factorization with its rank-1 updates, and triangular and symmetric
+// positive-definite solves.
 //
 // The package is deliberately small and allocation-conscious rather than a
 // general BLAS replacement: every routine exists because a surrogate model in
@@ -517,15 +517,6 @@ func (c *Cholesky) Reconstruct() *Dense {
 	return out
 }
 
-// LogDet returns log det(A) = 2 Σ log L_ii.
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.at(i, i))
-	}
-	return 2 * s
-}
-
 // SolveVec solves A x = b in place of a fresh vector, using the factorization.
 func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 	n := c.n
@@ -566,20 +557,6 @@ func (c *Cholesky) SolveVecInPlace(b []float64) error {
 		b[i] = s / c.at(i, i)
 	}
 	return nil
-}
-
-// SolveTriLower solves L y = b for lower-triangular L.
-func (c *Cholesky) SolveTriLower(b []float64) ([]float64, error) {
-	n := c.n
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: solve %d with rhs %d", ErrShape, n, len(b))
-	}
-	y := make([]float64, n)
-	copy(y, b)
-	if err := c.SolveTriLowerInPlace(y); err != nil {
-		return nil, err
-	}
-	return y, nil
 }
 
 // SolveTriLowerInPlace solves L y = b, overwriting b with y, without
@@ -827,79 +804,4 @@ func traceAbs(m *Dense) float64 {
 		s += math.Abs(m.At(i, i))
 	}
 	return s
-}
-
-// LeastSquares solves min ‖Xβ − y‖₂ by QR factorization with Householder
-// reflections. X must have at least as many rows as columns.
-func LeastSquares(x *Dense, y []float64) ([]float64, error) {
-	m, n := x.rows, x.cols
-	if m < n {
-		return nil, fmt.Errorf("%w: underdetermined %dx%d", ErrShape, m, n)
-	}
-	if m != len(y) {
-		return nil, fmt.Errorf("%w: design %dx%d, response %d", ErrShape, m, n, len(y))
-	}
-	a := x.Clone()
-	b := make([]float64, m)
-	copy(b, y)
-	// Householder QR, applying reflectors to b as we go.
-	for k := 0; k < n; k++ {
-		// Compute the norm of column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			v := a.At(i, k)
-			norm += v * v
-		}
-		norm = math.Sqrt(norm)
-		if norm < 1e-300 {
-			return nil, ErrSingular
-		}
-		alpha := -math.Copysign(norm, a.At(k, k))
-		// v = column − alpha*e_k, stored in the column itself.
-		akk := a.At(k, k) - alpha
-		a.Set(k, k, akk)
-		vnorm2 := 0.0
-		for i := k; i < m; i++ {
-			v := a.At(i, k)
-			vnorm2 += v * v
-		}
-		if vnorm2 < 1e-300 {
-			return nil, ErrSingular
-		}
-		// Apply H = I − 2 v vᵀ / ‖v‖² to remaining columns and to b.
-		for j := k + 1; j < n; j++ {
-			var dot float64
-			for i := k; i < m; i++ {
-				dot += a.At(i, k) * a.At(i, j)
-			}
-			f := 2 * dot / vnorm2
-			for i := k; i < m; i++ {
-				a.Set(i, j, a.At(i, j)-f*a.At(i, k))
-			}
-		}
-		var dotb float64
-		for i := k; i < m; i++ {
-			dotb += a.At(i, k) * b[i]
-		}
-		fb := 2 * dotb / vnorm2
-		for i := k; i < m; i++ {
-			b[i] -= fb * a.At(i, k)
-		}
-		// Store R's diagonal entry; zero below-diagonal is implicit.
-		a.Set(k, k, alpha)
-	}
-	// Back-substitute R β = b[:n].
-	beta := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= a.At(i, j) * beta[j]
-		}
-		d := a.At(i, i)
-		if math.Abs(d) < 1e-300 {
-			return nil, ErrSingular
-		}
-		beta[i] = s / d
-	}
-	return beta, nil
 }

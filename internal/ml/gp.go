@@ -99,9 +99,6 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 // Len returns the number of observations the GP is conditioned on.
 func (g *GP) Len() int { return len(g.xTrain) }
 
-// Fitted reports whether the GP has been successfully fitted.
-func (g *GP) Fitted() bool { return g.fitted }
-
 // Observe conditions the fitted GP on one additional observation in O(n²):
 // the Cholesky factor grows by one bordered row (one triangular solve) and
 // the dual weights are refreshed through the existing factor, instead of the
@@ -236,11 +233,4 @@ func (g *GP) ExpectedImprovement(x []float64, best, xi float64) float64 {
 	}
 	z := (best - xi - mean) / sd
 	return (best-xi-mean)*normalCDF(z) + sd*normalPDF(z)
-}
-
-// LowerConfidenceBound returns mean − kappa·sd at x; for minimization the
-// candidate with the smallest LCB is the most promising.
-func (g *GP) LowerConfidenceBound(x []float64, kappa float64) float64 {
-	mean, variance := g.PredictVar(x)
-	return mean - kappa*math.Sqrt(variance)
 }

@@ -7,13 +7,12 @@
 //   - kernel ridge regression with an RBF kernel (the noise-robust "SVR"
 //     surrogate of Section 6.1),
 //   - Gaussian-process regression with Expected Improvement (the Bayesian
-//     Optimization surrogate of Sections 2.2, 4.1 and 6.2),
-//   - k-nearest-neighbour regression (sanity baseline), and
+//     Optimization surrogate of Sections 2.2, 4.1 and 6.2), and
 //   - feature standardization and interaction/polynomial expansion
 //     ("feature construction" from Section 3.1).
 //
-// All models implement Regressor. The three that are shipped between the
-// autotune backend and its clients (linear, kernel ridge, kNN) serialize with
+// All models implement Regressor. The two that are shipped between the
+// autotune backend and its clients (linear, kernel ridge) serialize with
 // Marshal/Unmarshal into one flat, versioned little-endian format — the ONNX
 // round trip of the paper — that decodes into a single backing array, because
 // every recommendation decodes one on the submission path (serialize.go).

@@ -163,6 +163,25 @@ func TestGPInterpolatesAndQuantifiesUncertainty(t *testing.T) {
 	}
 }
 
+// TestGPVarianceGrowsWithDistance: with one observation, the posterior
+// variance rises strictly with distance from it (the kernel is stationary
+// and decreasing), which is what lets the acquisition prefer unexplored
+// configurations.
+func TestGPVarianceGrowsWithDistance(t *testing.T) {
+	g := NewGP()
+	if err := g.Fit([][]float64{{0}}, []float64{3}); err != nil {
+		t.Fatal(err)
+	}
+	prev := -1.0
+	for _, d := range []float64{0, 0.25, 0.5, 1, 2, 4} {
+		_, v := g.PredictVar([]float64{d})
+		if v <= prev {
+			t.Fatalf("variance at distance %g = %g, not above %g nearer in", d, v, prev)
+		}
+		prev = v
+	}
+}
+
 func TestGPExpectedImprovement(t *testing.T) {
 	x := [][]float64{{0}, {2}}
 	y := []float64{5, 1}
@@ -186,42 +205,11 @@ func TestGPExpectedImprovement(t *testing.T) {
 	}
 }
 
-func TestGPLCBOrdersByUncertainty(t *testing.T) {
-	x := [][]float64{{0}, {1}}
-	y := []float64{2, 2}
-	g := NewGP()
-	if err := g.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	nearLCB := g.LowerConfidenceBound([]float64{0.5}, 2)
-	farLCB := g.LowerConfidenceBound([]float64{5}, 2)
-	if farLCB >= nearLCB {
-		t.Fatalf("LCB should be lower where uncertainty is high: near=%g far=%g", nearLCB, farLCB)
-	}
-}
-
-func TestKNNExactAndAverage(t *testing.T) {
-	x := [][]float64{{0}, {1}, {2}}
-	y := []float64{10, 20, 30}
-	m := NewKNN()
-	m.K = 2
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if p := m.Predict([]float64{1}); p != 20 {
-		t.Fatalf("exact match predict = %g; want 20", p)
-	}
-	p := m.Predict([]float64{0.5})
-	if p < 10 || p > 20 {
-		t.Fatalf("interpolated predict = %g; want within [10,20]", p)
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	r := stats.NewRNG(4)
 	x, y := genLinearData(r, 50, []float64{1, -2}, 3, 0.1)
 
-	models := []Regressor{NewLinear(0.01), NewKernelRidge(), NewKNN()}
+	models := []Regressor{NewLinear(0.01), NewKernelRidge()}
 	for _, m := range models {
 		if err := m.Fit(x, y); err != nil {
 			t.Fatal(err)

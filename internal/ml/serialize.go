@@ -17,11 +17,11 @@ import (
 //	20  four 8-byte scalar slots, per kind:
 //	      linear       Lambda, Intercept
 //	      kernelridge  LengthScale, Variance, Alpha, yMean
-//	      knn          K (int64)
-//	52  float64 payload: n rows of d (xTrain), one n-vector (Coef, dual or
-//	    yTrain), scaler mean, scaler scale
+//	52  float64 payload: n rows of d (xTrain), one n-vector (Coef or dual),
+//	    scaler mean, scaler scale
 //
-// A linear model has d = 0 and n = len(Coef).
+// A linear model has d = 0 and n = len(Coef). Kind 3 (a k-nearest-neighbour
+// model) is retired and refused like any unknown kind.
 const (
 	modelMagic   = "RHML"
 	modelVersion = 1
@@ -29,7 +29,6 @@ const (
 
 	kindLinear      = 1
 	kindKernelRidge = 2
-	kindKNN         = 3
 
 	flagFitted       = 1 << 0
 	flagStandardize  = 1 << 1
@@ -53,7 +52,7 @@ func flagIf(on bool, bit byte) byte {
 }
 
 // Marshal serializes a fitted (or unfitted) model to bytes. Supported
-// concrete types: *Linear, *KernelRidge, *KNN. The GP is intentionally not
+// concrete types: *Linear, *KernelRidge. The GP is intentionally not
 // serialized: like the paper's system, GP surrogates are rebuilt from the
 // observation log rather than shipped.
 func Marshal(r Regressor) ([]byte, error) {
@@ -76,10 +75,6 @@ func Marshal(r Regressor) ([]byte, error) {
 		scalars = [4]uint64{math.Float64bits(m.Kernel.LengthScale), math.Float64bits(m.Kernel.Variance),
 			math.Float64bits(m.Alpha), math.Float64bits(m.yMean)}
 		rows, vec, sc = m.xTrain, m.dual, m.scaler
-	case *KNN:
-		kind, fitted, standardize = kindKNN, m.fitted, m.Standardize
-		scalars = [4]uint64{uint64(int64(m.K))}
-		rows, vec, sc = m.xTrain, m.yTrain, m.scaler
 	default:
 		return nil, fmt.Errorf("ml: cannot marshal model of type %T", r)
 	}
@@ -142,7 +137,7 @@ func Unmarshal(data []byte) (Regressor, error) {
 	sw := uint64(binary.LittleEndian.Uint32(data[16:]))
 	fitted, standardize, hasScaler := flags&flagFitted != 0, flags&flagStandardize != 0, flags&flagScaler != 0
 	expand := FeatureExpander{Interactions: flags&flagInteractions != 0, Squares: flags&flagSquares != 0, Bias: flags&flagBias != 0}
-	ok := kind >= kindLinear && kind <= kindKNN && flags&^flagsKnown == 0 && data[7] == 0 && (hasScaler || sw == 0)
+	ok := kind >= kindLinear && kind <= kindKernelRidge && flags&^flagsKnown == 0 && data[7] == 0 && (hasScaler || sw == 0)
 	// A scaler must be as wide as what it feeds, or Predict would index past
 	// it on a query of the model's own width.
 	if kind == kindLinear {
@@ -191,15 +186,10 @@ func Unmarshal(data []byte) (Regressor, error) {
 			Lambda: f(scalars[0]), Intercept: f(scalars[1]), Standardize: standardize, Expand: expand,
 			Coef: vec, scaler: sc, fitted: fitted,
 		}, nil
-	case kindKernelRidge:
+	default: // kindKernelRidge: the header check admits no other kind
 		return &KernelRidge{
 			Kernel: RBFKernel{LengthScale: f(scalars[0]), Variance: f(scalars[1])}, Alpha: f(scalars[2]), Standardize: standardize,
 			xTrain: rows, dual: vec, yMean: f(scalars[3]), scaler: sc, fitted: fitted,
-		}, nil
-	default:
-		return &KNN{
-			K: int(int64(scalars[0])), Standardize: standardize,
-			xTrain: rows, yTrain: vec, scaler: sc, fitted: fitted,
 		}, nil
 	}
 }

@@ -18,6 +18,11 @@ import (
 // refused like any other non-magic bytes.
 const legacyGobBlob = "28ff8703010108656e76656c6f706501ff8800010201044b696e64010c000104426c6f62010a000000fe0142ff8801066c696e65617201fe0133717f0301010e6c696e656172536e617073686f7401ff8000010701064c616d6264610108000106457870616e6401ff8200010b5374616e64617264697a650102000104436f656601ff84000109496e7465726365707401080001065363616c657201ff86000106466974746564010200000043ff810301010f46656174757265457870616e64657201ff82000103010c496e746572616374696f6e73010200010753717561726573010200010442696173010200000017ff83020101095b5d666c6f6174363401ff84000108000029ff85030101065363616c657201ff8600010201044d65616e01ff840001055363616c6501ff840000003aff8001f87b14ae47e17a843f010001010101f80f43e9ac840afa3f01f8fcddc78996eb0740010101fef03f0101f83e2c0c70bd20ea3f0001010000"
 
+// retiredKNNBlob is what Marshal wrote for a fitted 1-nearest-neighbour model
+// on two one-feature rows, under kind 3, before that model was removed. The
+// kind is retired, not reused, so such a blob must be refused.
+const retiredKNNBlob = "52484d4c010307000200000001000000010000000100000000000000000000000000000000000000000000000000000000000000000000000000f0bf000000000000f03f00000000000008400000000000001040000000000000f83f000000000000e03f"
+
 // codecModels returns one fitted model per serializable kind, with and
 // without a scaler, on n rows of dim features drawn from r.
 func codecModels(t testing.TB, r *stats.RNG, n, dim int) []Regressor {
@@ -35,10 +40,7 @@ func codecModels(t testing.TB, r *stats.RNG, n, dim int) []Regressor {
 		kr := NewKernelRidge()
 		kr.Standardize = standardize
 		kr.Alpha = 0.3
-		knn := NewKNN()
-		knn.Standardize = standardize
-		knn.K = 3
-		for _, m := range []Regressor{lin, kr, knn} {
+		for _, m := range []Regressor{lin, kr} {
 			if err := m.Fit(x, y); err != nil {
 				t.Fatalf("%T fit: %v", m, err)
 			}
@@ -83,7 +85,7 @@ func TestMarshalBitIdentical(t *testing.T) {
 		}
 	}
 	// Unfitted models round-trip too (and still predict NaN).
-	for _, m := range []Regressor{NewLinear(0.5), NewKernelRidge(), NewKNN()} {
+	for _, m := range []Regressor{NewLinear(0.5), NewKernelRidge()} {
 		blob, err := Marshal(m)
 		if err != nil {
 			t.Fatal(err)
@@ -121,16 +123,21 @@ func malformedBlobs(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	knn, err := hex.DecodeString(retiredKNNBlob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := map[string][]byte{
-		"empty":         nil,
-		"legacy gob":    gob,
-		"wrong magic":   edit(func(b []byte) { b[0] = 'X' }),
-		"wrong version": edit(func(b []byte) { b[4] = modelVersion + 1 }),
-		"kind zero":     edit(func(b []byte) { b[5] = 0 }),
-		"kind unknown":  edit(func(b []byte) { b[5] = kindKNN + 1 }),
-		"unknown flag":  edit(func(b []byte) { b[6] |= 0x80 }),
-		"reserved byte": edit(func(b []byte) { b[7] = 1 }),
-		"one row more":  edit(func(b []byte) { b[8]++ }),
+		"empty":          nil,
+		"legacy gob":     gob,
+		"retired kind 3": knn,
+		"wrong magic":    edit(func(b []byte) { b[0] = 'X' }),
+		"wrong version":  edit(func(b []byte) { b[4] = modelVersion + 1 }),
+		"kind zero":      edit(func(b []byte) { b[5] = 0 }),
+		"kind unknown":   edit(func(b []byte) { b[5] = kindKernelRidge + 1 }),
+		"unknown flag":   edit(func(b []byte) { b[6] |= 0x80 }),
+		"reserved byte":  edit(func(b []byte) { b[7] = 1 }),
+		"one row more":   edit(func(b []byte) { b[8]++ }),
 		"scaler too narrow": edit(func(b []byte) {
 			// Drop one scaler column and its two floats: lengths agree, widths do not.
 			b[16]--
@@ -162,6 +169,38 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestMarshalWritesOnlyLiveKinds: every model Marshal accepts is written
+// under its own kind byte, and no model is written under the retired kind 3,
+// fitted or not, with or without a scaler. A retired kind is never reused,
+// so a blob from an old writer can never decode as a different model.
+func TestMarshalWritesOnlyLiveKinds(t *testing.T) {
+	t.Parallel()
+	models := codecModels(t, stats.NewRNG(21), 6, 2) // scaled Linear, scaled KernelRidge, raw Linear, raw KernelRidge
+	cases := []struct {
+		name string
+		m    Regressor
+		kind byte
+	}{
+		{"linear scaled", models[0], kindLinear},
+		{"kernel ridge scaled", models[1], kindKernelRidge},
+		{"linear raw", models[2], kindLinear},
+		{"kernel ridge raw", models[3], kindKernelRidge},
+		{"linear unfitted", NewLinear(0.5), kindLinear},
+		{"kernel ridge unfitted", NewKernelRidge(), kindKernelRidge},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			blob, err := Marshal(c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blob[5] != c.kind {
+				t.Fatalf("%T written under kind %d, want %d", c.m, blob[5], c.kind)
+			}
+		})
+	}
+}
+
 // queryWidth is the feature count a decoded model expects, or -1 when the
 // blob does not pin one (a linear model with no scaler, a model with no rows).
 func queryWidth(m Regressor) int {
@@ -172,8 +211,6 @@ func queryWidth(m Regressor) int {
 			return len(m.scaler.Mean)
 		}
 	case *KernelRidge:
-		rows = m.xTrain
-	case *KNN:
 		rows = m.xTrain
 	}
 	if len(rows) > 0 {

@@ -33,9 +33,8 @@ type Manager struct {
 // managed tuner runs the paper's Centroid Learning loop.
 const managedAlgo = "centroid"
 
-// bindMetrics registers the manager's instruments on reg. The families are
-// shared with tuners.Instrument, so a daemon mixing both publishes one
-// coherent catalogue.
+// bindMetrics registers the manager's instruments on reg. The Manager is the
+// only publisher of the tuner families.
 func (m *Manager) bindMetrics(reg *telemetry.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
