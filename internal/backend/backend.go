@@ -334,9 +334,6 @@ func (s *Server) traceIDs() *stats.RNG { return s.traceRNG }
 // Set before serving traffic.
 func (s *Server) SetFlightRecorder(r *flightrec.Recorder) { s.flightRec = r }
 
-// FlightRecorder returns the installed recorder (possibly nil).
-func (s *Server) FlightRecorder() *flightrec.Recorder { return s.flightRec }
-
 // handleFlightRec serves the live flight-recorder ring, oldest event first,
 // in the same Snapshot shape Dump writes — the black box is readable before
 // anything has gone wrong, not only from its on-disk dumps.
@@ -751,9 +748,12 @@ func (s *Server) retrain(j updateJob) {
 		}
 		sp.Finish(status)
 	}()
-	var traces []flighting.Trace
 	prefix := fmt.Sprintf("index/%s/%s/", user, signature)
-	for _, idx := range s.Store.List(prefix) {
+	entries := s.Store.List(prefix)
+	// An event file holds one run's traces, most often one: sized so the
+	// history is not regrown as it is read.
+	traces := make([]flighting.Trace, 0, len(entries))
+	for _, idx := range entries {
 		// index/<user>/<sig>/<jobID>-<seq>. jobID may itself contain '-',
 		// and seq outgrows its %06d zero-padding after 999999 event files,
 		// so split on the LAST separator instead of a fixed width.

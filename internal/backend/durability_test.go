@@ -289,3 +289,46 @@ func TestDurableDamagedEventPayload(t *testing.T) {
 		t.Fatalf("retrain on the %d intact events wrote no model: %v", runs-1, err)
 	}
 }
+
+// TestRetentionSweepReapsIndexEntries: the retention sweep reaps a run's
+// signature index entry with its event file, so after a sweep every listed
+// index entry resolves and the next retrain reads no reaped file.
+func TestRetentionSweepReapsIndexEntries(t *testing.T) {
+	st := store.New([]byte("key"))
+	clock := resilience.NewFakeClock(time.Unix(100000, 0))
+	st.SetClock(clock.Now)
+	srv := New(sparksim.QuerySpace(), st, secret, 1)
+	var logs bytes.Buffer
+	srv.Logger = log.New(&logs, "", 0)
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	for run := 0; run < 4; run++ {
+		postRun(t, srv, hs, float64(100+run))
+	}
+	clock.Advance(48 * time.Hour)
+	for run := 4; run < 8; run++ {
+		postRun(t, srv, hs, float64(100+run))
+	}
+	srv.Flush()
+	if n := st.CleanupOlderThan(24 * time.Hour); n != 4 {
+		t.Fatalf("sweep reaped %d event files; want 4", n)
+	}
+	entries := st.List("index/u/s/")
+	if len(entries) != 4 {
+		t.Fatalf("index entries after the sweep = %v; want the 4 runs still stored", entries)
+	}
+	for _, idx := range entries {
+		jobID, seq, err := parseIndexEntry(idx[len("index/u/s/"):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.GetInternal(store.EventPath(jobID, seq)); err != nil {
+			t.Fatalf("index entry %q outlived its event file: %v", idx, err)
+		}
+	}
+	logs.Reset()
+	srv.retrain(updateJob{user: "u", signature: "s"})
+	if strings.Contains(logs.String(), "points at unreadable event file") {
+		t.Fatalf("retrain after the sweep read reaped files: %q", logs.String())
+	}
+}

@@ -99,6 +99,3 @@ func (g *Guardrail) predictAt(iter, logSize float64) (float64, bool) {
 	}
 	return p, true
 }
-
-// BreachRun exposes the current consecutive-breach count (monitoring).
-func (g *Guardrail) BreachRun() int { return g.run }

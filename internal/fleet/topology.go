@@ -153,11 +153,3 @@ func (t *Topology) MarkLive(node string) bool {
 	delete(t.down, node)
 	return true
 }
-
-// Alive reports whether a node is currently considered up.
-func (t *Topology) Alive(node string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i := sort.SearchStrings(t.order, node)
-	return i < len(t.order) && t.order[i] == node && !t.down[node]
-}

@@ -19,11 +19,11 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
-// AppendString appends the JSON encoding of s, replicating encoding/json's
-// default escaping: control characters, '"', '\\', the HTML-sensitive
-// '<', '>', '&', and the JS line separators U+2028/U+2029 are escaped;
-// invalid UTF-8 is replaced with U+FFFD.
-func AppendString(dst []byte, s string) []byte {
+// AppendString appends the JSON encoding of s, a string or its bytes,
+// replicating encoding/json's default escaping: control characters, '"',
+// '\\', the HTML-sensitive '<', '>', '&', and the JS line separators
+// U+2028/U+2029 are escaped; invalid UTF-8 is replaced with U+FFFD.
+func AppendString[S ~string | ~[]byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -55,7 +55,7 @@ func AppendString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
+		c, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		if c == utf8.RuneError && size == 1 {
 			dst = append(dst, s[start:i]...)
 			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')

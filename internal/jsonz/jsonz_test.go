@@ -35,13 +35,16 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("AppendString(%q) = %s; want %s", s, got, want)
 		}
+		if got := AppendString(nil, []byte(s)); string(got) != string(want) {
+			t.Fatalf("AppendString([]byte(%q)) = %s; want %s", s, got, want)
+		}
 	}
 	f := func(s string) bool {
 		want, err := json.Marshal(s)
 		if err != nil {
 			return true
 		}
-		return string(AppendString(nil, s)) == string(want)
+		return string(AppendString(nil, s)) == string(want) && string(AppendString(nil, []byte(s))) == string(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

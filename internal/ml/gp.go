@@ -80,7 +80,8 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	for i, v := range y {
 		centred[i] = v - g.yMean
 	}
-	ch, err := mat.NewCholeskyInPlace(gramLower(g.Kernel, rows, g.Noise+1e-10))
+	// The GP keeps its factor, so its Gram storage is its own, not pooled.
+	ch, err := mat.NewCholeskyInPlace(gramLower(g.Kernel, rows, g.Noise+1e-10, make([]float64, n*n)))
 	if err != nil {
 		return err
 	}

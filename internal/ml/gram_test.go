@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/rockhopper-db/rockhopper/internal/mat"
 	"github.com/rockhopper-db/rockhopper/internal/stats"
+	"github.com/rockhopper-db/rockhopper/internal/testutil"
 )
 
 // synthData draws n points of synthPoint.
@@ -140,5 +142,74 @@ func BenchmarkKernelRidgeFit(b *testing.B) {
 				benchFit = kr
 			}
 		})
+	}
+}
+
+// TestKernelRidgeFitThroughPoolIsBitIdentical fits n = 300, 40 and 300 in
+// turn, each on the Gram buffer the fit before it left in the pool — the
+// first on one poisoned with NaN — and requires every model blob to equal
+// the blob of the same fit made on a fresh buffer: a reused buffer's stale
+// upper triangle is never read.
+func TestKernelRidgeFitThroughPoolIsBitIdentical(t *testing.T) {
+	fit := func(n int) []byte {
+		t.Helper()
+		x, y := synthData(stats.NewRNG(uint64(n)), n, 4)
+		kr := NewKernelRidge()
+		kr.Alpha = 0.3
+		if err := kr.Fit(x, y); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		blob, err := Marshal(kr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	sizes := []int{300, 40, 300}
+	fresh := map[int][]byte{}
+	for _, n := range sizes {
+		for gramPool.Get() != nil { // drain: this fit allocates its own buffer
+		}
+		fresh[n] = fit(n)
+	}
+	poison := make([]float64, 300*300)
+	for i := range poison {
+		poison[i] = math.NaN()
+	}
+	gramPool.Put(&poison)
+	for i, n := range sizes {
+		if got := fit(n); !bytes.Equal(got, fresh[n]) {
+			t.Fatalf("fit %d (n=%d) through the pool differs from the fit on a fresh buffer", i, n)
+		}
+	}
+}
+
+// TestKernelRidgeFitReusesGram pins the pool's effect: once warm, a fit at
+// n = 256 allocates under a quarter of its n²·8-byte Gram matrix. Not
+// parallel: TotalAlloc is process-wide; collection is off while measuring
+// so the pool is not emptied under the loop.
+func TestKernelRidgeFitReusesGram(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	const n, fits = 256, 10
+	x, y := synthData(stats.NewRNG(256), n, 4)
+	kr := NewKernelRidge()
+	if err := kr.Fit(x, y); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < fits; i++ {
+		if err := kr.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perFit := float64(after.TotalAlloc-before.TotalAlloc) / fits
+	t.Logf("KernelRidge.Fit at n=%d: %.0f B allocated per fit (Gram matrix %d B)", n, perFit, n*n*8)
+	if perFit > n*n*8/4 {
+		t.Fatalf("a warm fit allocates %.0f B; budget is a quarter of the %d-byte Gram matrix", perFit, n*n*8)
 	}
 }

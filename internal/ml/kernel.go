@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"sync"
 
 	"github.com/rockhopper-db/rockhopper/internal/mat"
 )
@@ -35,21 +36,35 @@ const (
 	gramFanOutRows = 16
 )
 
-// gramLower returns the n×n matrix whose lower triangle is k(rows[i], rows[j])
-// with diag added on the diagonal: the regularized kernel matrix, in the form
-// mat.NewCholeskyInPlace consumes. The upper triangle, which the
-// factorization never reads, is left zero. Each entry is computed by one
-// goroutine from its two rows alone, so the result does not depend on how
-// many goroutines filled it.
-func gramLower(k RBFKernel, rows [][]float64, diag float64) *mat.Dense {
+// gramLower returns the n×n matrix, backed by data[:n·n], whose lower
+// triangle is k(rows[i], rows[j]) with diag added on the diagonal: the
+// regularized kernel matrix, in the form mat.NewCholeskyInPlace consumes.
+// The upper triangle, which the factorization never reads, keeps whatever
+// data held. Each entry is computed by one goroutine from its two rows
+// alone, so the result does not depend on how many goroutines filled it.
+func gramLower(k RBFKernel, rows [][]float64, diag float64, data []float64) *mat.Dense {
 	n := len(rows)
-	g := mat.NewDense(n, n)
+	g := mat.NewDenseData(n, n, data[:n*n])
 	if n < gramFanOutMin {
 		fillGram(g, k, rows, diag, 0, n)
 	} else {
 		mat.FanOut(0, n, gramFanOutRows, func(from, to int) { fillGram(g, k, rows, diag, from, to) })
 	}
 	return g
+}
+
+// gramPool recycles the n×n backing of KernelRidge.Fit's Gram matrix, which
+// is factored, solved against once and dropped: without it every retrain
+// allocates n²·8 bytes of garbage (0.7 MB at 300 rows).
+var gramPool sync.Pool // of *[]float64
+
+// getGram returns a pooled buffer of at least n·n floats.
+func getGram(n int) *[]float64 {
+	if b, _ := gramPool.Get().(*[]float64); b != nil && cap(*b) >= n*n {
+		return b
+	}
+	b := make([]float64, n*n)
+	return &b
 }
 
 // fillGram writes rows [from, to) of gramLower's triangle.
@@ -123,7 +138,10 @@ func (k *KernelRidge) Fit(x [][]float64, y []float64) error {
 	for i, v := range y {
 		centred[i] = v - k.yMean
 	}
-	ch, err := mat.NewCholeskyInPlace(gramLower(k.Kernel, rows, k.Alpha+1e-10))
+	// The factor is used for one solve, so its storage goes back to the pool.
+	buf := getGram(n)
+	defer gramPool.Put(buf)
+	ch, err := mat.NewCholeskyInPlace(gramLower(k.Kernel, rows, k.Alpha+1e-10, *buf))
 	if err != nil {
 		return err
 	}

@@ -40,14 +40,6 @@ type Regressor interface {
 	Predict(x []float64) float64
 }
 
-// UncertaintyRegressor is implemented by models that can quantify predictive
-// uncertainty (the Gaussian process); acquisition functions require it.
-type UncertaintyRegressor interface {
-	Regressor
-	// PredictVar returns the predictive mean and variance at x.
-	PredictVar(x []float64) (mean, variance float64)
-}
-
 func checkXY(x [][]float64, y []float64) (cols int, err error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, ErrNoData

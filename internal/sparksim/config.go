@@ -164,15 +164,6 @@ func (s *Space) With(c Config, name string, v float64) Config {
 	return out
 }
 
-// Snap returns a copy of c with every value clamped and quantized.
-func (s *Space) Snap(c Config) Config {
-	out := make(Config, len(c))
-	for i, p := range s.Params {
-		out[i] = p.Snap(c[i])
-	}
-	return out
-}
-
 // Random returns a uniformly random configuration (log-uniform on log
 // dimensions), snapped to legal values.
 func (s *Space) Random(r *stats.RNG) Config {

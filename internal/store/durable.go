@@ -573,7 +573,7 @@ func ownSnapshot(snap snapshot) ([]byte, []slot[loc]) {
 		if len(e.Data) > 0 {
 			base64.StdEncoding.Encode(image[at:], e.Data)
 		}
-		es[i] = slot[loc]{key: e.Path, created: e.Created, val: locate(inSnap, int64(at), e.Data)}
+		es[i] = slot[loc]{key: e.Path, entry: entry[loc]{created: e.Created, val: locate(inSnap, int64(at), e.Data)}}
 	}
 	return finishSnapshot(image), es
 }
@@ -655,24 +655,25 @@ func (d *DurableStore) GetInternal(p string) ([]byte, error) {
 	if e == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
 	}
-	return d.readLocked(e)
+	return d.readLocked(p, e)
 }
 
-// readLocked returns a fresh copy of e's payload. Callers hold d.ix.mu.
-func (d *DurableStore) readLocked(e *slot[loc]) ([]byte, error) {
+// readLocked returns a fresh copy of the payload of e, stored under key.
+// Callers hold d.ix.mu.
+func (d *DurableStore) readLocked(key string, e *entry[loc]) ([]byte, error) {
 	l := e.val
 	switch {
 	case l.n == 0:
 		return nil, nil
 	case l.file() == inHeld:
-		return append([]byte(nil), d.held[e.key]...), nil
+		return append([]byte(nil), d.held[key]...), nil
 	}
 	f := d.wal
 	if l.file() == inSnap {
 		f = d.snap
 	}
 	if f == nil {
-		return nil, fmt.Errorf("store: read %s: %w", e.key, ErrClosed)
+		return nil, fmt.Errorf("store: read %s: %w", key, ErrClosed)
 	}
 	buf := spanPool.Get().(*[]byte)
 	span := slices.Grow((*buf)[:0], int(l.n))[:l.n]
@@ -683,11 +684,11 @@ func (d *DurableStore) readLocked(e *slot[loc]) ([]byte, error) {
 		}
 	}()
 	if _, err := f.ReadAt(span, l.off()); err != nil {
-		return nil, fmt.Errorf("store: read %s: %w", e.key, err)
+		return nil, fmt.Errorf("store: read %s: %w", key, err)
 	}
 	data, err := decodeSpan(nil, span, l)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s", err, e.key)
+		return nil, fmt.Errorf("%w: %s", err, key)
 	}
 	return data, nil
 }
@@ -720,23 +721,24 @@ func (d *DurableStore) Delete(p string) error {
 }
 
 // CleanupOlderThan runs the retention sweep over expired event files and
-// returns how many objects were reaped. The whole batch is one WAL record —
-// one append + fsync no matter how many files expired, so a large sweep
-// does not stall commits behind a per-file fsync loop — logged before any
-// removal is applied, so the sweep is all-or-nothing across a crash.
+// the signature index entries committed beside them, and returns how many
+// event files were reaped. The whole batch is one WAL record — one append +
+// fsync no matter how many objects expired, so a large sweep does not stall
+// commits behind a per-file fsync loop — logged before any removal is
+// applied, so the sweep is all-or-nothing across a crash.
 func (d *DurableStore) CleanupOlderThan(retention time.Duration) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	reaped := d.ix.expiredEvents(d.clock.Now().Add(-retention).UnixNano())
+	reaped, events := d.ix.expired(d.clock.Now().Add(-retention).UnixNano())
 	if len(reaped) == 0 {
 		return 0
 	}
 	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
 	if err := d.commitLocked(walRecord{Op: opSweep, Paths: reaped}, telemetry.SpanContext{}); err != nil {
-		d.logf("store: retention sweep of %d file(s) not logged: %v", len(reaped), err)
+		d.logf("store: retention sweep of %d object(s) not logged: %v", len(reaped), err)
 		return 0
 	}
-	return len(reaped)
+	return events
 }
 
 // maybeCompactCountLocked compacts when the WAL has grown past the
@@ -828,20 +830,20 @@ func (d *DurableStore) imageLocked(walSeq uint64) ([]byte, []loc, error) {
 	type span struct {
 		src loc
 		dst int
-		key string
+		ord int // the entry's position in key order, to name it in an error
 	}
 	locs := make([]loc, 0, d.ix.lenLocked())
 	var spans []span
 	image := appendSnapshotHead(nil, walSeq)
-	d.ix.eachLocked(func(e *slot[loc]) {
+	d.ix.eachLocked(func(key []byte, e *entry[loc]) {
 		var at int
-		image, at = appendSnapshotEntry(image, len(locs) == 0, e.key, e.created, int(e.val.n))
+		image, at = appendSnapshotEntry(image, len(locs) == 0, key, e.created, int(e.val.n))
 		switch {
 		case e.val.n == 0:
 		case e.val.file() == inHeld:
-			base64.StdEncoding.Encode(image[at:], d.held[e.key])
+			base64.StdEncoding.Encode(image[at:], d.held[string(key)])
 		default:
-			spans = append(spans, span{src: e.val, dst: at, key: e.key})
+			spans = append(spans, span{src: e.val, dst: at, ord: len(locs)})
 		}
 		locs = append(locs, loc{at: inSnap | uint64(at), n: e.val.n, crc: e.val.crc})
 	})
@@ -872,7 +874,7 @@ func (d *DurableStore) imageLocked(walSeq uint64) ([]byte, []loc, error) {
 			b64 := block[s.src.off()-start:][:s.src.n]
 			var err error
 			if scratch, err = decodeSpan(scratch, b64, s.src); err != nil {
-				return nil, nil, fmt.Errorf("%w: %s", err, s.key)
+				return nil, nil, fmt.Errorf("%w: %s", err, d.ix.keyAtLocked(s.ord))
 			}
 			copy(image[s.dst:], b64)
 		}
@@ -888,7 +890,7 @@ func (d *DurableStore) repointLocked(f *os.File, locs []loc) {
 	old := d.snap
 	d.snap, d.held = f, nil
 	i := 0
-	d.ix.eachLocked(func(e *slot[loc]) {
+	d.ix.eachLocked(func(_ []byte, e *entry[loc]) {
 		e.val = locs[i]
 		i++
 	})

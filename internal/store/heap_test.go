@@ -12,9 +12,10 @@ import (
 // TestDurableHeapPerObject pins what a durable store costs per live object
 // on the Go heap: 100k event files (116 B payloads, the size of a small run
 // record) and their empty index entries, committed in batches the way the
-// ingest path does, may add at most 48 B each. Keys are allocated by the
-// test and so excluded; payloads are not subtracted, because they belong on
-// disk, not on the heap — the index holds a locator into the WAL or
+// ingest path does, may add at most 48 B each. Each batch's keys are built
+// for its Commit and dropped after it, as the ingest path's are, so the
+// store's own copy of a key counts; payloads count too, because they belong
+// on disk, not on the heap — the index holds a locator into the WAL or
 // snapshot instead.
 func TestDurableHeapPerObject(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -22,45 +23,49 @@ func TestDurableHeapPerObject(t *testing.T) {
 	}
 	const pairs = 50_000
 	const batch = 64 // pairs per Commit
-	keys := make([]string, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		keys = append(keys, EventPath(fmt.Sprintf("job-%05d", i%977), i), fmt.Sprintf("index/u/sig-%04d/job-%05d-%06d", i%4096, i%977, i))
-	}
 	body := make([]byte, 116)
 	for i := range body {
 		body[i] = byte('a' + i%26)
 	}
-	entries := make([]Entry, 2*batch)
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	before := heap()
+	entries := make([]Entry, 0, 2*batch)
+	before := liveHeap()
 	d := mustOpen(t, t.TempDir(), DurableOptions{CompactEvery: -1})
 	defer d.Close()
-	for i := 0; i < len(keys); i += len(entries) {
-		n := 0
-		for j := i; j < i+len(entries) && j < len(keys); j += 2 {
-			entries[n] = Entry{Path: keys[j], Data: body}
-			entries[n+1] = Entry{Path: keys[j+1]}
-			n += 2
-		}
-		if err := d.Commit(context.Background(), entries[:n]); err != nil {
+	for i := 0; i < pairs; i += batch {
+		entries = appendPairs(entries[:0], i, min(i+batch, pairs), body)
+		if err := d.Commit(context.Background(), entries); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := heap()
-	if d.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", d.Len(), len(keys))
+	clear(entries)
+	after := liveHeap()
+	if d.Len() != 2*pairs {
+		t.Fatalf("Len = %d, want %d", d.Len(), 2*pairs)
 	}
-	perObject := (float64(after) - float64(before)) / float64(len(keys))
-	t.Logf("durable store: %.1f B of live heap per object, payloads included", perObject)
+	perObject := (float64(after) - float64(before)) / (2 * pairs)
+	t.Logf("durable store: %.1f B of live heap per object, keys and payloads included", perObject)
 	if perObject > 48 {
 		t.Fatalf("durable store costs %.1f B per live object; budget is 48", perObject)
 	}
-	runtime.KeepAlive(keys)
 	runtime.KeepAlive(entries)
+}
+
+// appendPairs appends the event file and index entry of runs [from, to),
+// keyed as the ingest path keys them; index entries are empty.
+func appendPairs(dst []Entry, from, to int, body []byte) []Entry {
+	for i := from; i < to; i++ {
+		dst = append(dst,
+			Entry{Path: EventPath(fmt.Sprintf("job-%05d", i%977), i), Data: body},
+			Entry{Path: fmt.Sprintf("index/u/sig-%04d/job-%05d-%06d", i%4096, i%977, i)})
+	}
+	return dst
+}
+
+// liveHeap returns the bytes still reachable after forced collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

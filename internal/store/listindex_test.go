@@ -23,8 +23,8 @@ func (s *Store) export() []snapEntry {
 	s.ix.mu.RLock()
 	defer s.ix.mu.RUnlock()
 	out := make([]snapEntry, 0, s.ix.lenLocked())
-	s.ix.eachLocked(func(e *slot[[]byte]) {
-		out = append(out, snapEntry{Path: e.key, Data: append([]byte(nil), e.val...), Created: e.created})
+	s.ix.eachLocked(func(key []byte, e *entry[[]byte]) {
+		out = append(out, snapEntry{Path: string(key), Data: append([]byte(nil), e.val...), Created: e.created})
 	})
 	return out
 }
@@ -35,7 +35,7 @@ func (s *Store) export() []snapEntry {
 func (s *Store) resetTo(entries []snapEntry) {
 	es := make([]slot[[]byte], len(entries))
 	for i, e := range entries {
-		es[i] = slot[[]byte]{key: e.Path, created: e.Created, val: e.Data}
+		es[i] = slot[[]byte]{key: e.Path, entry: entry[[]byte]{created: e.Created, val: e.Data}}
 	}
 	s.ix.mu.Lock()
 	defer s.ix.mu.Unlock()
@@ -174,13 +174,18 @@ func TestListIndexMatchesNaiveScan(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				put(Entry{Path: p, Data: []byte("v3")})
 			}
-		case op < 96: // retention sweep
+		case op < 96: // retention sweep: event files and index entries; it counts the files
 			retention := time.Duration(60+rng.Intn(1200)) * time.Second
 			want := 0
 			for p, o := range oracle {
-				if strings.HasPrefix(p, "events/") && o.created < now.Add(-retention).UnixNano() {
+				if o.created >= now.Add(-retention).UnixNano() {
+					continue
+				}
+				if strings.HasPrefix(p, "events/") {
 					delete(oracle, p)
 					want++
+				} else if strings.HasPrefix(p, "index/") {
+					delete(oracle, p)
 				}
 			}
 			if got := s.CleanupOlderThan(retention); got != want {
@@ -218,44 +223,37 @@ func TestListIndexMatchesNaiveScan(t *testing.T) {
 	}
 }
 
-// TestIndexBytesPerObject pins what the index itself costs per live object:
-// 100k event files and their index entries, keys and payloads allocated by
-// the test and so excluded, may add at most 56 bytes each to the live heap
-// (the entry is 48; the rest is the recent run and allocator rounding).
+// TestIndexBytesPerObject pins what the in-memory store's index costs per
+// live object: 100k event files and their index entries may add at most 56
+// bytes each to the live heap beside their payloads (the entry is 32; the
+// rest is the front-coded key, the restarts and the recent run). Keys are
+// built per put and dropped, so the index's own copy of a key counts.
 func TestIndexBytesPerObject(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("heap budgets are not meaningful under -race")
 	}
 	const pairs = 50_000
 	const payload = 64 // a malloc size class, so the store's copy costs exactly this
-	keys := make([]string, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		keys = append(keys, EventPath(fmt.Sprintf("job-%05d", i%977), i), fmt.Sprintf("index/u/sig-%04d/job-%05d-%06d", i%4096, i%977, i))
-	}
 	body := make([]byte, payload)
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	before := heap()
+	var pair []Entry
+	before := liveHeap()
 	s := New([]byte("k"))
-	for i := 0; i < len(keys); i += 2 {
-		s.putAt(keys[i], body, int64(i))
-		s.putAt(keys[i+1], nil, int64(i))
+	for i := 0; i < pairs; i++ {
+		pair = appendPairs(pair[:0], i, i+1, body)
+		s.putAt(pair[0].Path, pair[0].Data, int64(i))
+		s.putAt(pair[1].Path, nil, int64(i))
 	}
-	after := heap()
-	if s.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(keys))
+	clear(pair)
+	after := liveHeap()
+	if s.Len() != 2*pairs {
+		t.Fatalf("Len = %d, want %d", s.Len(), 2*pairs)
 	}
-	perObject := (float64(after) - float64(before) - pairs*payload) / float64(len(keys))
-	t.Logf("index overhead: %.1f B per live object", perObject)
+	perObject := (float64(after) - float64(before) - pairs*payload) / (2 * pairs)
+	t.Logf("index: %.1f B per live object, keys included", perObject)
 	if perObject > 56 {
 		t.Fatalf("index costs %.1f B per live object; budget is 56", perObject)
 	}
-	runtime.KeepAlive(keys)
+	runtime.KeepAlive(pair)
 }
 
 // BenchmarkListPointLookup is the Model Updater's access pattern: one List

@@ -60,13 +60,14 @@ func (d *DurableStore) export() ([]snapEntry, error) {
 	defer d.ix.mu.RUnlock()
 	out := make([]snapEntry, 0, d.ix.lenLocked())
 	var first error
-	d.ix.eachLocked(func(e *slot[loc]) {
-		data, err := d.readLocked(e)
+	d.ix.eachLocked(func(key []byte, e *entry[loc]) {
+		p := string(key)
+		data, err := d.readLocked(p, e)
 		if err != nil {
 			first = cmp.Or(first, err)
 			return
 		}
-		out = append(out, snapEntry{Path: e.key, Data: data, Created: e.created})
+		out = append(out, snapEntry{Path: p, Data: data, Created: e.created})
 	})
 	return out, first
 }

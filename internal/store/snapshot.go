@@ -65,7 +65,7 @@ func appendSnapshotHead(dst []byte, walSeq uint64) []byte {
 // appendSnapshotEntry appends one entry whose payload is n base64 characters
 // long, leaving those n bytes for the caller to fill, and returns the offset
 // they start at (meaningless when n is 0: an empty payload is omitted).
-func appendSnapshotEntry(dst []byte, first bool, path string, created int64, n int) ([]byte, int) {
+func appendSnapshotEntry[S ~string | ~[]byte](dst []byte, first bool, path S, created int64, n int) ([]byte, int) {
 	if !first {
 		dst = append(dst, ',')
 	}

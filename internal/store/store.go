@@ -21,10 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
@@ -102,208 +100,6 @@ type signer struct {
 type Store struct {
 	signer
 	ix index[[]byte]
-}
-
-// index is the one ordered index both stores keep, generic over what an
-// entry holds beside its key and creation time: the in-memory Store keeps
-// the payload itself, the durable store a 16-byte locator of the payload's
-// bytes in its own files.
-//
-// sorted and recent are the index: every live object is an entry in exactly
-// one of them, and both are ordered by key. A lookup is a binary search of
-// each; List, the retention sweep and export walk a key range of both in
-// order. A new key is inserted into the small recent run (a bounded
-// memmove), and a full run is merged into sorted with one linear copy, so an
-// insert costs O(log n) plus an amortized O(n/recentMergeAt) — what keeps
-// bulk ingest that Lists once per inserted key out of quadratic work — and
-// an object costs its entry and nothing else. Methods ending in Locked
-// leave mu to the caller; the others take it themselves.
-type index[V any] struct {
-	mu     sync.RWMutex
-	sorted []slot[V]
-	recent []slot[V]
-}
-
-// recentMergeAt bounds the recent run: reaching it merges the run into
-// sorted.
-const recentMergeAt = 512
-
-// slot is one index entry: 24 bytes beside its value (a []byte payload
-// header in the Store, a locator in the durable store).
-type slot[V any] struct {
-	key     string
-	created int64 // Unix nanoseconds
-	val     V
-}
-
-// search returns the position of key in es, or the position it would be
-// inserted at, and whether it is there. Every read starts here; written out,
-// it is a fifth faster at 200k keys than slices.BinarySearchFunc over
-// strings.Compare.
-func search[V any](es []slot[V], key string) (int, bool) {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); es[m].key < key {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(es) && es[lo].key == key
-}
-
-// prefixRange returns the run of es whose keys start with prefix.
-func prefixRange[V any](es []slot[V], prefix string) []slot[V] {
-	lo, _ := search(es, prefix)
-	hi := lo
-	for hi < len(es) && strings.HasPrefix(es[hi].key, prefix) {
-		hi++
-	}
-	return es[lo:hi]
-}
-
-// inOrder calls fn on every entry of two key-ordered runs, in key order.
-func inOrder[V any](a, b []slot[V], fn func(e *slot[V])) {
-	for len(a) > 0 || len(b) > 0 {
-		if len(b) == 0 || (len(a) > 0 && a[0].key < b[0].key) {
-			fn(&a[0])
-			a = a[1:]
-		} else {
-			fn(&b[0])
-			b = b[1:]
-		}
-	}
-}
-
-// findLocked returns the entry stored under key, or nil.
-func (x *index[V]) findLocked(key string) *slot[V] {
-	if i, ok := search(x.sorted, key); ok {
-		return &x.sorted[i]
-	}
-	if i, ok := search(x.recent, key); ok {
-		return &x.recent[i]
-	}
-	return nil
-}
-
-// putLocked installs or overwrites the entry under key.
-func (x *index[V]) putLocked(key string, val V, created int64) {
-	if e := x.findLocked(key); e != nil {
-		e.val, e.created = val, created
-		return
-	}
-	i, _ := search(x.recent, key)
-	x.recent = slices.Insert(x.recent, i, slot[V]{key: key, created: created, val: val})
-	if len(x.recent) >= recentMergeAt {
-		x.mergeLocked()
-	}
-}
-
-// mergeLocked folds the recent run into sorted: one exact-size allocation
-// and one linear copy, split at the recent keys' insertion points.
-func (x *index[V]) mergeLocked() {
-	merged := make([]slot[V], 0, len(x.sorted)+len(x.recent))
-	rest := x.sorted
-	for _, e := range x.recent {
-		i, _ := search(rest, e.key)
-		merged = append(append(merged, rest[:i]...), e)
-		rest = rest[i:]
-	}
-	x.sorted = append(merged, rest...)
-	// Drop the run's references: sorted owns the values now.
-	clear(x.recent)
-	x.recent = x.recent[:0]
-}
-
-// removeLocked deletes the named entries; a key that is not stored is a
-// no-op.
-func (x *index[V]) removeLocked(keys ...string) {
-	x.sorted = removeKeys(x.sorted, keys)
-	x.recent = removeKeys(x.recent, keys)
-}
-
-// removeKeys closes the gaps the named keys leave in es with one pass of
-// copies, however many keys are named.
-func removeKeys[V any](es []slot[V], keys []string) []slot[V] {
-	var hits []int
-	for _, k := range keys {
-		if i, ok := search(es, k); ok {
-			hits = append(hits, i)
-		}
-	}
-	if len(hits) == 0 {
-		return es
-	}
-	slices.Sort(hits)
-	hits = slices.Compact(hits) // a key may be named twice
-	w := hits[0]
-	for n, i := range hits {
-		end := len(es)
-		if n+1 < len(hits) {
-			end = hits[n+1]
-		}
-		w += copy(es[w:], es[i+1:end])
-	}
-	clear(es[w:])
-	return es[:w]
-}
-
-// eachLocked calls fn on every entry, in key order.
-func (x *index[V]) eachLocked(fn func(e *slot[V])) { inOrder(x.sorted, x.recent, fn) }
-
-// lenLocked returns the number of entries.
-func (x *index[V]) lenLocked() int { return len(x.sorted) + len(x.recent) }
-
-// list returns the keys under prefix, sorted.
-func (x *index[V]) list(prefix string) []string {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	a, b := prefixRange(x.sorted, prefix), prefixRange(x.recent, prefix)
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(a)+len(b))
-	inOrder(a, b, func(e *slot[V]) { out = append(out, e.key) })
-	return out
-}
-
-// len returns the number of entries.
-func (x *index[V]) len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.lenLocked()
-}
-
-// expiredEvents returns, sorted, the event paths created before cutoff (Unix
-// nanoseconds): one range scan over "events/".
-func (x *index[V]) expiredEvents(cutoff int64) []string {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	var reaped []string
-	inOrder(prefixRange(x.sorted, "events/"), prefixRange(x.recent, "events/"), func(e *slot[V]) {
-		if e.created < cutoff {
-			reaped = append(reaped, e.key)
-		}
-	})
-	return reaped
-}
-
-// resetLocked replaces the whole index with es, taking ownership of the
-// slice. The entries may come from a peer's image, so the order the index
-// rests on is established here, a later duplicate winning as a replayed put
-// would.
-func (x *index[V]) resetLocked(es []slot[V]) {
-	slices.SortStableFunc(es, func(a, b slot[V]) int { return strings.Compare(a.key, b.key) })
-	w := 0
-	for i, e := range es {
-		if i+1 < len(es) && es[i+1].key == e.key {
-			continue
-		}
-		es[w] = e
-		w++
-	}
-	clear(es[w:])
-	x.sorted, x.recent = es[:w], nil
 }
 
 // New returns a store signing tokens with the given secret.
@@ -472,12 +268,13 @@ func (s *Store) Delete(p string) { s.remove(p) }
 // Len returns the number of stored objects.
 func (s *Store) Len() int { return s.ix.len() }
 
-// CleanupOlderThan removes event files older than the retention window and
-// returns how many were deleted — the Storage Manager's GDPR cleanup. Only
-// objects under "events/" are subject to retention; models and caches are
-// derived artifacts.
+// CleanupOlderThan removes event files older than the retention window, with
+// the signature index entries committed beside them, and returns how many
+// event files were deleted — the Storage Manager's GDPR cleanup. Only
+// objects under "events/" and "index/" are subject to retention; models and
+// caches are derived artifacts.
 func (s *Store) CleanupOlderThan(retention time.Duration) int {
-	reaped := s.ix.expiredEvents(s.now().Add(-retention).UnixNano())
+	reaped, events := s.ix.expired(s.now().Add(-retention).UnixNano())
 	s.remove(reaped...)
-	return len(reaped)
+	return events
 }

@@ -40,14 +40,6 @@ func NewTracer(ring *SpanRing, node string, now func() time.Time, ids IDSource) 
 	return &Tracer{ring: ring, node: node, now: now, ids: ids}
 }
 
-// Ring exposes the tracer's span buffer (nil when discarding).
-func (t *Tracer) Ring() *SpanRing {
-	if t == nil {
-		return nil
-	}
-	return t.ring
-}
-
 func (t *Tracer) child(parent SpanContext) SpanContext {
 	t.mu.Lock()
 	defer t.mu.Unlock()
