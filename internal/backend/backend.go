@@ -1,11 +1,12 @@
 // Package backend implements the Autotune Backend of Section 5 (Figure 7)
 // over net/http: it issues scoped access tokens (the SAS-URL analogue)
 // after authenticating callers against the cluster token service, serves
-// model files and the pre-computed app_cache, ingests Spark event files,
-// and hosts the two streaming jobs that close the loop — the Model Updater,
-// which retrains a query signature's surrogate whenever new events arrive,
-// and the App Cache Generator, which runs the Algorithm 2 joint optimizer
-// after an application completes.
+// model files and the pre-computed app_cache, ingests the execution traces
+// clients digest from Spark event logs, and hosts the two streaming jobs
+// that close the loop — the Model Updater, which retrains a query
+// signature's surrogate whenever new events arrive, and the App Cache
+// Generator, which runs the Algorithm 2 joint optimizer after an
+// application completes.
 package backend
 
 import (
@@ -26,7 +27,6 @@ import (
 	"time"
 
 	"github.com/rockhopper-db/rockhopper/internal/applevel"
-	"github.com/rockhopper-db/rockhopper/internal/eventlog"
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
 	"github.com/rockhopper-db/rockhopper/internal/flightrec"
 	"github.com/rockhopper-db/rockhopper/internal/ml"
@@ -396,7 +396,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("PUT /api/object", s.instrument("put_object", s.handlePutObject))
 	mux.HandleFunc("POST /api/events", s.instrument("events", s.handleEvents))
 	mux.HandleFunc("POST /api/events/batch", s.instrument("events_batch", s.handleEventBatch))
-	mux.HandleFunc("POST /api/eventlog", s.instrument("eventlog", s.handleEventLog))
 	mux.HandleFunc("GET /api/appcache", s.instrument("get_appcache", s.handleGetAppCache))
 	mux.HandleFunc("POST /api/appcache", s.instrument("compute_appcache", s.handleComputeAppCache))
 	mux.HandleFunc("GET /api/health", s.handleHealth)
@@ -472,7 +471,7 @@ func validSegment(v string) bool {
 // handleEvents ingests a JSON-lines batch of execution traces for the one
 // query signature the request names — the Event Hub trigger of Figure 7.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.ingest(w, r, "events", 64<<20, true, func(q url.Values, body []byte) (map[string][]flighting.Trace, int, error) {
+	s.ingest(w, r, "events", func(q url.Values, body []byte) (map[string][]flighting.Trace, int, error) {
 		signature := q.Get("signature")
 		if !validSegment(signature) {
 			return nil, 0, errors.New("signature (one path segment) required")
@@ -486,7 +485,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // signatures in ONE call: the body is the same JSON-lines trace format as
 // /api/events, but each trace's query_id names its signature.
 func (s *Server) handleEventBatch(w http.ResponseWriter, r *http.Request) {
-	s.ingest(w, r, "events_batch", 64<<20, true, func(_ url.Values, body []byte) (map[string][]flighting.Trace, int, error) {
+	s.ingest(w, r, "events_batch", func(_ url.Values, body []byte) (map[string][]flighting.Trace, int, error) {
 		traces, err := flighting.ParseTraces(body)
 		if err != nil {
 			return nil, 0, err
@@ -505,35 +504,6 @@ func (s *Server) handleEventBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleEventLog ingests a RAW Spark event log: the Embedding ETL parses
-// the listener events, extracts plans/configs/durations, computes workload
-// embeddings, and groups the digested traces by the signature derived from
-// each execution's plan, so one log may feed several signatures. Raw event
-// logs are accepted on any node — the signatures inside are unknown until
-// the ETL runs, so clients cannot route them.
-func (s *Server) handleEventLog(w http.ResponseWriter, r *http.Request) {
-	s.ingest(w, r, "eventlog", 256<<20, false, func(_ url.Values, body []byte) (map[string][]flighting.Trace, int, error) {
-		runs, err := eventlog.ParseBytes(body, s.Space)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(runs) == 0 {
-			return nil, 0, unprocessable("event log contains no complete executions")
-		}
-		bySig := map[string][]flighting.Trace{}
-		for _, run := range runs {
-			sig := sparksim.Signature(run.Plan)
-			tr := eventlog.ETL([]eventlog.Run{run}, nil)
-			if len(tr) == 0 {
-				continue
-			}
-			tr[0].QueryID = sig
-			bySig[sig] = append(bySig[sig], tr[0])
-		}
-		return bySig, len(runs), nil
-	})
-}
-
 // unprocessable rejects a well-formed ingest body that carries nothing to
 // ingest (422); every other decode error is a 400.
 type unprocessable string
@@ -547,17 +517,19 @@ type BatchResponse struct {
 	Events     int `json:"events"`
 }
 
-// ingest is the one pipeline behind the three ingest endpoints. They differ
-// only in the body limit, in whether their signatures are routed to an
-// owner, and in decode, which turns the body into traces grouped by the
-// signature each trains plus the event count to charge the tenant. A routed
-// request holding any signature this node does not own is bounced with 421
-// before admission: the commit is all-or-nothing, and the router partitions
-// by owner. The whole request — every signature's event file, the canonical
+// maxIngestBytes is the largest request body an ingest endpoint reads.
+const maxIngestBytes = 64 << 20
+
+// ingest is the one pipeline behind the two ingest endpoints. They differ
+// only in decode, which turns the body into traces grouped by the signature
+// each trains plus the event count to charge the tenant. A request holding
+// any signature this node does not own is bounced with 421 before
+// admission: the commit is all-or-nothing, and the router partitions by
+// owner. The whole request — every signature's event file, the canonical
 // flighting.WriteTraces rendering of its traces, and its index entry — is ONE
 // store commit (one WAL append + one fsync), so a 202 means all of it is
 // durable and a crash or store fault can never surface part of it.
-func (s *Server) ingest(w http.ResponseWriter, r *http.Request, endpoint string, limit int64, routed bool,
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request, endpoint string,
 	decode func(q url.Values, body []byte) (bySig map[string][]flighting.Trace, events int, err error)) {
 	q := r.URL.Query()
 	user, jobID := q.Get("user"), q.Get("job_id")
@@ -568,7 +540,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, endpoint string,
 	start := s.clock().Now()
 	admitted := 0
 	defer func() { s.observeIngest(user, start, admitted) }()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -590,7 +562,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, endpoint string,
 	}
 	sort.Strings(sigs)
 	for _, sig := range sigs {
-		if routed && !s.checkOwnership(w, endpoint, sig) {
+		if !s.checkOwnership(w, endpoint, sig) {
 			return
 		}
 	}

@@ -370,30 +370,6 @@ func TestEventBatchValidation(t *testing.T) {
 	}
 }
 
-// TestEventLogValidation is the /api/eventlog counterpart: the user must be
-// one path segment (signatures are derived server-side), and a log with no
-// complete execution is a 422.
-func TestEventLogValidation(t *testing.T) {
-	srv, hs := newServer(t)
-	for _, bad := range badSegments {
-		if code, _ := postEventLog(t, srv, hs.URL, bad, rawTwoSigLog(t)); code != http.StatusBadRequest {
-			t.Errorf("user %q status = %d, want 400", bad, code)
-		}
-	}
-	if code, _ := postEventLog(t, srv, hs.URL, "u", nil); code != http.StatusUnprocessableEntity {
-		t.Errorf("empty log status = %d, want 422", code)
-	}
-	if got := len(srv.Store.List("")); got != 0 {
-		t.Errorf("rejected logs left %d objects", got)
-	}
-}
-
-// postEventLog ships a raw event log to POST /api/eventlog.
-func postEventLog(t *testing.T, srv *Server, hs, user string, log []byte) (int, BatchResponse) {
-	t.Helper()
-	return postIngest(t, hs, "/api/eventlog?user="+user+"&job_id=j", srv.Store.Sign("events/", store.PermWrite, srv.TokenTTL), log)
-}
-
 // postIngest posts body to an ingest path under tok and decodes the 202.
 func postIngest(t *testing.T, hs, path, tok string, body []byte) (int, BatchResponse) {
 	t.Helper()
@@ -436,8 +412,13 @@ func TestEventBatchCrashAtomicity(t *testing.T) {
 			}
 			return code
 		}, 2},
+		// A raw log reaches the store as its client-side digest: two
+		// signatures in one batch.
 		"eventlog": {func(t *testing.T, srv *Server, hs string) int {
-			code, _ := postEventLog(t, srv, hs, "u", rawTwoSigLog(t))
+			code, _, err := postBatch(srv, hs, "u", "j", twoSigDigest(t))
+			if err != nil {
+				t.Fatal(err)
+			}
 			return code
 		}, 2},
 	}
@@ -488,19 +469,22 @@ func TestEventBatchCrashAtomicity(t *testing.T) {
 	}
 }
 
-// TestEventLogIsOneCommit pins the record count of the unified tail: a
-// two-signature event log is exactly one WAL append (two event files and two
-// index entries in one group commit), and is acknowledged like a batch.
-func TestEventLogIsOneCommit(t *testing.T) {
+// TestEventBatchIsOneCommit pins the record count of the unified tail: a
+// two-signature batch, a raw log's digest, is exactly one WAL append (two
+// event files and two index entries in one group commit).
+func TestEventBatchIsOneCommit(t *testing.T) {
 	srv, hs, appends := walAppendsServer(t)
 
-	code, br := postEventLog(t, srv, hs.URL, "u", rawTwoSigLog(t))
+	code, br, err := postBatch(srv, hs.URL, "u", "j", twoSigDigest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if code != http.StatusAccepted || br.Signatures != 2 || br.Events != 6 {
-		t.Fatalf("two-signature log: code=%d resp=%+v, want 202 with 2/6", code, br)
+		t.Fatalf("two-signature batch: code=%d resp=%+v, want 202 with 2/6", code, br)
 	}
 	srv.Flush() // three traces per signature: the retrains skip, so no model writes
 	if got := appends(); got != 1 {
-		t.Errorf("two-signature log cost %v WAL appends, want 1", got)
+		t.Errorf("two-signature batch cost %v WAL appends, want 1", got)
 	}
 	if ev, idx := srv.Store.List("events/j/"), srv.Store.List("index/u/"); len(ev) != 2 || len(idx) != 2 {
 		t.Errorf("committed %d event files / %d index entries, want 2 / 2", len(ev), len(idx))
@@ -575,7 +559,9 @@ func TestEventsIsOneCommit(t *testing.T) {
 func TestIngestOneTail(t *testing.T) {
 	space := sparksim.QuerySpace()
 	log := rawTwoSigLog(t)
-	runs, err := eventlog.ParseBytes(log, space)
+	// The digest as the server-side ETL computed it, run by run: the client's
+	// eventlog.Digest must store exactly these bytes.
+	runs, err := eventlog.Parse(bytes.NewReader(log), space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,6 +579,10 @@ func TestIngestOneTail(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	clientDigest, err := eventlog.Digest(log, space)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, path string
 		body       []byte
@@ -600,7 +590,7 @@ func TestIngestOneTail(t *testing.T) {
 	}{
 		{"events", "/api/events?user=u&signature=s&job_id=j", render(single), single},
 		{"events_batch", "/api/events/batch?user=u&job_id=j", render(batch), batch},
-		{"eventlog", "/api/eventlog?user=u&job_id=j", log, digested},
+		{"eventlog", "/api/events/batch?user=u&job_id=j", render(clientDigest), digested},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

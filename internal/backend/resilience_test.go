@@ -154,8 +154,8 @@ func TestRetrainSurfacesFailedModelWrite(t *testing.T) {
 	}
 }
 
-// rawTwoSigLog serializes runs of two distinct queries, so eventlog ingest
-// produces two signature batches.
+// rawTwoSigLog serializes three runs of each of two distinct queries, so its
+// digest spans two signatures.
 func rawTwoSigLog(t *testing.T) []byte {
 	t.Helper()
 	space := sparksim.QuerySpace()
@@ -180,12 +180,23 @@ func rawTwoSigLog(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestEventLogPartialIngestAtomicity is the regression test for the
+// twoSigDigest is rawTwoSigLog digested as a client digests a raw log: six
+// traces keyed by two plan signatures.
+func twoSigDigest(t *testing.T) []flighting.Trace {
+	t.Helper()
+	traces, err := eventlog.Digest(rawTwoSigLog(t), sparksim.QuerySpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traces
+}
+
+// TestEventBatchPartialIngestAtomicity is the regression test for the
 // partial-ingest bug: a mid-loop store failure used to leave the first
 // signature batch persisted+indexed+enqueued while returning a 5xx, so a
 // retry double-ingested it. Now no index entry and no model update may be
 // committed unless every batch write succeeded.
-func TestEventLogPartialIngestAtomicity(t *testing.T) {
+func TestEventBatchPartialIngestAtomicity(t *testing.T) {
 	st := store.New([]byte("key"))
 	srv := New(sparksim.QuerySpace(), st, secret, 1)
 	t.Cleanup(srv.Close)
@@ -198,16 +209,13 @@ func TestEventLogPartialIngestAtomicity(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	tok := st.Sign("events/", store.PermWrite, srv.TokenTTL)
-	req, _ := http.NewRequest("POST", hs.URL+"/api/eventlog?user=u&job_id=j", bytes.NewReader(rawTwoSigLog(t)))
-	req.Header.Set(SASTokenHeader, tok)
-	resp, err := http.DefaultClient.Do(req)
+	traces := twoSigDigest(t)
+	code, _, err := postBatch(srv, hs.URL, "u", "j", traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500 on injected store fault", resp.StatusCode)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500 on injected store fault", code)
 	}
 	srv.Flush()
 	if idx := st.List("index/"); len(idx) != 0 {
@@ -217,17 +225,14 @@ func TestEventLogPartialIngestAtomicity(t *testing.T) {
 		t.Fatalf("partial ingest trained models: %v", models)
 	}
 
-	// The client retries the whole log; the store has healed. Exactly two
+	// The client retries the whole batch; the store has healed. Exactly two
 	// batches must now be indexed — no duplicates from the failed attempt.
-	req, _ = http.NewRequest("POST", hs.URL+"/api/eventlog?user=u&job_id=j", bytes.NewReader(rawTwoSigLog(t)))
-	req.Header.Set(SASTokenHeader, tok)
-	resp, err = http.DefaultClient.Do(req)
+	code, _, err = postBatch(srv, hs.URL, "u", "j", traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("retry status = %d", resp.StatusCode)
+	if code != http.StatusAccepted {
+		t.Fatalf("retry status = %d", code)
 	}
 	srv.Flush()
 	if idx := st.List("index/"); len(idx) != 2 {

@@ -144,14 +144,16 @@ func TestServerConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestEventLogConcurrentIngest posts raw event logs concurrently; each log
-// fans out into per-signature event files through the same sequence
-// allocator.
+// TestEventLogConcurrentIngest posts a raw event log's digest concurrently;
+// each post fans out into per-signature event files through the same
+// sequence allocator.
 func TestEventLogConcurrentIngest(t *testing.T) {
 	t.Parallel()
 	srv, hs := newServer(t)
-	logBlob := rawEventLog(t)
-	writeTok := srv.Store.Sign("events/", store.PermWrite, srv.TokenTTL)
+	traces, err := eventlog.Digest(rawEventLog(t), sparksim.QuerySpace())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const goroutines = 6
 	errs := make(chan error, goroutines)
@@ -160,16 +162,13 @@ func TestEventLogConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req, _ := http.NewRequest("POST", hs.URL+"/api/eventlog?user=u&job_id=logjob", bytes.NewReader(logBlob))
-			req.Header.Set(SASTokenHeader, writeTok)
-			resp, err := http.DefaultClient.Do(req)
+			code, _, err := postBatch(srv, hs.URL, "u", "logjob", traces)
 			if err != nil {
 				errs <- err
 				return
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				errs <- fmt.Errorf("eventlog: status %d", resp.StatusCode)
+			if code != http.StatusAccepted {
+				errs <- fmt.Errorf("event batch: status %d", code)
 			}
 		}()
 	}

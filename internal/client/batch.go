@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/url"
 
 	"github.com/rockhopper-db/rockhopper/internal/backend"
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
@@ -28,5 +29,5 @@ func (c *Client) PostEventBatch(ctx context.Context, user, jobID string, traces 
 		return backend.BatchResponse{}, err
 	}
 	return c.postIngest(ctx, "post_events_batch", "post event batch", jobID,
-		fmt.Sprintf("/api/events/batch?user=%s&job_id=%s", user, jobID), buf.Bytes())
+		"/api/events/batch?"+url.Values{"user": {user}, "job_id": {jobID}}.Encode(), buf.Bytes())
 }

@@ -23,6 +23,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -355,7 +356,7 @@ func (c *Client) GetObject(ctx context.Context, p string) ([]byte, error) {
 	var blob []byte
 	err = c.do(ctx, "get_object", "get "+p, http.StatusOK,
 		func(ctx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/object?path="+p, nil)
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/object?"+url.Values{"path": {p}}.Encode(), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -403,7 +404,7 @@ func (c *Client) PutObject(ctx context.Context, p string, data []byte) error {
 	}
 	return c.do(ctx, "put_object", "put "+p, http.StatusNoContent,
 		func(ctx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.BaseURL+"/api/object?path="+p, bytes.NewReader(data))
+			req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.BaseURL+"/api/object?"+url.Values{"path": {p}}.Encode(), bytes.NewReader(data))
 			if err != nil {
 				return nil, err
 			}
@@ -449,17 +450,7 @@ func (c *Client) PostEvents(ctx context.Context, user, signature, jobID string, 
 		return err
 	}
 	_, err := c.postIngest(ctx, "post_events", "post events", jobID,
-		fmt.Sprintf("/api/events?user=%s&signature=%s&job_id=%s", user, signature, jobID), buf.Bytes())
-	return err
-}
-
-// PostEventLog ships a RAW Spark event log to the backend, which runs the
-// Embedding ETL server-side and derives query signatures from the plans in
-// the log. Use this when the client cannot (or should not) digest events
-// itself.
-func (c *Client) PostEventLog(ctx context.Context, user, jobID string, log []byte) error {
-	_, err := c.postIngest(ctx, "post_eventlog", "post event log", jobID,
-		fmt.Sprintf("/api/eventlog?user=%s&job_id=%s", user, jobID), log)
+		"/api/events?"+url.Values{"user": {user}, "signature": {signature}, "job_id": {jobID}}.Encode(), buf.Bytes())
 	return err
 }
 
@@ -494,7 +485,7 @@ func (c *Client) FetchAppCache(ctx context.Context, artifactID string) (applevel
 	var e applevel.CacheEntry
 	err := c.do(ctx, "get_appcache", "app cache "+artifactID, http.StatusOK,
 		func(ctx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/appcache?artifact_id="+artifactID, nil)
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/appcache?"+url.Values{"artifact_id": {artifactID}}.Encode(), nil)
 			if err != nil {
 				return nil, err
 			}

@@ -298,6 +298,9 @@ func featuresFor(space *sparksim.Space, cfg sparksim.Config, size float64) []flo
 	return tuners.ConfigFeatures(space, nil, cfg, size)
 }
 
+// TestPostEventLogEndToEnd: a raw event log is digested on the client and
+// posted as a batch; the backend trains a model under the signature derived
+// from the plans, and a log that does not parse fails before any request.
 func TestPostEventLogEndToEnd(t *testing.T) {
 	space := sparksim.QuerySpace()
 	srv, c := newStack(t, space)
@@ -316,12 +319,14 @@ func TestPostEventLogEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.PostEventLog(context.Background(), "u1", "job-raw", buf.Bytes()); err != nil {
+	traces, err := eventlog.Digest(buf.Bytes(), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PostEventBatch(context.Background(), "u1", "job-raw", traces); err != nil {
 		t.Fatal(err)
 	}
 	srv.Flush()
-	// The backend must have derived the signature from the plans and
-	// trained a model under it.
 	m, err := c.FetchModel(context.Background(), "u1", sig)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +334,7 @@ func TestPostEventLogEndToEnd(t *testing.T) {
 	if m == nil {
 		t.Fatal("raw event-log ingestion did not train a model")
 	}
-	if err := c.PostEventLog(context.Background(), "u1", "job-raw", []byte("garbage")); err == nil {
+	if _, err := eventlog.Digest([]byte("garbage"), space); err == nil {
 		t.Fatal("garbage event log should be rejected")
 	}
 }
@@ -356,16 +361,6 @@ func TestIngestPostsReuseConnections(t *testing.T) {
 	e := sparksim.NewEngine(space)
 	q := workloads.NewGenerator(1).Query(workloads.TPCDS, 2)
 	traces := makeTraces(e, q, 2, 5)
-	var log bytes.Buffer
-	r := stats.NewRNG(5)
-	for i := 0; i < 2; i++ {
-		cfg := space.Random(r)
-		o := e.Run(q, cfg, 1, r, noise.Low)
-		stages, _ := e.Explain(q, cfg, 1)
-		if err := eventlog.WriteRun(&log, int64(i), space, q, o, stages, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
 	ctx := context.Background()
 	posts := []struct {
 		name string
@@ -373,7 +368,6 @@ func TestIngestPostsReuseConnections(t *testing.T) {
 	}{
 		{"PostEvents", func() error { return c.PostEvents(ctx, "u", q.ID, "j", traces[:1]) }},
 		{"PostEventBatch", func() error { _, err := c.PostEventBatch(ctx, "u", "j", traces); return err }},
-		{"PostEventLog", func() error { return c.PostEventLog(ctx, "u", "j", log.Bytes()) }},
 	}
 	// Warm up: fetch the write token and open the pooled connection.
 	for _, p := range posts {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -9,10 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rockhopper-db/rockhopper/internal/eventlog"
 	"github.com/rockhopper-db/rockhopper/internal/fleet"
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
+	"github.com/rockhopper-db/rockhopper/internal/noise"
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
+	"github.com/rockhopper-db/rockhopper/internal/stats"
+	"github.com/rockhopper-db/rockhopper/internal/store"
+	"github.com/rockhopper-db/rockhopper/internal/workloads"
 )
 
 const (
@@ -34,7 +40,7 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "node not ready", http.StatusServiceUnavailable)
 }
 
-// shardFleet is a real two-node fleet for router tests.
+// shardFleet is a real fleet for router tests.
 type shardFleet struct {
 	nodes   map[string]*fleet.Node
 	servers map[string]*httptest.Server
@@ -230,5 +236,69 @@ func TestShardRouterPartitionsBatchesByOwner(t *testing.T) {
 	}
 	if n := len(f.nodes["b"].Store().List("events/")); n != 1 {
 		t.Fatalf("node b holds %d event files, want 1", n)
+	}
+}
+
+// TestShardRouterDigestedLogTrainsOnOwners: a raw event log spanning
+// signatures that different nodes own is digested on the client and posted
+// through the router, which partitions it by owner; every signature's model
+// is then trained on its ring owner, where FetchModel looks for it.
+func TestShardRouterDigestedLogTrainsOnOwners(t *testing.T) {
+	f := newShardFleet(t, []string{"a", "b", "c"})
+	r := f.router(t, shardVnodes)
+	space := sparksim.QuerySpace()
+	e := sparksim.NewEngine(space)
+	gen := workloads.NewGenerator(3)
+	rng := stats.NewRNG(9)
+
+	// One query per owner, four runs each: the retrain threshold.
+	owners := map[string]string{} // owner -> signature
+	var log bytes.Buffer
+	id := int64(0)
+	for qi := 1; qi <= 60 && len(owners) < len(f.nodes); qi++ {
+		q := gen.Query(workloads.TPCDS, qi)
+		sig := sparksim.Signature(q.Plan)
+		owner := f.nodes["a"].Topology().Owner(sig)
+		if _, ok := owners[owner]; ok {
+			continue
+		}
+		owners[owner] = sig
+		for i := 0; i < 4; i++ {
+			cfg := space.Random(rng)
+			o := e.Run(q, cfg, 1, rng, noise.Low)
+			o.Iteration = i
+			stages, _ := e.Explain(q, cfg, 1)
+			if err := eventlog.WriteRun(&log, id, space, q, o, stages, 3); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+	}
+	if len(owners) < 2 {
+		t.Fatalf("60 queries map to owners %v; the test needs two", owners)
+	}
+
+	traces, err := eventlog.Digest(log.Bytes(), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := r.PostEventBatch(context.Background(), "u", "job-raw", traces)
+	if err != nil {
+		t.Fatalf("PostEventBatch: %v", err)
+	}
+	if resp.Signatures != len(owners) || resp.Events != 4*len(owners) {
+		t.Fatalf("batch response = %+v, want %d signatures / %d events", resp, len(owners), 4*len(owners))
+	}
+	for _, n := range f.nodes {
+		n.Backend().Flush()
+	}
+	for owner, sig := range owners {
+		if _, err := f.nodes[owner].Store().GetInternal(store.ModelPath("u", sig)); err != nil {
+			t.Errorf("owner %s holds no model for %s: %v", owner, sig, err)
+		}
+		m, err := r.FetchModel(context.Background(), "u", sig)
+		if err != nil || m == nil {
+			t.Errorf("FetchModel(%s) owned by %s = %v, %v; want a model", sig, owner, m, err)
+		}
 	}
 }

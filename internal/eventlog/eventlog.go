@@ -1,19 +1,20 @@
 // Package eventlog implements a Spark-event-log-shaped codec and the
-// Embedding ETL of Figure 7. The production backend does not receive
-// digested training rows — it receives raw Spark listener event files and
-// runs a streaming ETL ("the Embedding ETL, which processes Spark job
-// logs") to extract plans, configurations, input sizes, and durations.
-// This package reproduces that boundary: simulated runs are serialized as
-// JSON listener events (SQLExecutionStart with the physical plan and
-// effective configuration, sampled TaskEnd events, SQLExecutionEnd with the
-// duration), and the ETL parses event streams back into training traces.
+// Embedding ETL of Figure 7, the step that turns raw Spark listener event
+// files into training rows by extracting plans, configurations, input sizes
+// and durations. Simulated runs are serialized as JSON listener events
+// (SQLExecutionStart with the physical plan and effective configuration,
+// sampled TaskEnd events, SQLExecutionEnd with the duration) through
+// encoding/json, the one codec. Digest runs the ETL in the process that
+// holds the log, so the backend only ever receives digested traces, each
+// keyed by its plan's signature and routable to that signature's owner.
 package eventlog
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"github.com/rockhopper-db/rockhopper/internal/embedding"
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
@@ -48,41 +49,20 @@ type Event struct {
 	DurationMs float64 `json:"durationMs,omitempty"`
 }
 
-// encBufPool recycles WriteRun's encode buffers; under ingest load a run is
-// rendered into one pooled buffer and flushed with a single Write.
-var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // WriteRun serializes one simulated execution as an event stream: start
 // (plan + effective Spark conf + input size), up to maxTasks sampled task
-// events, and the end event with the observed duration. The whole run is
-// rendered into a pooled buffer through the zero-allocation AppendEvent
-// codec and written with one Write call; the bytes are identical to the
-// former json.Encoder output.
+// events, and the end event with the observed duration. Each event is one
+// encoding/json line; the whole run is rendered into a buffer and written
+// with a single Write call.
 func WriteRun(w io.Writer, execID int64, space *sparksim.Space, q *sparksim.Query,
 	o sparksim.Observation, stages []sparksim.StageStat, maxTasks int) error {
-	bp := encBufPool.Get().(*[]byte)
-	buf, err := appendRun((*bp)[:0], execID, space, q, o, stages, maxTasks)
-	if err != nil {
-		encBufPool.Put(bp)
-		return err
-	}
-	_, werr := w.Write(buf)
-	*bp = buf
-	encBufPool.Put(bp)
-	if werr != nil {
-		return fmt.Errorf("eventlog: write run: %w", werr)
-	}
-	return nil
-}
-
-// appendRun renders the full event stream of one execution into dst.
-func appendRun(dst []byte, execID int64, space *sparksim.Space, q *sparksim.Query,
-	o sparksim.Observation, stages []sparksim.StageStat, maxTasks int) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	conf := make(map[string]float64, space.Dim())
 	for i, p := range space.Params {
 		conf[p.Name] = o.Config[i]
 	}
-	start := Event{
+	if err := enc.Encode(Event{
 		Event:       EventExecutionStart,
 		ExecutionID: execID,
 		Timestamp:   int64(o.Iteration),
@@ -90,14 +70,10 @@ func appendRun(dst []byte, execID int64, space *sparksim.Space, q *sparksim.Quer
 		Plan:        q.Plan,
 		SparkConf:   conf,
 		InputBytes:  o.DataSize,
+	}); err != nil {
+		return fmt.Errorf("eventlog: write start: %w", err)
 	}
-	var err error
-	if dst, err = AppendEvent(dst, &start); err != nil {
-		return dst, fmt.Errorf("eventlog: write start: %w", err)
-	}
-	dst = append(dst, '\n')
 	n := 0
-	ev := Event{Event: EventTaskEnd, ExecutionID: execID}
 	for _, st := range stages {
 		if n >= maxTasks {
 			break
@@ -105,23 +81,27 @@ func appendRun(dst []byte, execID int64, space *sparksim.Space, q *sparksim.Quer
 		if st.Tasks == 0 {
 			continue
 		}
-		ev.StageLabel = st.Label
-		ev.TaskMs = st.TimeMs / float64(st.Tasks)
-		if dst, err = AppendEvent(dst, &ev); err != nil {
-			return dst, fmt.Errorf("eventlog: write task: %w", err)
+		if err := enc.Encode(Event{
+			Event:       EventTaskEnd,
+			ExecutionID: execID,
+			StageLabel:  st.Label,
+			TaskMs:      st.TimeMs / float64(st.Tasks),
+		}); err != nil {
+			return fmt.Errorf("eventlog: write task: %w", err)
 		}
-		dst = append(dst, '\n')
 		n++
 	}
-	end := Event{
+	if err := enc.Encode(Event{
 		Event:       EventExecutionEnd,
 		ExecutionID: execID,
 		DurationMs:  o.Time,
+	}); err != nil {
+		return fmt.Errorf("eventlog: write end: %w", err)
 	}
-	if dst, err = AppendEvent(dst, &end); err != nil {
-		return dst, fmt.Errorf("eventlog: write end: %w", err)
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		return fmt.Errorf("eventlog: write run: %w", err)
 	}
-	return append(dst, '\n'), nil
+	return nil
 }
 
 // Run is one reassembled execution.
@@ -207,6 +187,25 @@ func ETL(runs []Run, embedder *embedding.Embedder) []flighting.Trace {
 		})
 	}
 	return out
+}
+
+// Digest is the Embedding ETL run where the log is read: it parses a raw
+// event log, embeds each complete execution's plan with the default
+// embedder, and keys every trace by its plan's signature, ready for
+// PostEventBatch. Runs without a duration are dropped, as ETL drops them; a
+// log with no complete execution is an error.
+func Digest(log []byte, space *sparksim.Space) ([]flighting.Trace, error) {
+	runs, err := Parse(bytes.NewReader(log), space)
+	if err != nil {
+		return nil, err
+	}
+	if len(runs) == 0 {
+		return nil, errors.New("eventlog: log contains no complete executions")
+	}
+	for i := range runs {
+		runs[i].QueryID = sparksim.Signature(runs[i].Plan)
+	}
+	return ETL(runs, nil), nil
 }
 
 // defaultETLEmbedder is the embedder ETL uses when the caller passes none.

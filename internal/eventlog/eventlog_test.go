@@ -2,6 +2,7 @@ package eventlog
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -137,4 +138,66 @@ func TestETL(t *testing.T) {
 	if got := ETL(runs, emb); len(got) != 3 {
 		t.Fatalf("zero-duration run not filtered: %d", len(got))
 	}
+}
+
+// TestWriteRunBytesUnchanged pins WriteRun's stream to encoding/json's
+// rendering: every line must round-trip through json.Marshal as a fixed
+// point.
+func TestWriteRunBytesUnchanged(t *testing.T) {
+	t.Parallel()
+	buf, _, _ := simulateRuns(t, 4)
+	lines := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
+	if len(lines) < 8 {
+		t.Fatalf("suspiciously few event lines: %d", len(lines))
+	}
+	for i, line := range lines {
+		var ev Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("line %d does not parse: %v", i, err)
+		}
+		re, err := json.Marshal(&ev)
+		if err != nil {
+			t.Fatalf("line %d re-marshal: %v", i, err)
+		}
+		if !bytes.Equal(line, re) {
+			t.Fatalf("line %d is not an encoding/json fixed point:\n got %s\nwant %s", i, line, re)
+		}
+	}
+}
+
+// TestDigest: every complete execution with a duration becomes one trace
+// keyed by its plan's signature; a log with no complete execution is an
+// error, and a run without a duration is dropped.
+func TestDigest(t *testing.T) {
+	t.Parallel()
+	buf, space, q := simulateRuns(t, 3)
+	traces, err := Digest(buf.Bytes(), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != 3 {
+		t.Fatalf("traces = %d, want 3", len(traces))
+	}
+	for _, tr := range traces {
+		if tr.QueryID != sparksim.Signature(q.Plan) {
+			t.Fatalf("trace keyed %q, want the plan signature %q", tr.QueryID, sparksim.Signature(q.Plan))
+		}
+	}
+
+	start := buf.String()[:strings.Index(buf.String(), "\n")+1]
+	for _, tc := range []struct{ name, log string }{{"empty", ""}, {"start-only", start}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Digest([]byte(tc.log), space); err == nil {
+				t.Errorf("%s log: Digest succeeded, want an error", tc.name)
+			}
+		})
+	}
+
+	t.Run("no-duration", func(t *testing.T) {
+		noDuration := start + `{"Event":"SparkListenerSQLExecutionEnd","executionId":0}` + "\n"
+		traces, err := Digest([]byte(noDuration), space)
+		if err != nil || len(traces) != 0 {
+			t.Errorf("run without a duration: %d traces, %v; want it dropped", len(traces), err)
+		}
+	})
 }

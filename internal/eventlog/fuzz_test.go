@@ -40,13 +40,14 @@ func encodeEvents(t *testing.T, events []Event) []byte {
 	return buf.Bytes()
 }
 
-// FuzzEventLogRoundTrip checks the codec's stability on arbitrary inputs:
-// decoding never panics, and once a stream survives one decode→encode pass
-// the representation is a fixed point (encode∘decode is the identity on it).
-// Equality is asserted on bytes rather than reflect.DeepEqual because JSON
-// legitimately collapses empty-but-non-nil maps/slices through omitempty.
-// Parse (the ETL front end) must also agree on the scalar content of the
-// original and canonicalized streams.
+// FuzzEventLogRoundTrip checks the codec's stability on arbitrary inputs, the
+// logs a client digests without having written them: decoding never panics,
+// and once a stream survives one decode→encode pass the representation is a
+// fixed point (encode∘decode is the identity on it). Equality is asserted on
+// bytes rather than reflect.DeepEqual because JSON legitimately collapses
+// empty-but-non-nil maps/slices through omitempty. Parse (the ETL front end)
+// must also agree on the scalar content of the original and canonicalized
+// streams, and Digest must fail exactly when Parse fails or finds no run.
 func FuzzEventLogRoundTrip(f *testing.F) {
 	// Seed corpus: a genuine simulated event stream per suite...
 	space := sparksim.QuerySpace()
@@ -72,15 +73,13 @@ func FuzzEventLogRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"Event":"SparkListenerSQLExecutionStart","executionId":2,"sparkConf":{},"physicalPlan":null}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The fast in-memory parser must agree with the reference parser on
-		// every input: same verdict, same run count.
-		fastRuns, fastErr := ParseBytes(data, space)
-		refRuns, refErr := Parse(bytes.NewReader(data), space)
-		if (fastErr == nil) != (refErr == nil) {
-			t.Fatalf("ParseBytes verdict diverged from Parse: %v vs %v", fastErr, refErr)
+		runs, perr := Parse(bytes.NewReader(data), space)
+		traces, derr := Digest(data, space)
+		if wantErr := perr != nil || len(runs) == 0; (derr != nil) != wantErr {
+			t.Fatalf("Digest error %v; Parse found %d runs, error %v", derr, len(runs), perr)
 		}
-		if fastErr == nil && len(fastRuns) != len(refRuns) {
-			t.Fatalf("ParseBytes run count diverged: %d vs %d", len(fastRuns), len(refRuns))
+		if len(traces) > len(runs) {
+			t.Fatalf("Digest made %d traces from %d runs", len(traces), len(runs))
 		}
 
 		events, err := decodeEvents(data)

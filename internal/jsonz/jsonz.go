@@ -1,18 +1,15 @@
 // Package jsonz provides allocation-free append-style JSON encoding
 // primitives whose output is byte-identical to encoding/json for the value
-// shapes Rockhopper's hot paths emit: strings (with encoding/json's default
-// HTML-safe escaping), IEEE-754 floats (with its exponent normalization),
-// integers, and base64 byte blobs. The event-log codec and the WAL record
-// encoder build their frames from these so that steady-state encoding costs
-// zero heap allocations while remaining bit-compatible with streams written
-// by encoding/json — replay of old logs and decode of new ones are the same
-// code path.
+// shapes the store's hot paths emit: strings (with encoding/json's default
+// HTML-safe escaping), integers, and base64 byte blobs. The WAL record and
+// snapshot encoders build their frames from these so that steady-state
+// encoding costs zero heap allocations while remaining bit-compatible with
+// streams written by encoding/json — replay of old logs and decode of new
+// ones are the same code path.
 package jsonz
 
 import (
 	"encoding/base64"
-	"fmt"
-	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -80,29 +77,6 @@ func AppendString[S ~string | ~[]byte](dst []byte, s S) []byte {
 // default (HTML-escaping) encoder.
 func safeASCII(b byte) bool {
 	return b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
-}
-
-// AppendFloat appends f exactly as encoding/json renders a float64,
-// including its cleanup of three-digit exponents. Non-finite values are an
-// error, as they are for encoding/json.
-func AppendFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, fmt.Errorf("jsonz: unsupported value: %g", f)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// Clean up e-09 to e-9, as encoding/json does.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, nil
 }
 
 // AppendInt appends the decimal encoding of v.
