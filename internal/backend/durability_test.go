@@ -3,7 +3,6 @@ package backend
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -241,25 +240,21 @@ func TestDurableDamagedEventPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip the first character of the payload's base64 in the WAL.
+	// Flip a bit of the payload's first byte in the WAL, which holds it raw.
 	wal := filepath.Join(dir, "wal.log")
 	img, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := bytes.Index(img, []byte(base64.StdEncoding.EncodeToString(payload)))
-	if at < 0 {
-		t.Fatal("event payload not found in the WAL")
-	}
-	flipped := byte('A')
-	if img[at] == 'A' {
-		flipped = 'B'
+	at := bytes.Index(img, payload)
+	if at < 0 || bytes.Count(img, payload) != 1 {
+		t.Fatal("event payload not in the WAL exactly once")
 	}
 	f, err := os.OpenFile(wal, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = f.WriteAt([]byte{flipped}, int64(at))
+	_, err = f.WriteAt([]byte{img[at] ^ 0x20}, int64(at))
 	f.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -80,7 +79,8 @@ type peerState struct {
 	id   string
 	peer Peer
 
-	buf []byte // pending verbatim frames (guarded by Replicator.mu)
+	buf     []byte // pending verbatim frames (guarded by Replicator.mu)
+	records int    // frames in buf (guarded by Replicator.mu)
 	// sc is the trace identity of the most recent traced request whose
 	// frame is in buf (guarded by Replicator.mu). The next ship parents its
 	// replicate span under it, so cross-node log shipping stays inside the
@@ -189,7 +189,7 @@ func (r *Replicator) DropPeer(id string) {
 	for _, ps := range r.peers {
 		if ps.id == id {
 			ps.dropped = true
-			ps.buf = nil
+			ps.buf, ps.records = nil, 0
 			ps.lag.Set(0)
 			continue
 		}
@@ -254,13 +254,14 @@ func (r *Replicator) Observe(seq uint64, frame []byte, sc telemetry.SpanContext)
 	r.lastSeq = seq
 	for _, ps := range r.peers {
 		if len(ps.buf)+len(frame) > r.maxBuffer {
-			ps.buf = nil
+			ps.buf, ps.records = nil, 0
 			ps.needSnap = true
 			ps.snapGen++
 			ps.sc = telemetry.SpanContext{}
 			continue
 		}
 		ps.buf = append(ps.buf, frame...)
+		ps.records++
 		if sc.Valid() {
 			ps.sc = sc
 		}
@@ -373,9 +374,11 @@ func (r *Replicator) ship(ctx context.Context, ps *peerState) {
 		needSnap := ps.needSnap
 		tracer := r.tracer
 		var buf []byte
+		var records int
 		var sc telemetry.SpanContext
 		if !needSnap {
 			buf, ps.buf = ps.buf, nil
+			records, ps.records = ps.records, 0
 			sc, ps.sc = ps.sc, telemetry.SpanContext{}
 		}
 		r.mu.Unlock()
@@ -398,7 +401,7 @@ func (r *Replicator) ship(ctx context.Context, ps *peerState) {
 		switch {
 		case err == nil:
 			sp.Finish("ok")
-			ps.shipped.Add(float64(bytes.Count(buf, []byte{'\n'})))
+			ps.shipped.Add(float64(records))
 			r.ackLocked(ps, seq)
 			r.mu.Unlock()
 		case errors.Is(err, ErrPeerGap):
@@ -412,6 +415,7 @@ func (r *Replicator) ship(ctx context.Context, ps *peerState) {
 			// anything buffered meanwhile and retry after a pause; the trace
 			// identity goes back with them unless a newer one arrived.
 			ps.buf = append(buf, ps.buf...)
+			ps.records += records
 			if sc.Valid() && !ps.sc.Valid() {
 				ps.sc = sc
 			}

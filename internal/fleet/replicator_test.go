@@ -226,6 +226,57 @@ func TestReplicatorOverflowFallsBackToSnapshot(t *testing.T) {
 	}
 }
 
+// TestReplicatorCountsRecordsNotNewlines: a shipped frame is a binary
+// record that may hold any byte, so the replicated-records counter counts
+// the records Observe buffered, not the 0x0A bytes in the batch. One record
+// whose payload is all newlines counts once.
+func TestReplicatorCountsRecordsNotNewlines(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	owner, repl := openReplicated(t, ReplicatorOptions{Metrics: reg})
+	f := openFollower(t)
+	repl.AddPeer("f", StorePeer{Store: f})
+	// Buffered before Start: the peer's snapshot catch-up comes first, then
+	// this one frame is shipped (and skipped by the follower as redelivered).
+	if err := owner.Commit(context.Background(), []store.Entry{{Path: "events/sig", Data: bytes.Repeat([]byte{'\n'}, 300)}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	repl.Start(ctx)
+	if err := repl.WaitReplicated(waitCtx(t), owner.Seq()); err != nil {
+		t.Fatalf("WaitReplicated: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	shipped := metricValue(t, reg, "rockhopper_fleet_replicated_records_total", "f")
+	for shipped == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		shipped = metricValue(t, reg, "rockhopper_fleet_replicated_records_total", "f")
+	}
+	if shipped != 1 {
+		t.Fatalf("replicated records = %v after shipping one record; want 1", shipped)
+	}
+	wantSameState(t, "after the newline record", owner, f)
+}
+
+// metricValue reads the named series of peer from reg's exposition.
+func metricValue(t *testing.T, reg *telemetry.Registry, name, peer string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	fams, err := telemetry.ParseText(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range fams {
+		for _, s := range fam.Series {
+			if fam.Name == name && s.Labels["peer"] == peer {
+				return s.Value
+			}
+		}
+	}
+	return 0
+}
+
 func TestWaitReplicatedCancelAndStop(t *testing.T) {
 	owner, repl := openReplicated(t, ReplicatorOptions{})
 	f := openFollower(t)

@@ -108,11 +108,11 @@ func modulePackages(t *testing.T) []*Package {
 // is a ratchet on the suppressed-finding count: it may only go down, so a
 // change that removes waivers lowers the ceiling with them. It counts
 // findings, not directive lines: one directive over a line with two
-// unbounded labels waives two findings (36 findings under 32 directives
+// unbounded labels waives two findings (35 findings under 31 directives
 // today), so it is already exact, and any new directive trips it.
 func TestModuleCleanAndWaiversLive(t *testing.T) {
 	pkgs := modulePackages(t)
-	const maxLiveWaivers = 36
+	const maxLiveWaivers = 35
 	diags := Run(pkgs, DefaultRules(), DefaultConfig())
 	waivers := 0
 	for _, d := range diags {

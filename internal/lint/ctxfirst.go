@@ -223,10 +223,7 @@ func DefaultRules() []Rule {
 		// silently lost data.
 		UnusedResult{Funcs: []string{
 			"(*" + module + "/internal/store.Store).Commit",
-			"(*" + module + "/internal/store.Store).Put",
-			"(*" + module + "/internal/store.Store).PutBatch",
 			"(*" + module + "/internal/store.DurableStore).Commit",
-			"(*" + module + "/internal/store.DurableStore).Put",
 			"(*" + module + "/internal/store.DurableStore).PutBatch",
 			"(*" + module + "/internal/store.DurableStore).Delete",
 			"(*" + module + "/internal/store.DurableStore).Compact",

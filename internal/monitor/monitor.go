@@ -78,6 +78,12 @@ func (d *Dashboard) Record(o sparksim.Observation, stages []sparksim.StageStat) 
 		ev.SpillBytes = sparksim.TotalSpill(stages)
 		ev.BroadcastJoins = sparksim.BroadcastJoins(stages)
 	}
+	if len(d.events) == cap(d.events) {
+		// Grown like tuners.History: by an eighth, not doubled.
+		grown := make([]Event, len(d.events), len(d.events)+max(len(d.events)/8, 4))
+		copy(grown, d.events)
+		d.events = grown
+	}
 	d.events = append(d.events, ev)
 }
 

@@ -56,6 +56,25 @@ func TestRecordCopiesConfig(t *testing.T) {
 	}
 }
 
+// A dashboard's event log grows like tuners.History, by an eighth: past the
+// first few dozen events its spare capacity stays near an eighth of its
+// length, and every event keeps its place.
+func TestRecordGrowsByAnEighth(t *testing.T) {
+	e := sparksim.NewEngine(sparksim.QuerySpace())
+	d := New(e.Space, "sig")
+	for i := 0; i < 4096; i++ {
+		d.Record(sparksim.Observation{Iteration: i, Config: e.Space.Default(), Time: 1, DataSize: 1}, nil)
+		if n := d.Len(); n >= 64 && cap(d.events)-n > n/4+8 {
+			t.Fatalf("len %d: cap %d leaves more than a quarter spare", n, cap(d.events))
+		}
+	}
+	for i, ev := range d.Events() {
+		if ev.Iteration != i {
+			t.Fatalf("event %d has iteration %d", i, ev.Iteration)
+		}
+	}
+}
+
 func TestPerformanceTrendDirections(t *testing.T) {
 	e := sparksim.NewEngine(sparksim.QuerySpace())
 	mk := func(times []float64) *Dashboard {

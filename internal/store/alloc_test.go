@@ -31,6 +31,34 @@ func TestAppendWALRecordAllocFree(t *testing.T) {
 	}
 }
 
+// TestDurableGetInternalAllocatesPayloadOnly pins the read path to one
+// allocation, the payload it returns: the pread lands in that slice and the
+// CRC is checked in place, for payloads in the WAL and in the snapshot.
+func TestDurableGetInternalAllocatesPayloadOnly(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	d := mustOpen(t, t.TempDir(), DurableOptions{CompactEvery: -1})
+	defer d.Close()
+	for _, p := range []string{"models/u/snap.model", EventPath("j", 0)} {
+		d.PutInternal(p, make([]byte, 2000))
+		if p == "models/u/snap.model" {
+			if err := d.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, p := range []string{"models/u/snap.model", EventPath("j", 0)} {
+		if n := testing.AllocsPerRun(200, func() {
+			if data, err := d.GetInternal(p); err != nil || len(data) != 2000 {
+				t.Fatalf("GetInternal(%s) = (%d bytes, %v)", p, len(data), err)
+			}
+		}); n != 1 {
+			t.Fatalf("GetInternal(%s) allocates %v times; budget is 1, the payload", p, n)
+		}
+	}
+}
+
 // TestLineBufNotPinnedByLargeCommit: the WAL line buffer is reused across
 // the common small commits, and one large commit (a batch, a model) does not
 // leave its buffer behind for the store's life.

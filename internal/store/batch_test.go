@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -92,16 +93,16 @@ func TestPutBatchReplayEquivalence(t *testing.T) {
 		}
 	}
 	step(commit1(d, "models/u/a.model", []byte("alpha")))
-	ref.PutInternal("models/u/a.model", []byte("alpha"))
+	memPut(ref, "models/u/a.model", []byte("alpha"))
 	clock.Advance(time.Minute)
 	step(d.PutBatch(batchEntries(3)))
-	step(ref.PutBatch(batchEntries(3)))
+	step(ref.Commit(context.Background(), batchEntries(3)))
 	clock.Advance(time.Minute)
 	step(d.Delete(EventPath("job", 1)))
 	ref.Delete(EventPath("job", 1))
 	// A second batch overwrites paths from the first: last write wins.
 	step(d.PutBatch([]BatchEntry{{Path: EventPath("job", 0), Data: []byte("rewritten")}}))
-	step(ref.PutBatch([]BatchEntry{{Path: EventPath("job", 0), Data: []byte("rewritten")}}))
+	step(ref.Commit(context.Background(), []Entry{{Path: EventPath("job", 0), Data: []byte("rewritten")}}))
 
 	d.abandon()
 	reopenAndCompare(t, dir, ref, "WAL replay with batch records")
@@ -133,11 +134,11 @@ func TestPutBatchCrashAtomicity(t *testing.T) {
 	if err := commit1(d, "models/u/a.model", []byte("alpha")); err != nil {
 		t.Fatal(err)
 	}
-	ref.PutInternal("models/u/a.model", []byte("alpha"))
+	memPut(ref, "models/u/a.model", []byte("alpha"))
 	if err := commit1(d, "models/u/b.model", []byte("beta")); err != nil {
 		t.Fatal(err)
 	}
-	ref.PutInternal("models/u/b.model", []byte("beta"))
+	memPut(ref, "models/u/b.model", []byte("beta"))
 
 	err := d.PutBatch(batchEntries(8))
 	if !errors.Is(err, ErrCrashed) {
@@ -165,8 +166,8 @@ func TestPutBatchRejectsEmptyPath(t *testing.T) {
 	t.Parallel()
 	bad := []BatchEntry{{Path: "ok", Data: []byte("x")}, {Path: ""}}
 	mem := New([]byte("k"))
-	if err := mem.PutBatch(bad); err == nil {
-		t.Fatal("in-memory PutBatch accepted an empty path")
+	if err := mem.Commit(context.Background(), bad); err == nil {
+		t.Fatal("in-memory Commit accepted an empty path")
 	}
 	if mem.Len() != 0 {
 		t.Fatal("rejected batch still wrote entries")

@@ -62,7 +62,7 @@ func mirrorOp(ref *Store, op traceOp) {
 	if op.del {
 		ref.Delete(op.path)
 	} else {
-		ref.PutInternal(op.path, []byte(op.data))
+		memPut(ref, op.path, []byte(op.data))
 	}
 }
 
@@ -187,6 +187,29 @@ func TestCrashMatrixSnapshot(t *testing.T) {
 	}
 }
 
+// TestCrashMatrixTranscode kills the open-time rewrite of a legacy data
+// directory on both sides of each file's rename: the snapshot is rewritten
+// first (visit 1), then the WAL (visit 2). Every crash leaves each file
+// either legacy or binary, never torn, so the next open finishes the job
+// and serves the legacy state.
+func TestCrashMatrixTranscode(t *testing.T) {
+	t.Parallel()
+	for _, point := range []CrashPoint{CrashPreRename, CrashPostRename} {
+		for _, visit := range []int{1, 2} {
+			point, visit := point, visit
+			t.Run(fmt.Sprintf("%s/visit-%d", point, visit), func(t *testing.T) {
+				t.Parallel()
+				dir := copyLegacyDir(t)
+				_, err := OpenDurable(dir, []byte("k"), DurableOptions{NoSync: true, CompactEvery: -1, Hooks: fireAt(point, visit)})
+				if !errors.Is(err, ErrCrashed) {
+					t.Fatalf("open = %v; want injected ErrCrashed", err)
+				}
+				wantLegacyState(t, point.String(), dir)
+			})
+		}
+	}
+}
+
 // TestCrashThenRecoverThenCrashAgain chains two crash/recover cycles to
 // prove recovery composes: a store that already survived a torn record can
 // crash at a snapshot rename and still recover everything acknowledged.
@@ -204,7 +227,7 @@ func TestCrashThenRecoverThenCrashAgain(t *testing.T) {
 	if err := commit1(re, "models/u/second-life.model", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	ref.PutInternal("models/u/second-life.model", []byte("v2"))
+	memPut(ref, "models/u/second-life.model", []byte("v2"))
 	if err := re.Compact(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Compact = %v; want injected ErrCrashed", err)
 	}

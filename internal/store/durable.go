@@ -6,9 +6,10 @@
 // keeps every trained model and every retention clock.
 //
 // Payloads stay in those two files. The in-memory index holds, per object,
-// its key, its creation time and a locator of its payload's base64 span in
-// the WAL line or snapshot image that made it durable; a read preads the
-// span, decodes it and checks it against the locator's CRC32.
+// its key, its creation time and a locator of its payload's raw bytes in
+// the WAL record or snapshot image that made it durable; a read preads
+// them straight into the slice it returns and checks them against the
+// locator's CRC32.
 //
 // Durability contract: a mutation is acknowledged (returns nil) only after
 // its WAL record is on disk (fsync unless NoSync). Recovery after a crash
@@ -22,10 +23,8 @@
 package store
 
 import (
-	"bytes"
 	"cmp"
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -120,11 +119,11 @@ type DurableOptions struct {
 	// Metrics receives the durability instruments (WAL appends, fsync and
 	// snapshot latencies, replayed record counts); nil discards them.
 	Metrics *telemetry.Registry
-	// OnAppend observes every durably appended WAL frame — the log-shipping
+	// OnAppend observes every durably appended WAL record — the log-shipping
 	// tap the fleet replicator hangs off. It is called under the store lock
-	// immediately after the frame is on disk; the frame slice (trailing
-	// newline included) is only valid for the duration of the call, so the
-	// observer must copy it and must not call back into the store. sc is
+	// immediately after the record is on disk; the frame slice (the whole
+	// record) is only valid for the duration of the call, so the observer
+	// must copy it and must not call back into the store. sc is
 	// the trace identity of the request that caused the frame (zero for
 	// untraced work), so log shipping can carry causal parentage to the
 	// followers. Nil disables the tap.
@@ -171,16 +170,11 @@ type DurableStore struct {
 	// locator. A mutation holds mu and then ix.mu; a reader holds ix.mu's
 	// read lock from the lookup through the pread, so a compaction or
 	// InstallSnapshot re-pointing entries under the write lock never races a
-	// read of a truncated WAL or a replaced snapshot. ix.mu also guards snap
-	// and held; mu alone excludes every index mutation, so a holder of mu
-	// may walk the index without ix.mu.
+	// read of a truncated WAL or a replaced snapshot. ix.mu also guards
+	// snap; mu alone excludes every index mutation, so a holder of mu may
+	// walk the index without ix.mu.
 	ix   index[loc]
 	snap *os.File // read handle on the live snapshot; nil before the first
-	// held keeps the payloads of records and images that are valid but not
-	// in this store's own rendering, so no span of them can be located; the
-	// compaction that follows their apply writes them into a snapshot and
-	// clears it. Non-nil means that compaction is due.
-	held map[string][]byte
 
 	mu       sync.Mutex
 	wal      *os.File      // read-write, appending; readers pread it under ix.mu
@@ -190,47 +184,32 @@ type DurableStore struct {
 	walCount int           // records appended since the last snapshot
 	lastSnap time.Time
 	down     error  // non-nil once the store refuses mutations (crash/close)
-	lineBuf  []byte // reusable WAL line buffer (guarded by mu)
+	lineBuf  []byte // reusable WAL record buffer (guarded by mu)
 	spans    []int  // reusable span offsets of lineBuf's payloads (guarded by mu)
 	locs     []loc  // reusable locators of one record's payloads (guarded by mu)
 }
 
-// loc locates one payload: the base64 span of its JSON string in the WAL or
-// the snapshot image, and the CRC32 of the decoded bytes. 16 bytes, so an
-// index entry is 40.
+// loc locates one payload: its raw bytes in the WAL or the snapshot image,
+// and their CRC32. 16 bytes, so an index entry is 40.
 type loc struct {
-	at  uint64 // the file in the top two bits (inWAL, inSnap, inHeld), the span's byte offset below
-	n   uint32 // span length in base64 characters; 0 for an empty payload
-	crc uint32 // IEEE CRC32 of the decoded payload
+	at  uint64 // the file in the top two bits (inWAL, inSnap), the payload's byte offset below
+	n   uint32 // payload length in bytes
+	crc uint32 // IEEE CRC32 of the payload
 }
 
-// The files a locator can name. inHeld is not a file: the payload is in the
-// store's held map until the next compaction.
+// The files a locator can name.
 const (
 	inWAL    uint64 = 0
 	inSnap   uint64 = 1 << 62
-	inHeld   uint64 = 2 << 62
 	fileMask        = 3 << 62
 )
 
 func (l loc) file() uint64 { return l.at & fileMask }
 func (l loc) off() int64   { return int64(l.at &^ fileMask) }
 
-// locate returns the locator of data rendered as base64 at offset off of
-// file.
+// locate returns the locator of data lying at offset off of file.
 func locate(file uint64, off int64, data []byte) loc {
-	return loc{at: file | uint64(off), n: uint32(base64.StdEncoding.EncodedLen(len(data))), crc: crc32.ChecksumIEEE(data)}
-}
-
-// decodeSpan decodes one payload's base64 span into dst's storage and checks
-// the bytes against l's CRC.
-func decodeSpan(dst, span []byte, l loc) ([]byte, error) {
-	dst = slices.Grow(dst[:0], base64.StdEncoding.DecodedLen(len(span)))
-	n, err := base64.StdEncoding.Decode(dst[:cap(dst)], span)
-	if err != nil || crc32.ChecksumIEEE(dst[:n]) != l.crc {
-		return dst, ErrCorrupt
-	}
-	return dst[:n], nil
+	return loc{at: file | uint64(off), n: uint32(len(data)), crc: crc32.ChecksumIEEE(data)}
 }
 
 // OpenDurable opens (creating if needed) the durable store rooted at dir,
@@ -268,32 +247,33 @@ func OpenDurable(dir string, secret []byte, opts DurableOptions) (*DurableStore,
 		"Per-record WAL fsync latency in seconds.", nil).With()
 	d.snapshotSeconds = opts.Metrics.Histogram("rockhopper_wal_snapshot_seconds",
 		"Snapshot (compaction) duration in seconds.", nil).With()
-	// A leftover temp file is a snapshot that never committed (pre-rename
-	// crash); the live snapshot is still authoritative.
-	if err := os.Remove(filepath.Join(dir, snapshotTemp)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: open durable: %w", err)
+	// A leftover temp file is a snapshot or a rewritten legacy WAL that
+	// never committed (pre-rename crash); the live file is authoritative.
+	for _, tmp := range []string{snapshotTemp, walTemp} {
+		if err := os.Remove(filepath.Join(dir, tmp)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("store: open durable: %w", err)
+		}
 	}
 	if err := d.replay(); err != nil {
 		d.closeFiles()
 		return nil, err
 	}
 	d.lastSnap = clock.Now()
-	if d.held != nil {
-		// Something on disk was valid but not in this store's rendering:
-		// fold it into a snapshot of our own now, so nothing stays held.
-		if err := d.compactLocked(); err != nil {
-			d.logf("store: compaction after open failed (payloads stay held): %v", err)
-		}
-	}
 	return d, nil
 }
 
 // replay loads the snapshot, applies the WAL suffix, and truncates the log
-// to its valid prefix so future appends extend a clean file.
+// to its valid prefix so future appends extend a clean file. A file in the
+// legacy JSON format is rewritten as binary records first.
 func (d *DurableStore) replay() error {
 	snapPath := filepath.Join(d.dir, snapshotFile)
 	if image, err := os.ReadFile(snapPath); err == nil {
-		snap, err := decodeSnapshot(image)
+		if isLegacy(image) {
+			if image, err = d.transcodeSnapshot(image); err != nil {
+				return err
+			}
+		}
+		es, walSeq, err := decodeImage(image)
 		if err != nil {
 			return err
 		}
@@ -301,19 +281,9 @@ func (d *DurableStore) replay() error {
 		if err != nil {
 			return fmt.Errorf("store: open snapshot: %w", err)
 		}
-		own, es := ownSnapshot(snap)
-		var held map[string][]byte
-		if !bytes.Equal(own, image) {
-			// Valid, but not this store's rendering: no span can be located.
-			held = make(map[string][]byte, len(es))
-			for i, e := range snap.Entries {
-				es[i].val.at = inHeld
-				held[e.Path] = e.Data
-			}
-		}
-		d.resetLocked(es, held, f)
-		d.seq.Store(snap.WALSeq)
-		d.snapSeq = snap.WALSeq
+		d.resetLocked(es, f)
+		d.seq.Store(walSeq)
+		d.snapSeq = walSeq
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: read snapshot: %w", err)
 	}
@@ -323,12 +293,17 @@ func (d *DurableStore) replay() error {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: read WAL: %w", err)
 	}
-	lines, lastSeq, validLen, err := scanWAL(image, d.snapSeq)
+	if isLegacy(image) {
+		if image, err = d.transcodeWAL(image, d.snapSeq); err != nil {
+			return err
+		}
+	}
+	lines, lastSeq, validLen, err := scanWAL(image, d.snapSeq, decodeRecord)
 	if err != nil {
 		return err
 	}
 	for _, l := range lines {
-		d.applyLocked(l.rec, d.locateLocked(l, 0))
+		d.applyLocked(l.rec, d.locsLocked(l.rec, l.off, l.spans))
 	}
 	d.seq.Store(lastSeq)
 	d.walCount = len(lines)
@@ -412,35 +387,27 @@ func (d *DurableStore) crashLocked(p CrashPoint) error {
 	return nil
 }
 
-// maxKeptLineBuf is the largest WAL line buffer kept between appends. The
-// reuse exists for the common ≈ 300-byte single-event record; a batch or
-// model record is let go after its write, or one large commit would pin its
-// buffer for the store's life (a 512-run batch record: ≈ 0.2 MB, 12 % of the
-// live heap on a long-history signature).
+// maxKeptLineBuf is the largest WAL record buffer kept between appends.
+// The reuse exists for the common ≈ 200-byte single-event record; a batch
+// or model record is let go after its write, or one large commit would pin
+// its buffer for the store's life (a 512-run batch record: ≈ 0.1 MB).
 const maxKeptLineBuf = 4 << 10
 
-// renderLocked renders rec into the reusable line buffer, with the span
-// offsets of its payloads in d.spans, and returns the line.
-func (d *DurableStore) renderLocked(rec walRecord) []byte {
-	d.lineBuf, d.spans = appendWALRecord(d.lineBuf[:0], rec, d.spans[:0])
-	line := d.lineBuf
-	if cap(line) > maxKeptLineBuf {
-		d.lineBuf = nil
-	}
-	return line
-}
-
-// appendLocked writes one record to the WAL and returns the offset its line
-// starts at; d.spans then holds its payloads' span offsets within the line.
+// appendLocked writes one record to the WAL and returns the offset it
+// starts at; d.spans then holds its payloads' offsets within the record.
 // On success the record is durable and the sequence counter advances; on
 // any failure the store goes down, because a half-written log must not
 // accept further appends. sc is the causing request's trace identity (zero
 // for untraced work): it parents the wal_append/wal_fsync spans and rides
 // the OnAppend tap so log shipping stays inside the same causal tree.
 func (d *DurableStore) appendLocked(rec walRecord, sc telemetry.SpanContext) (int64, error) {
-	// Render into the store-owned buffer (mu is held): after warmup the
+	// Encode into the store-owned buffer (mu is held): after warmup the
 	// append path allocates nothing for framing.
-	line := d.renderLocked(rec)
+	d.lineBuf, d.spans = appendWALRecord(d.lineBuf[:0], rec, d.spans[:0])
+	line := d.lineBuf
+	if cap(line) > maxKeptLineBuf {
+		d.lineBuf = nil
+	}
 	sp := d.tracer.StartRemote(sc, "wal_append", "store")
 	sp.Annotate("seq %d (%d bytes)", rec.Seq, len(line))
 	status := "ok"
@@ -498,33 +465,17 @@ func (d *DurableStore) commitLocked(rec walRecord, sc telemetry.SpanContext) err
 	if err != nil {
 		return err
 	}
-	d.applyLocked(rec, d.walLocsLocked(rec, base))
+	d.applyLocked(rec, d.locsLocked(rec, base, d.spans))
 	d.maybeCompactCountLocked()
 	return nil
 }
 
-// walLocsLocked returns the locators of rec's payloads, rendered into the
-// WAL line at offset base whose span offsets d.spans holds.
-func (d *DurableStore) walLocsLocked(rec walRecord, base int64) []loc {
+// locsLocked returns the locators of the payloads of rec, which lies in the
+// WAL at offset base with its payloads at spans from there.
+func (d *DurableStore) locsLocked(rec walRecord, base int64, spans []int) []loc {
 	d.locs = d.locs[:0]
-	for i, off := range d.spans {
+	for i, off := range spans {
 		d.locs = append(d.locs, locate(inWAL, base+int64(off), recordPayload(rec, i)))
-	}
-	return d.locs
-}
-
-// locateLocked returns the locators of a replayed or replicated record whose
-// line lies in the WAL at base + l.off. A line that is valid but not this
-// store's own rendering of its record has no span to point at: its payloads
-// are held instead, for the next compaction to write out.
-func (d *DurableStore) locateLocked(l walLine, base int64) []loc {
-	line := d.renderLocked(l.rec)
-	if bytes.Equal(line[:len(line)-1], l.line) {
-		return d.walLocsLocked(l.rec, base+l.off)
-	}
-	d.locs = d.locs[:0]
-	for i := range d.spans {
-		d.locs = append(d.locs, locate(inHeld, 0, recordPayload(l.rec, i)))
 	}
 	return d.locs
 }
@@ -537,54 +488,25 @@ func (d *DurableStore) applyLocked(rec walRecord, locs []loc) {
 	defer d.ix.mu.Unlock()
 	switch rec.Op {
 	case opPut:
-		d.putLocked(rec.Path, rec.Data, rec.Created, locs[0])
+		d.ix.putLocked(rec.Path, locs[0], rec.Created)
 	case opDel:
 		d.ix.removeLocked(rec.Path)
 	case opSweep:
 		d.ix.removeLocked(rec.Paths...)
 	case opBatch:
 		for i, e := range rec.Entries {
-			d.putLocked(e.Path, e.Data, e.Created, locs[i])
+			d.ix.putLocked(e.Path, locs[i], e.Created)
 		}
 	}
 }
 
-// putLocked installs one object; data is kept only when l says it is held.
-// Callers hold d.mu and d.ix.mu.
-func (d *DurableStore) putLocked(p string, data []byte, created int64, l loc) {
-	if l.file() == inHeld {
-		if d.held == nil {
-			d.held = make(map[string][]byte)
-		}
-		d.held[p] = data
-	}
-	d.ix.putLocked(p, l, created)
-}
-
-// ownSnapshot renders snap in this store's own format — byte-identical to
-// encodeSnapshot — and returns the image with index entries pointing into
-// it, in snap's order.
-func ownSnapshot(snap snapshot) ([]byte, []slot[loc]) {
-	es := make([]slot[loc], len(snap.Entries))
-	image := appendSnapshotHead(nil, snap.WALSeq)
-	for i, e := range snap.Entries {
-		var at int
-		image, at = appendSnapshotEntry(image, i == 0, e.Path, e.Created, base64.StdEncoding.EncodedLen(len(e.Data)))
-		if len(e.Data) > 0 {
-			base64.StdEncoding.Encode(image[at:], e.Data)
-		}
-		es[i] = slot[loc]{key: e.Path, entry: entry[loc]{created: e.Created, val: locate(inSnap, int64(at), e.Data)}}
-	}
-	return finishSnapshot(image), es
-}
-
-// resetLocked replaces the whole index with es, makes f the live snapshot,
-// and holds the payloads in held. Callers hold d.mu.
-func (d *DurableStore) resetLocked(es []slot[loc], held map[string][]byte, f *os.File) {
+// resetLocked replaces the whole index with es and makes f the live
+// snapshot. Callers hold d.mu.
+func (d *DurableStore) resetLocked(es []slot[loc], f *os.File) {
 	d.ix.mu.Lock()
 	old := d.snap
 	d.ix.resetLocked(es)
-	d.snap, d.held = f, held
+	d.snap = f
 	d.ix.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -620,14 +542,6 @@ func (d *DurableStore) Commit(ctx context.Context, entries []Entry) error {
 	return d.commitLocked(rec, telemetry.SpanFrom(ctx))
 }
 
-// Put writes an object after verifying the write token.
-func (d *DurableStore) Put(tok, p string, data []byte) error {
-	if err := d.Verify(tok, p, PermWrite); err != nil {
-		return err
-	}
-	return d.Commit(context.Background(), []Entry{{Path: p, Data: data}})
-}
-
 // Get reads an object after verifying the read token.
 func (d *DurableStore) Get(tok, p string) ([]byte, error) {
 	if err := d.Verify(tok, p, PermRead); err != nil {
@@ -645,8 +559,8 @@ func (d *DurableStore) PutInternal(p string, data []byte) {
 	}
 }
 
-// GetInternal reads without a token: one pread of the payload's span,
-// decoded and checked against its CRC. A payload damaged on disk is
+// GetInternal reads without a token: one pread of the payload into the
+// slice it returns, checked against its CRC. A payload damaged on disk is
 // ErrCorrupt, never other bytes.
 func (d *DurableStore) GetInternal(p string) ([]byte, error) {
 	d.ix.mu.RLock()
@@ -662,11 +576,8 @@ func (d *DurableStore) GetInternal(p string) ([]byte, error) {
 // Callers hold d.ix.mu.
 func (d *DurableStore) readLocked(key string, e *entry[loc]) ([]byte, error) {
 	l := e.val
-	switch {
-	case l.n == 0:
+	if l.n == 0 {
 		return nil, nil
-	case l.file() == inHeld:
-		return append([]byte(nil), d.held[key]...), nil
 	}
 	f := d.wal
 	if l.file() == inSnap {
@@ -675,30 +586,15 @@ func (d *DurableStore) readLocked(key string, e *entry[loc]) ([]byte, error) {
 	if f == nil {
 		return nil, fmt.Errorf("store: read %s: %w", key, ErrClosed)
 	}
-	buf := spanPool.Get().(*[]byte)
-	span := slices.Grow((*buf)[:0], int(l.n))[:l.n]
-	defer func() {
-		if cap(span) <= maxPooledSpan {
-			*buf = span
-			spanPool.Put(buf)
-		}
-	}()
-	if _, err := f.ReadAt(span, l.off()); err != nil {
+	data := make([]byte, l.n)
+	if _, err := f.ReadAt(data, l.off()); err != nil {
 		return nil, fmt.Errorf("store: read %s: %w", key, err)
 	}
-	data, err := decodeSpan(nil, span, l)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s", err, key)
+	if crc32.ChecksumIEEE(data) != l.crc {
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, key)
 	}
 	return data, nil
 }
-
-// spanPool recycles the buffers reads pread base64 spans into, so a read
-// allocates only the payload it returns; a span over maxPooledSpan (a large
-// model) is let go instead of pinned.
-var spanPool = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledSpan = 16 << 10
 
 // PutBatch is Commit without a context.
 func (d *DurableStore) PutBatch(entries []BatchEntry) error {
@@ -742,9 +638,9 @@ func (d *DurableStore) CleanupOlderThan(retention time.Duration) int {
 }
 
 // maybeCompactCountLocked compacts when the WAL has grown past the
-// record-count threshold, or when payloads are held in memory.
+// record-count threshold.
 func (d *DurableStore) maybeCompactCountLocked() {
-	if d.held == nil && (d.compactEvery <= 0 || d.walCount < d.compactEvery) {
+	if d.compactEvery <= 0 || d.walCount < d.compactEvery {
 		return
 	}
 	if err := d.compactLocked(); err != nil {
@@ -791,20 +687,10 @@ func (d *DurableStore) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(d.dir, snapshotTemp)
-	f, err := writeSnapshotTemp(tmp, image)
+	f, err := d.replaceLocked(snapshotTemp, snapshotFile, image)
 	if err != nil {
-		return fmt.Errorf("store: write snapshot temp: %w", err)
+		return fmt.Errorf("store: write snapshot: %w", err)
 	}
-	if err := d.crashLocked(CrashPreRename); err != nil {
-		f.Close()
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, snapshotFile)); err != nil {
-		f.Close()
-		return fmt.Errorf("store: commit snapshot: %w", err)
-	}
-	syncDir(d.dir)
 	// The snapshot is committed from here on: state-tracking updates must
 	// happen even if truncation fails, because replay trusts the rename.
 	d.snapSeq = seq
@@ -819,38 +705,37 @@ func (d *DurableStore) compactLocked() error {
 	return nil
 }
 
-// imageLocked renders the whole store as a snapshot image covering walSeq,
-// byte-identical to encodeSnapshot of its entries, and returns it with the
-// locators of every payload's span in it, in index order. Each payload's
-// base64 is copied out of the file that holds it — the files read in offset
-// order, coalescing nearby spans into one pread — and checked against its
-// CRC on the way, so a damaged payload fails the image instead of being
-// sealed into a fresh snapshot under a valid checksum. Callers hold d.mu.
+// imageLocked renders the whole store as a snapshot image covering walSeq
+// and returns it with the locators of every payload in it, in index order.
+// Each payload is copied out of the file that holds it — the files read in
+// offset order, coalescing nearby payloads into one pread — and checked
+// against its CRC on the way, so a damaged payload fails the image instead
+// of being sealed into a fresh snapshot under a valid checksum. Callers
+// hold d.mu.
 func (d *DurableStore) imageLocked(walSeq uint64) ([]byte, []loc, error) {
 	type span struct {
-		src loc
-		dst int
-		ord int // the entry's position in key order, to name it in an error
+		src       loc
+		dst, head int // where the payload and its record start in the image
+		ord       int // the entry's position in key order, to name it in an error
 	}
 	locs := make([]loc, 0, d.ix.lenLocked())
 	var spans []span
-	image := appendSnapshotHead(nil, walSeq)
+	image, _ := appendWALRecord(nil, walRecord{Seq: walSeq, Op: opHead, Count: uint64(d.ix.lenLocked())}, nil)
 	d.ix.eachLocked(func(key []byte, e *entry[loc]) {
+		head := len(image)
 		var at int
-		image, at = appendSnapshotEntry(image, len(locs) == 0, key, e.created, int(e.val.n))
-		switch {
-		case e.val.n == 0:
-		case e.val.file() == inHeld:
-			base64.StdEncoding.Encode(image[at:], d.held[string(key)])
-		default:
-			spans = append(spans, span{src: e.val, dst: at, ord: len(locs)})
+		image, at = appendPut(image, 0, key, int(e.val.n), e.created)
+		if e.val.n == 0 {
+			sealRecord(image, head)
+		} else {
+			spans = append(spans, span{src: e.val, dst: at, head: head, ord: len(locs)})
 		}
 		locs = append(locs, loc{at: inSnap | uint64(at), n: e.val.n, crc: e.val.crc})
 	})
 	// Read through gaps up to a page; cap one read at 1 MiB.
 	const maxGap, maxRead = 4 << 10, 1 << 20
 	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.src.at, b.src.at) })
-	var block, scratch []byte
+	var block []byte
 	for i := 0; i < len(spans); {
 		first := spans[i].src
 		start, end := first.off(), first.off()+int64(first.n)
@@ -871,24 +756,24 @@ func (d *DurableStore) imageLocked(walSeq uint64) ([]byte, []loc, error) {
 			return nil, nil, fmt.Errorf("store: read payloads for snapshot: %w", err)
 		}
 		for _, s := range spans[i:j] {
-			b64 := block[s.src.off()-start:][:s.src.n]
-			var err error
-			if scratch, err = decodeSpan(scratch, b64, s.src); err != nil {
-				return nil, nil, fmt.Errorf("%w: %s", err, d.ix.keyAtLocked(s.ord))
+			payload := block[s.src.off()-start:][:s.src.n]
+			if crc32.ChecksumIEEE(payload) != s.src.crc {
+				return nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, d.ix.keyAtLocked(s.ord))
 			}
-			copy(image[s.dst:], b64)
+			copy(image[s.dst:], payload)
+			sealRecord(image, s.head)
 		}
 		i = j
 	}
-	return finishSnapshot(image), locs, nil
+	return image, locs, nil
 }
 
 // repointLocked makes f the live snapshot and points every index entry, in
-// order, at locs: its payload's span in f. Nothing is held afterwards.
+// order, at locs: its payload in f.
 func (d *DurableStore) repointLocked(f *os.File, locs []loc) {
 	d.ix.mu.Lock()
 	old := d.snap
-	d.snap, d.held = f, nil
+	d.snap = f
 	i := 0
 	d.ix.eachLocked(func(_ []byte, e *entry[loc]) {
 		e.val = locs[i]
@@ -931,22 +816,30 @@ func (d *DurableStore) Close() error {
 	return first
 }
 
-// writeSnapshotTemp writes a snapshot image to path, fsyncs it, and returns
-// the file open for reading: it becomes the live snapshot's handle once
-// renamed.
-func writeSnapshotTemp(path string, image []byte) (*os.File, error) {
+// replaceLocked writes image to tmp in the store's directory, fsyncs it,
+// passes the CrashPreRename point, renames it over name and syncs the
+// directory. The file comes back open for reading: the live snapshot's
+// handle, when name is the snapshot.
+func (d *DurableStore) replaceLocked(tmp, name string, image []byte) (*os.File, error) {
+	path := filepath.Join(d.dir, tmp)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(image); err != nil {
+	if _, err = f.Write(image); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = d.crashLocked(CrashPreRename)
+	}
+	if err == nil {
+		err = os.Rename(path, filepath.Join(d.dir, name))
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	syncDir(d.dir)
 	return f, nil
 }
 

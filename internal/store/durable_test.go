@@ -196,10 +196,10 @@ func TestDurableMatchesMemoryGolden(t *testing.T) {
 		switch r.Intn(8) {
 		case 0, 1, 2, 3:
 			data := []byte(fmt.Sprintf("payload-%d-%d", i, r.Uint64()))
-			if err := mem.Put(wtokMem, p, data); err != nil {
+			if err := putWithToken(mem, wtokMem, p, data); err != nil {
 				t.Fatal(err)
 			}
-			if err := dur.Put(wtokDur, p, data); err != nil {
+			if err := putWithToken(dur, wtokDur, p, data); err != nil {
 				t.Fatal(err)
 			}
 		case 4:
@@ -253,7 +253,11 @@ func TestSweepBatchesOneWALRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bytes.Count(img, []byte("\n"))
+		lines, _, validLen, err := scanWAL(img, 0, decodeRecord)
+		if err != nil || validLen != int64(len(img)) {
+			t.Fatalf("WAL does not scan whole: %d of %d byte(s), %v", validLen, len(img), err)
+		}
+		return len(lines)
 	}
 	before := walLines()
 	if n := d.CleanupOlderThan(24 * time.Hour); n != expired {
@@ -284,21 +288,14 @@ func TestOpenFailsOnWALHeadGap(t *testing.T) {
 	t.Run("no-snapshot", func(t *testing.T) {
 		t.Parallel()
 		dir := t.TempDir()
-		line, err := encodeWALRecord(walRecord{Seq: 3, Op: opPut, Path: "models/u/a.model", Data: []byte("x")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, walFile), line, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		_, err = OpenDurable(dir, []byte("k"), DurableOptions{NoSync: true})
-		if !errors.Is(err, ErrWALGap) {
-			t.Fatalf("open = %v; want ErrWALGap", err)
-		}
-		after, rerr := os.ReadFile(filepath.Join(dir, walFile))
-		if rerr != nil || !bytes.Equal(after, line) {
-			t.Fatalf("refusing to open must not modify the WAL (err=%v)", rerr)
-		}
+		line, _ := appendWALRecord(nil, walRecord{Seq: 3, Op: opPut, Path: "models/u/a.model", Data: []byte("x")}, nil)
+		wantGapUntouched(t, dir, line)
+	})
+	// A legacy log is checked for the gap before it is rewritten, and is
+	// left as it was.
+	t.Run("legacy-no-snapshot", func(t *testing.T) {
+		t.Parallel()
+		wantGapUntouched(t, t.TempDir(), legacyFrame(`{"seq":3,"op":"put","path":"models/u/a.model","data":"eA=="}`))
 	})
 	t.Run("after-snapshot", func(t *testing.T) {
 		t.Parallel()
@@ -313,10 +310,7 @@ func TestOpenFailsOnWALHeadGap(t *testing.T) {
 		d.abandon()
 		// Simulate lost acknowledged records: the next record on disk claims
 		// seq 4, skipping seq 3.
-		line, err := encodeWALRecord(walRecord{Seq: 4, Op: opDel, Path: "models/u/a.model"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		line, _ := appendWALRecord(nil, walRecord{Seq: 4, Op: opDel, Path: "models/u/a.model"}, nil)
 		if err := os.WriteFile(filepath.Join(dir, walFile), line, 0o600); err != nil {
 			t.Fatal(err)
 		}
@@ -324,4 +318,20 @@ func TestOpenFailsOnWALHeadGap(t *testing.T) {
 			t.Fatalf("open = %v; want ErrWALGap", err)
 		}
 	})
+}
+
+// wantGapUntouched writes line as the WAL of dir and requires opening to
+// fail with ErrWALGap without modifying it.
+func wantGapUntouched(t *testing.T, dir string, line []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, walFile), line, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurable(dir, []byte("k"), DurableOptions{NoSync: true}); !errors.Is(err, ErrWALGap) {
+		t.Fatalf("open = %v; want ErrWALGap", err)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil || !bytes.Equal(after, line) {
+		t.Fatalf("refusing to open must not modify the WAL (err=%v)", err)
+	}
 }

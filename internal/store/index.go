@@ -164,14 +164,6 @@ func keySize[P, K ~string | ~[]byte](prev P, key K) int {
 	return uvarintLen(shared) + uvarintLen(suffix) + suffix
 }
 
-func uvarintLen(v int) int {
-	n := 1
-	for ; v >= 0x80; v >>= 7 {
-		n++
-	}
-	return n
-}
-
 // seek returns the first entry whose key is not below key: its position
 // (len(ents) if there is none), the offset of the entry after it, and its
 // key, decoded into buf's storage.

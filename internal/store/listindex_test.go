@@ -263,7 +263,7 @@ func TestIndexBytesPerObject(t *testing.T) {
 func BenchmarkListPointLookup(b *testing.B) {
 	s := New([]byte("k"))
 	for i := 0; i < 100_000; i++ {
-		s.PutInternal(fmt.Sprintf("index/u/sig-%06d/job-%d", i, i), nil)
+		memPut(s, fmt.Sprintf("index/u/sig-%06d/job-%d", i, i), nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,8 +6,11 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -41,60 +44,24 @@ func wantReadsMatch(t *testing.T, label string, ref *Store, d *DurableStore, pat
 	}
 }
 
-// wantNothingHeld fails unless every payload of d is located in its files:
-// everything this store writes is in its own rendering, so a held payload
-// means the renderers drifted apart.
-func wantNothingHeld(t *testing.T, label string, d *DurableStore) {
-	t.Helper()
-	d.ix.mu.RLock()
-	defer d.ix.mu.RUnlock()
-	if d.held != nil {
-		t.Fatalf("%s: %d payload(s) held in memory; want every one located on disk", label, len(d.held))
-	}
+// legacyFrame frames payload as a line of the legacy JSON format.
+func legacyFrame(payload string) []byte {
+	return fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
 }
 
-// FuzzSnapshotRender holds the store's snapshot renderer to encodeSnapshot:
-// for any entry set the image must be byte-identical, and every located span
-// must decode, through its CRC check, to its entry's data.
-func FuzzSnapshotRender(f *testing.F) {
-	f.Add(uint64(7), []byte("models/u/a.model\x00alpha\x00events/j/run-000000.jsonl\x00\x00index/u/s/j-000000\x00"))
-	f.Add(uint64(0), []byte{})
-	f.Add(uint64(1<<63), []byte("esc \"q\" \\ <&> \x00\xff\xfe\x00\x01ctrl\t\x00"+strings.Repeat("x", 300)))
-	f.Fuzz(func(t *testing.T, walSeq uint64, raw []byte) {
-		parts := bytes.Split(raw, []byte{0})
-		snap := snapshot{Version: snapshotVersion, WALSeq: walSeq, Entries: []snapEntry{}}
-		for i := 0; i+1 < len(parts); i += 2 {
-			e := snapEntry{Path: string(parts[i]), Created: int64(walSeq) - int64(i)*int64(len(parts[i+1]))}
-			if len(parts[i+1]) > 0 {
-				e.Data = parts[i+1]
-			}
-			snap.Entries = append(snap.Entries, e)
-		}
-		want, err := encodeSnapshot(snap)
-		if err != nil {
+// wantBinary fails unless the snapshot and WAL of dir, where present and
+// not empty, are in the binary format.
+func wantBinary(t *testing.T, label, dir string) {
+	t.Helper()
+	for _, name := range []string{snapshotFile, walFile} {
+		img, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			t.Fatal(err)
 		}
-		image, es := ownSnapshot(snap)
-		if !bytes.Equal(image, want) {
-			t.Fatalf("renderer drifted from encodeSnapshot:\n got %q\nwant %q", image, want)
+		if len(img) > 0 && img[0] != recordTag {
+			t.Fatalf("%s: %s still starts %q; want a binary record", label, name, img[:min(len(img), 12)])
 		}
-		for i, e := range es {
-			l := e.val
-			if l.file() != inSnap || e.key != snap.Entries[i].Path || e.created != snap.Entries[i].Created {
-				t.Fatalf("entry %d: slot %+v does not describe %+v", i, e, snap.Entries[i])
-			}
-			if l.n == 0 {
-				if len(snap.Entries[i].Data) != 0 {
-					t.Fatalf("entry %d: %d-byte payload located as empty", i, len(snap.Entries[i].Data))
-				}
-				continue
-			}
-			got, err := decodeSpan(nil, image[l.off():l.off()+int64(l.n)], l)
-			if err != nil || !bytes.Equal(got, snap.Entries[i].Data) {
-				t.Fatalf("entry %d: span decodes to (%q, %v); want %q", i, got, err, snap.Entries[i].Data)
-			}
-		}
-	})
+	}
 }
 
 // TestDurableReadsAcrossCompaction: readers loop on GetInternal while the
@@ -174,9 +141,9 @@ func TestDurableReadsAcrossCompaction(t *testing.T) {
 	wantExportsEqual(t, "after the rounds", owner, follower)
 }
 
-// flipPayloadByte changes the first base64 character of payload's span in
-// the named file of dir to another valid one, as a disk fault would, and
-// fails unless that span is there exactly once.
+// flipPayloadByte changes the first byte of payload in the named file of
+// dir, as a disk fault would, and fails unless payload is there exactly
+// once.
 func flipPayloadByte(t *testing.T, dir, file string, payload []byte) {
 	t.Helper()
 	path := filepath.Join(dir, file)
@@ -184,22 +151,16 @@ func flipPayloadByte(t *testing.T, dir, file string, payload []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	span := []byte(`"` + base64.StdEncoding.EncodeToString(payload) + `"`)
-	at := bytes.Index(img, span)
-	if at < 0 || bytes.Count(img, span) != 1 {
+	at := bytes.Index(img, payload)
+	if at < 0 || bytes.Count(img, payload) != 1 {
 		t.Fatalf("payload %q is not in %s exactly once", payload, file)
-	}
-	if img[at+1] == 'A' {
-		img[at+1] = 'B'
-	} else {
-		img[at+1] = 'A'
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.WriteAt(img[at+1:at+2], int64(at+1)); err != nil {
+	if _, err := f.WriteAt([]byte{img[at] ^ 0x20}, int64(at)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -250,16 +211,13 @@ func TestDurableCorruptPayloadFailsRead(t *testing.T) {
 	}
 }
 
-// TestDurableOpensForeignRendering: a WAL record or snapshot image that is
-// valid JSON but not this store's own rendering (other key order, spacing,
-// escapes) has no span the index can point at. It must still replay, and
-// the store folds it into a snapshot of its own at open, so afterwards
-// nothing is held in memory and every object reads back. A follower
-// receiving the same bytes as replicated frames or a shipped image ends the
-// same way.
+// TestDurableOpensForeignRendering: a legacy WAL record or snapshot that
+// is valid JSON but not in the rendering the legacy writer used (other key
+// order, spacing, escapes inside the base64) still opens: the open-time
+// rewrite reads it through encoding/json, so every object reads back,
+// both files are binary afterwards, and a second open reads the same.
 func TestDurableOpensForeignRendering(t *testing.T) {
 	t.Parallel()
-	framed := func(payload string) []byte { return frame([]byte(payload)) }
 	alpha, beta := base64.StdEncoding.EncodeToString([]byte("alpha")), base64.StdEncoding.EncodeToString([]byte("beta"))
 	for _, tc := range []struct {
 		name      string
@@ -267,10 +225,10 @@ func TestDurableOpensForeignRendering(t *testing.T) {
 		seq       uint64
 	}{
 		{"wal", nil, append(
-			framed(`{"op":"put","seq":1,"data":"`+alpha+`","path":"models/u/a.model","created":5}`),
-			framed(`{"seq":2, "op":"batch","entries":[{"path":"models/u/b.model","data":"`+beta+`","created":6},{"created":7,"path":"events/j/run-000000.jsonl"}]}`)...), 2},
-		{"snapshot", framed(`{"version":1,"wal_seq":2,"entries":[{"path":"models/u/a.model","data":"` + alpha + `","created":5},{"path":"models/u/b.model","data":"` + beta + `","created":6},{"path":"events/j/run-000000.jsonl","created":7}]}`), nil, 2},
-		{"escaped-base64", nil, framed(`{"seq":1,"op":"batch","entries":[{"path":"models/u/a.model","data":"` + alpha[:2] + `\n` + alpha[2:] + `","created":5},{"path":"models/u/b.model","data":"` + beta + `","created":6},{"path":"events/j/run-000000.jsonl","created":7}]}`), 1},
+			legacyFrame(`{"op":"put","seq":1,"data":"`+alpha+`","path":"models/u/a.model","created":5}`),
+			legacyFrame(`{"seq":2, "op":"batch","entries":[{"path":"models/u/b.model","data":"`+beta+`","created":6},{"created":7,"path":"events/j/run-000000.jsonl"}]}`)...), 2},
+		{"snapshot", legacyFrame(`{"version":1,"wal_seq":2,"entries":[{"path":"models/u/a.model","data":"` + alpha + `","created":5},{"path":"models/u/b.model","data":"` + beta + `","created":6},{"path":"events/j/run-000000.jsonl","created":7}]}`), nil, 2},
+		{"escaped-base64", nil, legacyFrame(`{"seq":1,"op":"batch","entries":[{"path":"models/u/a.model","data":"` + alpha[:2] + `\n` + alpha[2:] + `","created":5},{"path":"models/u/b.model","data":"` + beta + `","created":6},{"path":"events/j/run-000000.jsonl","created":7}]}`), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -293,7 +251,7 @@ func TestDurableOpensForeignRendering(t *testing.T) {
 			ref.putAt("events/j/run-000000.jsonl", nil, 7)
 			paths := []string{"models/u/a.model", "models/u/b.model", "events/j/run-000000.jsonl"}
 			wantReadsMatch(t, "opened", ref, d, paths)
-			wantNothingHeld(t, "opened", d)
+			wantBinary(t, "opened", dir)
 			if d.Seq() != tc.seq {
 				t.Fatalf("Seq after open = %d; want %d", d.Seq(), tc.seq)
 			}
@@ -301,19 +259,79 @@ func TestDurableOpensForeignRendering(t *testing.T) {
 			re := mustOpen(t, dir, DurableOptions{Clock: clock, CompactEvery: -1})
 			defer re.Close()
 			wantReadsMatch(t, "reopened", ref, re, paths)
-
-			// A follower receives the same bytes over the wire.
-			follower := mustOpen(t, t.TempDir(), DurableOptions{Clock: clock, CompactEvery: -1})
-			defer follower.Close()
-			if tc.snap != nil {
-				if _, err := follower.InstallSnapshot(tc.snap); err != nil {
-					t.Fatal(err)
-				}
-			} else if _, err := follower.ApplyReplicated(context.Background(), tc.wal); err != nil {
-				t.Fatal(err)
-			}
-			wantReadsMatch(t, "follower", ref, follower, paths)
-			wantNothingHeld(t, "follower", follower)
 		})
+	}
+}
+
+// legacyExport is the state the committed legacy directory
+// (testdata/legacy, written by the JSON-format store) holds: a snapshot
+// through seq 4, then WAL records 5–11 with an overwrite, a batch, an
+// empty payload, a del, a sweep and a put, and half of record 12, never
+// acknowledged.
+var legacyExport = []snapEntry{
+	{Path: "appcache/app_cache.json", Created: 1700000006000000000},
+	{Path: "events/j/run-000000.jsonl", Data: []byte("{\"query_id\":\"s\",\"time_ms\":100}\n"), Created: 1700000001000000000},
+	{Path: "events/j/run-000001.jsonl", Data: []byte("{\"query_id\":\"s\",\"time_ms\":101}\n"), Created: 1700000005000000000},
+	{Path: "index/u/s/j-000000", Created: 1700000001000000000},
+	{Path: "index/u/s/j-000001", Created: 1700000005000000000},
+	{Path: "models/u/a.model", Data: []byte("alpha-v2"), Created: 1700000004000000000},
+	{Path: "models/u/b.model", Data: []byte("beta"), Created: 1700000008000000000},
+	{Path: "models/u/esc \"q\" \\ <&> \u2028.model", Data: []byte("\x00\x01\x02\xff\n\""), Created: 1700000002000000000},
+}
+
+// copyLegacyDir copies the committed legacy directory into a fresh one.
+func copyLegacyDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{snapshotFile, walFile} {
+		img, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !isLegacy(img) {
+			t.Fatalf("testdata/legacy/%s is not in the legacy format", name)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), img, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// wantLegacyState opens dir and requires the committed legacy directory's
+// state, in binary files, then the same state again after a reopen.
+func wantLegacyState(t *testing.T, label, dir string) {
+	t.Helper()
+	for _, pass := range []string{"opened", "reopened"} {
+		d := mustOpen(t, dir, DurableOptions{CompactEvery: -1})
+		if got := exportOf(d); !reflect.DeepEqual(got, legacyExport) {
+			t.Fatalf("%s, %s: Export diverged from the legacy state:\n got=%+v\nwant=%+v", label, pass, got, legacyExport)
+		}
+		if d.Seq() != 11 {
+			t.Fatalf("%s, %s: Seq = %d; want 11", label, pass, d.Seq())
+		}
+		wantBinary(t, label+", "+pass, dir)
+		d.abandon()
+	}
+}
+
+// TestDurableOpensLegacyDirectory: a data directory written by the JSON-
+// format store opens with the state it held — the torn tail dropped — is
+// binary afterwards, and reopens identical. A store opened on it takes new
+// writes that survive a further reopen.
+func TestDurableOpensLegacyDirectory(t *testing.T) {
+	t.Parallel()
+	dir := copyLegacyDir(t)
+	wantLegacyState(t, "legacy", dir)
+	d := mustOpen(t, dir, DurableOptions{CompactEvery: -1})
+	if err := commit1(d, "models/u/after.model", []byte("binary")); err != nil {
+		t.Fatal(err)
+	}
+	want := exportOf(d)
+	d.abandon()
+	re := mustOpen(t, dir, DurableOptions{CompactEvery: -1})
+	defer re.Close()
+	if got := exportOf(re); !reflect.DeepEqual(got, want) {
+		t.Fatalf("write after the rewrite did not survive a reopen:\n got=%+v\nwant=%+v", got, want)
 	}
 }

@@ -1,27 +1,26 @@
 // Replication surface of the durable store. A shard owner ships every WAL
-// frame, verbatim, to follower stores; a follower applies frames through
-// ApplyReplicated, which enforces the same strict sequence continuity the
-// recovery scan does. Because frames are shipped byte-for-byte — CRC prefix
-// and creation timestamps included — the follower's applied record stream
-// is identical to the owner's log, and its replayed state is byte-identical
-// to the owner's durable state at the same sequence number.
+// record, verbatim, to follower stores as a frame; a follower applies
+// frames through ApplyReplicated, which enforces the same strict sequence
+// continuity the recovery scan does. Because frames are shipped
+// byte-for-byte — CRC and creation timestamps included — the follower's
+// applied record stream is identical to the owner's log, and its replayed
+// state is byte-identical to the owner's durable state at the same
+// sequence number.
 //
 // Catch-up uses the snapshot format: a follower that detects a sequence gap
 // (it was down, or the owner's shipping buffer overflowed) installs a full
-// SnapshotImage from the owner and resumes frame application from the
-// snapshot's sequence number. On promote, the surviving node absorbs the
-// follower store's Export into its own primary via Commit, whose entries
-// carry their creation timestamps so retention clocks survive failover.
+// SnapshotImage from the owner, verbatim, and resumes frame application
+// from the snapshot's sequence number. On promote, the surviving node
+// absorbs the follower store's Export into its own primary via Commit,
+// whose entries carry their creation timestamps so retention clocks
+// survive failover.
 package store
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/rockhopper-db/rockhopper/internal/telemetry"
@@ -73,9 +72,9 @@ func (d *DurableStore) export() ([]snapEntry, error) {
 }
 
 // ApplyReplicated appends a batch of verbatim WAL frames shipped from a
-// shard owner and applies them to the index. Frames are newline-
-// terminated lines in the owner's on-disk format; they are validated (CRC,
-// shape, sequence) before a single byte reaches the follower's log.
+// shard owner and applies them to the index. Frames are records in the
+// owner's on-disk format, back to back; they are validated (CRC, shape,
+// sequence) before a single byte reaches the follower's log.
 //
 // Continuity rules mirror recovery: frames at or below the current sequence
 // are skipped (idempotent redelivery), the first frame above it must be
@@ -99,15 +98,13 @@ func (d *DurableStore) ApplyReplicated(ctx context.Context, frames []byte) (uint
 	var (
 		accepted []walLine
 		buf      []byte
+		spans    []int
 	)
-	off := 0
-	for off < len(frames) {
-		nl := bytes.IndexByte(frames[off:], '\n')
-		if nl < 0 {
-			return seq, fmt.Errorf("store: replicated frame batch has a torn tail at offset %d", off)
+	for off := 0; off < len(frames); {
+		rec, n, sp, err := decodeRecord(frames[off:], spans)
+		if err == nil && !validWALOp(rec) {
+			err = fmt.Errorf("store: invalid WAL record seq=%d op=%d path=%q", rec.Seq, rec.Op, rec.Path)
 		}
-		line := frames[off : off+nl]
-		rec, err := decodeWALRecord(line)
 		if err != nil {
 			return seq, fmt.Errorf("store: replicated frame at offset %d: %w", off, err)
 		}
@@ -116,12 +113,13 @@ func (d *DurableStore) ApplyReplicated(ctx context.Context, frames []byte) (uint
 		case rec.Seq <= seq:
 			// Redelivered prefix: already durable here, skip silently.
 		case rec.Seq == next:
-			accepted = append(accepted, walLine{rec: rec, line: line, off: int64(len(buf))})
-			buf = append(buf, frames[off:off+nl+1]...)
+			accepted = append(accepted, walLine{rec: rec, off: int64(len(buf)), spans: sp[len(spans):len(sp):len(sp)]})
+			buf = append(buf, frames[off:off+n]...)
 		default:
 			return seq, fmt.Errorf("%w: got seq=%d, want seq=%d", ErrReplicaGap, rec.Seq, next)
 		}
-		off += nl + 1
+		spans = sp
+		off += n
 	}
 	if len(accepted) == 0 {
 		return seq, nil
@@ -150,7 +148,7 @@ func (d *DurableStore) ApplyReplicated(ctx context.Context, frames []byte) (uint
 	base := d.walSize
 	d.walSize += int64(len(buf))
 	for _, l := range accepted {
-		d.applyLocked(l.rec, d.locateLocked(l, base))
+		d.applyLocked(l.rec, d.locsLocked(l.rec, base+l.off, l.spans))
 	}
 	d.seq.Store(last)
 	d.walCount += len(accepted)
@@ -179,12 +177,12 @@ func (d *DurableStore) SnapshotImage() ([]byte, uint64, error) {
 
 // InstallSnapshot replaces the store's entire state with a shipped snapshot
 // image — the follower catch-up path after a sequence gap. The image is
-// committed with the same temp + rename + dir-sync discipline compaction
-// uses, then the WAL is reset so subsequent replicated frames extend a
-// clean log. Installing an image older than the current state is refused:
-// replication never rewinds acknowledged history.
+// validated, then written verbatim with the same temp + rename + dir-sync
+// discipline compaction uses, and the WAL is reset so subsequent
+// replicated frames extend a clean log. Installing an image older than the
+// current state is refused: replication never rewinds acknowledged history.
 func (d *DurableStore) InstallSnapshot(image []byte) (uint64, error) {
-	snap, err := decodeSnapshot(image)
+	es, walSeq, err := decodeImage(image)
 	if err != nil {
 		return 0, err
 	}
@@ -194,29 +192,19 @@ func (d *DurableStore) InstallSnapshot(image []byte) (uint64, error) {
 	if d.down != nil {
 		return seq, d.down
 	}
-	if snap.WALSeq < seq {
-		return seq, fmt.Errorf("store: refusing snapshot rewind from seq=%d to seq=%d", seq, snap.WALSeq)
+	if walSeq < seq {
+		return seq, fmt.Errorf("store: refusing snapshot rewind from seq=%d to seq=%d", seq, walSeq)
 	}
-	// The image is written in this store's own rendering, which is the
-	// shipped image byte for byte unless the peer rendered it otherwise.
-	own, es := ownSnapshot(snap)
-	tmp := filepath.Join(d.dir, snapshotTemp)
 	//rocklint:allow deadlockcycle -- snapshot install under d.mu IS the catch-up serialization point: the follower may not apply frames while the image is half-written, so the sync blocks by design
-	f, err := writeSnapshotTemp(tmp, own)
+	f, err := d.replaceLocked(snapshotTemp, snapshotFile, image)
 	if err != nil {
 		return seq, fmt.Errorf("store: write shipped snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, snapshotFile)); err != nil {
-		f.Close()
-		return seq, fmt.Errorf("store: commit shipped snapshot: %w", err)
-	}
-	//rocklint:allow deadlockcycle -- snapshot install under d.mu IS the catch-up serialization point: the follower may not apply frames while the image is half-written, so the sync blocks by design
-	syncDir(d.dir)
-	d.resetLocked(es, nil, f)
-	d.seq.Store(snap.WALSeq)
-	d.snapSeq = snap.WALSeq
+	d.resetLocked(es, f)
+	d.seq.Store(walSeq)
+	d.snapSeq = walSeq
 	d.walCount = 0
 	d.lastSnap = d.clock.Now()
 	d.truncateWALLocked()
-	return snap.WALSeq, nil
+	return walSeq, nil
 }

@@ -10,13 +10,20 @@
 // owning user and query signature so that "models are trained exclusively
 // with baseline data and query traces originating from the same user and
 // query signature".
+//
+// Two stores share one ordered index (index.go). Store keeps payloads on
+// the heap; DurableStore (durable.go) keeps them raw in its WAL and
+// snapshot, which are one length-prefixed, CRC'd binary record format
+// (wal.go, snapshot.go) that replication ships verbatim, and rewrites a
+// data directory in the older JSON format once when it opens it
+// (legacy.go).
 package store
 
 import (
 	"context"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -125,12 +132,12 @@ func (s *signer) Sign(prefix string, perm Permission, ttl time.Duration) string 
 	exp := s.now().Add(ttl).UnixNano()
 	t := token{Prefix: prefix, Perm: perm, Expires: exp, Sig: s.sign(prefix, perm, exp)}
 	blob, _ := json.Marshal(t) // marshal of this struct cannot fail
-	return base64.URLEncoding.EncodeToString(blob)
+	return hex.EncodeToString(blob)
 }
 
 // Verify checks that tok grants perm on p.
 func (s *signer) Verify(tok, p string, perm Permission) error {
-	raw, err := base64.URLEncoding.DecodeString(tok)
+	raw, err := hex.DecodeString(tok)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrTokenInvalid, err)
 	}
@@ -210,7 +217,7 @@ func (e Entry) createdOr(now time.Time) int64 {
 	return e.Created.UnixNano()
 }
 
-// BatchEntry is the name PutBatch callers know Entry by.
+// BatchEntry is the name DurableStore.PutBatch callers know Entry by.
 type BatchEntry = Entry
 
 // checkEntries rejects a commit the WAL could not replay: every entry needs
@@ -238,25 +245,6 @@ func (s *Store) Commit(_ context.Context, entries []Entry) error {
 		s.putAt(e.Path, e.Data, e.createdOr(now))
 	}
 	return nil
-}
-
-// Put writes an object after verifying the write token.
-func (s *Store) Put(tok, p string, data []byte) error {
-	if err := s.Verify(tok, p, PermWrite); err != nil {
-		return err
-	}
-	return s.Commit(context.Background(), []Entry{{Path: p, Data: data}})
-}
-
-// PutInternal is a one-entry Commit for callers with no use for the error
-// (the in-memory store only refuses an empty path).
-func (s *Store) PutInternal(p string, data []byte) {
-	_ = s.Commit(context.Background(), []Entry{{Path: p, Data: data}})
-}
-
-// PutBatch is Commit without a context.
-func (s *Store) PutBatch(entries []BatchEntry) error {
-	return s.Commit(context.Background(), entries)
 }
 
 // List returns the paths under prefix, sorted.

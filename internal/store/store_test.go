@@ -1,11 +1,32 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 )
+
+// memPut is a one-entry Commit stamped "now" to the in-memory store, which
+// refuses only an empty path.
+func memPut(s *Store, p string, data []byte) {
+	if err := s.Commit(context.Background(), []Entry{{Path: p, Data: data}}); err != nil {
+		panic(err)
+	}
+}
+
+// putWithToken is a token-checked one-entry write to either store: Verify,
+// then Commit.
+func putWithToken(s interface {
+	Verify(tok, p string, perm Permission) error
+	Commit(ctx context.Context, entries []Entry) error
+}, tok, p string, data []byte) error {
+	if err := s.Verify(tok, p, PermWrite); err != nil {
+		return err
+	}
+	return s.Commit(context.Background(), []Entry{{Path: p, Data: data}})
+}
 
 func fixedClock(t time.Time) func() time.Time { return func() time.Time { return t } }
 
@@ -74,7 +95,7 @@ func TestPutGetWithTokens(t *testing.T) {
 	w := s.Sign("events/j/", PermWrite, time.Hour)
 	r := s.Sign("events/j/", PermRead, time.Hour)
 	p := EventPath("j", 1)
-	if err := s.Put(w, p, []byte("hello")); err != nil {
+	if err := putWithToken(s, w, p, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Get(r, p)
@@ -87,7 +108,7 @@ func TestPutGetWithTokens(t *testing.T) {
 	if _, err := s.Get(r, EventPath("j", 2)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing object should be ErrNotFound, got %v", err)
 	}
-	if err := s.Put(r, p, []byte("x")); err == nil {
+	if err := putWithToken(s, r, p, []byte("x")); err == nil {
 		t.Fatal("read token must not allow writes")
 	}
 }
@@ -95,7 +116,7 @@ func TestPutGetWithTokens(t *testing.T) {
 func TestGetReturnsCopy(t *testing.T) {
 	t.Parallel()
 	s := New([]byte("k"))
-	s.PutInternal("models/u/a.model", []byte{1, 2, 3})
+	memPut(s, "models/u/a.model", []byte{1, 2, 3})
 	blob, err := s.GetInternal("models/u/a.model")
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +131,9 @@ func TestGetReturnsCopy(t *testing.T) {
 func TestList(t *testing.T) {
 	t.Parallel()
 	s := New([]byte("k"))
-	s.PutInternal("events/a/1", nil)
-	s.PutInternal("events/a/2", nil)
-	s.PutInternal("events/b/1", nil)
+	memPut(s, "events/a/1", nil)
+	memPut(s, "events/a/2", nil)
+	memPut(s, "events/b/1", nil)
 	if got := s.List("events/a/"); len(got) != 2 || got[0] != "events/a/1" {
 		t.Fatalf("list = %v", got)
 	}
@@ -131,10 +152,10 @@ func TestRetentionCleanup(t *testing.T) {
 	s := New([]byte("k"))
 	base := time.Unix(5000, 0)
 	s.SetClock(fixedClock(base))
-	s.PutInternal("events/j/old", []byte("x"))
-	s.PutInternal("models/u/keep.model", []byte("m"))
+	memPut(s, "events/j/old", []byte("x"))
+	memPut(s, "models/u/keep.model", []byte("m"))
 	s.SetClock(fixedClock(base.Add(48 * time.Hour)))
-	s.PutInternal("events/j/new", []byte("y"))
+	memPut(s, "events/j/new", []byte("y"))
 	n := s.CleanupOlderThan(24 * time.Hour)
 	if n != 1 {
 		t.Fatalf("cleaned %d; want 1", n)
@@ -160,7 +181,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				p := EventPath("job", i*1000+j)
-				s.PutInternal(p, []byte{byte(j)})
+				memPut(s, p, []byte{byte(j)})
 				if _, err := s.GetInternal(p); err != nil {
 					t.Error(err)
 					return

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,49 +18,45 @@ import (
 )
 
 // referenceReplay is an independent WAL decoder for the fuzz oracle: it
-// re-implements the framing, checksum, and sequencing rules from the format
-// documentation (wal.go) without calling scanWAL, then applies the surviving
-// records to a plain in-memory store. If scanWAL and this decoder ever
+// re-implements the record, checksum, and sequencing rules from the format
+// documentation (wal.go, and legacy.go for a log whose first byte is a hex
+// digit) without calling the store's decoders, then applies the surviving
+// records to a plain in-memory store. If the store and this decoder ever
 // disagree on a byte image, one of them has drifted from the spec. gap
 // reports a log whose first record starts past seq 1 (with no snapshot):
 // acknowledged records are missing from the head, and opening must FAIL
 // with ErrWALGap rather than recover.
 func referenceReplay(data []byte) (ref *Store, gap bool) {
 	ref = New([]byte("k"))
+	next := refRecord
+	if len(data) > 0 && strings.IndexByte("0123456789abcdef", data[0]) >= 0 {
+		next = refLegacyRecord
+	}
 	var prev uint64
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail
-		}
-		line := data[off : off+nl]
-		off += nl + 1
-		if len(line) < 10 || line[8] != ' ' {
-			break
-		}
-		sum, err := strconv.ParseUint(string(line[:8]), 16, 32)
-		if err != nil || crc32.ChecksumIEEE(line[9:]) != uint32(sum) {
-			break
-		}
+	for len(data) > 0 {
 		var rec walRecord
-		if err := json.Unmarshal(line[9:], &rec); err != nil {
+		var ok bool
+		rec, data, ok = next(data)
+		if !ok {
 			break
 		}
-		valid := false
+		valid := rec.Seq != 0
 		switch rec.Op {
 		case opPut, opDel:
-			valid = rec.Path != ""
+			valid = valid && rec.Path != ""
 		case opSweep:
-			valid = rec.Path == "" && len(rec.Paths) > 0
+			valid = valid && rec.Path == "" && len(rec.Paths) > 0
 		case opBatch:
-			valid = rec.Path == "" && len(rec.Paths) == 0 && len(rec.Entries) > 0
+			valid = valid && rec.Path == "" && len(rec.Paths) == 0 && len(rec.Entries) > 0
 			for _, e := range rec.Entries {
 				if e.Path == "" {
 					valid = false
 				}
 			}
+		default:
+			valid = false
 		}
-		if rec.Seq == 0 || !valid {
+		if !valid {
 			break
 		}
 		if prev == 0 {
@@ -87,7 +85,122 @@ func referenceReplay(data []byte) (ref *Store, gap bool) {
 	return ref, false
 }
 
-// validWALImage builds a well-formed 4-record log for the seed corpus.
+// refLegacyRecord reads one legacy line: 8 hex digits of CRC, a space, the
+// JSON record, a newline.
+func refLegacyRecord(data []byte) (walRecord, []byte, bool) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return walRecord{}, nil, false // torn tail
+	}
+	line := data[:nl]
+	if len(line) < 10 || line[8] != ' ' {
+		return walRecord{}, nil, false
+	}
+	sum, err := strconv.ParseUint(string(line[:8]), 16, 32)
+	if err != nil || crc32.ChecksumIEEE(line[9:]) != uint32(sum) {
+		return walRecord{}, nil, false
+	}
+	var rec walRecord
+	if err := json.Unmarshal(line[9:], &rec); err != nil {
+		return walRecord{}, nil, false
+	}
+	return rec, data[nl+1:], true
+}
+
+// refRecord reads one binary record: the tag, a shortest-form uvarint body
+// length, the body, and the body's CRC32, little-endian; then the body's
+// fields, which must fill it exactly.
+func refRecord(data []byte) (walRecord, []byte, bool) {
+	if len(data) < 1 || data[0] != 0xB1 {
+		return walRecord{}, nil, false
+	}
+	r := refReader{b: data[1:], ok: true}
+	size := r.uvarint()
+	if !r.ok || len(r.b) < 4 || size > uint64(len(r.b))-4 {
+		return walRecord{}, nil, false
+	}
+	body, rest := r.b[:size], r.b[size:]
+	if binary.LittleEndian.Uint32(rest) != crc32.ChecksumIEEE(body) {
+		return walRecord{}, nil, false
+	}
+	r = refReader{b: body, ok: true}
+	rec := walRecord{Seq: r.uvarint(), Op: walOp(r.byte())}
+	switch rec.Op {
+	case opPut:
+		rec.Path, rec.Data, rec.Created = string(r.str()), r.str(), r.int64()
+	case opDel:
+		rec.Path = string(r.str())
+	case opSweep:
+		for n := r.uvarint(); r.ok && n > 0; n-- {
+			rec.Paths = append(rec.Paths, string(r.str()))
+		}
+	case opBatch:
+		for n := r.uvarint(); r.ok && n > 0; n-- {
+			rec.Entries = append(rec.Entries, snapEntry{Path: string(r.str()), Data: r.str(), Created: r.int64()})
+		}
+	}
+	if !r.ok || len(r.b) != 0 {
+		return walRecord{}, nil, false
+	}
+	return rec, rest[4:], true
+}
+
+// refReader consumes fields from b; ok turns false at the first field that
+// does not fit or a uvarint not in its shortest form.
+type refReader struct {
+	b  []byte
+	ok bool
+}
+
+func (r *refReader) uvarint() uint64 {
+	var v uint64
+	for i := 0; i < len(r.b) && i < 10; i++ {
+		c := r.b[i]
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if (c == 0 && i > 0) || (i == 9 && c > 1) {
+				break // a padded or overflowing encoding
+			}
+			r.b = r.b[i+1:]
+			return v
+		}
+	}
+	r.ok = false
+	return 0
+}
+
+func (r *refReader) byte() byte {
+	if len(r.b) == 0 {
+		r.ok = false
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *refReader) str() []byte {
+	n := r.uvarint()
+	if !r.ok || n > uint64(len(r.b)) {
+		r.ok = false
+		return nil
+	}
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s
+}
+
+func (r *refReader) int64() int64 {
+	if len(r.b) < 8 {
+		r.ok = false
+		return 0
+	}
+	v := int64(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return v
+}
+
+// validWALImage builds a well-formed 7-record log for the seed corpus.
 func validWALImage(tb testing.TB) []byte {
 	tb.Helper()
 	var img []byte
@@ -104,16 +217,13 @@ func validWALImage(tb testing.TB) []byte {
 		}},
 	}
 	for _, rec := range recs {
-		line, err := encodeWALRecord(rec)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		img = append(img, line...)
+		img, _ = appendWALRecord(img, rec, nil)
 	}
 	return img
 }
 
-// FuzzWALReplay feeds arbitrary byte images to the durable store as its WAL:
+// FuzzWALReplay feeds arbitrary byte images to the durable store as its WAL,
+// binary records or, from a hex digit on, legacy JSON lines:
 // opening must never panic, must recover exactly the longest valid record
 // prefix (checked against an independent decoder) — failing open only on a
 // head gap, where acknowledged records are provably missing — and must
@@ -123,16 +233,17 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-7])         // torn tail
 	f.Add([]byte{})                     // empty log
-	f.Add([]byte("00000000 {}\n"))      // framed but invalid record
-	f.Add([]byte("not a wal at all\n")) // garbage line
+	f.Add([]byte("not a wal at all\n")) // garbage
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40 // corrupt a middle record
 	f.Add(flipped)
-	gapImg, err := encodeWALRecord(walRecord{Seq: 7, Op: opPut, Path: "models/u/a.model"})
-	if err != nil {
-		f.Fatal(err)
-	}
+	gapImg, _ := appendWALRecord(nil, walRecord{Seq: 7, Op: opPut, Path: "models/u/a.model"}, nil)
 	f.Add(gapImg) // head gap: log starts past seq 1
+	// Legacy JSON lines, rewritten as records when the store opens.
+	f.Add([]byte("00000000 {}\n")) // framed but invalid record
+	f.Add(append(legacyFrame(`{"seq":1,"op":"put","path":"models/u/a.model","data":"YWxwaGE=","created":5}`),
+		legacyFrame(`{"seq":2,"op":"sweep","paths":["models/u/a.model"]}`)...))
+	f.Add(legacyFrame(`{"seq":4,"op":"del","path":"x"}`)) // legacy head gap
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -34,8 +34,18 @@ type History struct {
 	Obs []sparksim.Observation
 }
 
-// Add appends an observation.
-func (h *History) Add(o sparksim.Observation) { h.Obs = append(h.Obs, o) }
+// Add appends an observation. A history lives as long as its tuner and
+// only grows, so it grows by an eighth (at least 4) instead of append's
+// doubling: at most an eighth of it is spare capacity, and its footprint
+// rises in small steps rather than jumping by its whole size.
+func (h *History) Add(o sparksim.Observation) {
+	if len(h.Obs) == cap(h.Obs) {
+		grown := make([]sparksim.Observation, len(h.Obs), len(h.Obs)+max(len(h.Obs)/8, 4))
+		copy(grown, h.Obs)
+		h.Obs = grown
+	}
+	h.Obs = append(h.Obs, o)
+}
 
 // Len returns the number of recorded observations.
 func (h *History) Len() int { return len(h.Obs) }

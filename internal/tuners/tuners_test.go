@@ -271,3 +271,21 @@ func TestHistoryEmpty(t *testing.T) {
 		t.Fatal("empty window should be empty")
 	}
 }
+
+// A history grows by an eighth, not by doubling: past the first few dozen
+// entries its spare capacity stays near an eighth of its length (plus the
+// allocator's size-class rounding), and no observation is lost or moved.
+func TestHistoryGrowsByAnEighth(t *testing.T) {
+	var h History
+	for i := 0; i < 4096; i++ {
+		h.Add(sparksim.Observation{Iteration: i, Time: float64(i)})
+		if n := h.Len(); n >= 64 && cap(h.Obs)-n > n/4+8 {
+			t.Fatalf("len %d: cap %d leaves more than a quarter spare", n, cap(h.Obs))
+		}
+	}
+	for i, o := range h.Obs {
+		if o.Iteration != i || o.Time != float64(i) {
+			t.Fatalf("Obs[%d] = %+v", i, o)
+		}
+	}
+}
