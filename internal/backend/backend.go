@@ -30,7 +30,6 @@ import (
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
 	"github.com/rockhopper-db/rockhopper/internal/flightrec"
 	"github.com/rockhopper-db/rockhopper/internal/ml"
-	"github.com/rockhopper-db/rockhopper/internal/monitor"
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
 	"github.com/rockhopper-db/rockhopper/internal/stats"
@@ -85,7 +84,9 @@ type AppCacheRequest struct {
 // one it runs on the in-memory *store.Store. Resilience tests substitute a
 // fault-injecting wrapper (internal/resilience/faultinject). Commit is the only
 // mutation: a group of writes that lands all-or-nothing under the trace
-// identity ctx carries. Token-gated writes Verify first.
+// identity ctx carries. Token-gated writes Verify first. Len feeds
+// rockhopper_store_objects; Err is the store's latched failure (nil while
+// it accepts commits), which GET /api/health reports as "down".
 type ObjectStore interface {
 	Sign(prefix string, perm store.Permission, ttl time.Duration) string
 	Verify(tok, p string, perm store.Permission) error
@@ -93,6 +94,8 @@ type ObjectStore interface {
 	GetInternal(p string) ([]byte, error)
 	List(prefix string) []string
 	Commit(ctx context.Context, entries []store.Entry) error
+	Len() int
+	Err() error
 }
 
 // Both the in-memory store and the snapshot+WAL durable store satisfy the
@@ -234,13 +237,12 @@ type Server struct {
 	// SetFlightRecorder before serving traffic.
 	flightRec *flightrec.Recorder
 
-	// driftMu guards the per-model drift detectors and the count of
-	// training traces each has already consumed. The detectors are fed
-	// only from the updater goroutine; the mutex covers SetMetrics-time
-	// resets and test inspection.
-	driftMu  sync.Mutex
-	drift    map[string]*monitor.DriftDetector
-	driftFed map[string]int
+	// sigMu guards signatures, the one per-signature tuning table behind
+	// GET /api/explain, keyed user + "\x00" + signature. Only the updater
+	// (retrain) writes it; an entry appears after the signature's first
+	// retrain pass on this node and nothing of it is persisted.
+	sigMu      sync.Mutex
+	signatures map[string]*signatureEntry
 
 	// seqMu guards seqs, the per-job event-file sequence allocator. Reading
 	// len(Store.List(...)) per request would race: two concurrent ingests
@@ -299,8 +301,7 @@ func New(space *sparksim.Space, st ObjectStore, clusterSecret string, seed uint6
 		rng:            stats.NewRNG(seed),
 		traceSeed:      seed ^ 0x9e3779b97f4a7c15,
 		seqs:           make(map[string]int),
-		drift:          make(map[string]*monitor.DriftDetector),
-		driftFed:       make(map[string]int),
+		signatures:     make(map[string]*signatureEntry),
 	}
 	s.bindTelemetry(telemetry.NewRegistry())
 	s.metrics.start = s.clock().Now()
@@ -402,6 +403,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /api/trace", s.handleTrace)
 	mux.HandleFunc("GET /api/flightrec", s.handleFlightRec)
+	mux.HandleFunc("GET /api/explain", s.handleExplain)
 	return mux
 }
 
@@ -708,17 +710,23 @@ func (s *Server) retrain(j updateJob) {
 	// the model update the ingest triggered, with its duration.
 	sp := s.tele.tracer.StartRemote(j.trace, "retrain", "tuner")
 	sp.Annotate("%s/%s", user, signature)
-	status := "ok"
+	// Every pass, skipped and failed ones too, is recorded in the signature
+	// table. The model fields carry over from the last pass that committed
+	// one: they describe the model being served.
+	key := signatureKey(user, signature)
+	e := s.signatureEntry(key)
+	st := e.state
+	st.Status = "ok"
 	// The span says which phase of a slow retrain was slow: reading the
 	// history back, fitting it, or committing the model. Phases an early
 	// return never reached read zero.
-	var rows int
 	var read, fit, commit time.Duration
 	defer func() {
-		if rows > 0 {
-			sp.Annotate("rows=%d read=%.2fms fit=%.2fms commit=%.2fms", rows, read.Seconds()*1e3, fit.Seconds()*1e3, commit.Seconds()*1e3)
+		if st.Status != "skipped" {
+			sp.Annotate("rows=%d read=%.2fms fit=%.2fms commit=%.2fms", st.Rows, read.Seconds()*1e3, fit.Seconds()*1e3, commit.Seconds()*1e3)
 		}
-		sp.Finish(status)
+		sp.Finish(st.Status)
+		s.publishSignature(key, e, st)
 	}()
 	prefix := fmt.Sprintf("index/%s/%s/", user, signature)
 	entries := s.Store.List(prefix)
@@ -746,13 +754,14 @@ func (s *Server) retrain(j updateJob) {
 		}
 		traces = append(traces, ts...)
 	}
+	st.Runs, st.Rows = len(entries), len(traces)
 	if len(traces) < 4 {
-		status = "skipped"
+		st.Status = "skipped"
 		return // not enough data yet; the client keeps using the baseline
 	}
-	rows, read = len(traces), s.clock().Now().Sub(started)
+	read = s.clock().Now().Sub(started)
 	// Score the serving model's residuals before replacing it.
-	s.observeDrift(j.trace, user, signature, traces)
+	s.observeDrift(j.trace, e, user, signature, traces)
 	fitStarted := s.clock().Now()
 	x := make([][]float64, len(traces))
 	y := make([]float64, len(traces))
@@ -769,61 +778,32 @@ func (s *Server) retrain(j updateJob) {
 	err := kr.Fit(x, y)
 	fit = s.clock().Now().Sub(fitStarted)
 	if err != nil {
-		status = "error"
+		st.Status = "error"
 		s.logfCtx(j.trace, "backend: retrain %s/%s: %v", user, signature, err)
 		return
 	}
 	blob, err := ml.Marshal(kr)
 	if err != nil {
-		status = "error"
+		st.Status = "error"
 		s.logfCtx(j.trace, "backend: marshal %s/%s: %v", user, signature, err)
 		return
 	}
-	record, err := json.Marshal(bestCostRecord{User: user, Signature: signature, BestMs: best})
-	if err != nil {
-		status = "error"
-		s.logfCtx(j.trace, "backend: encode best-cost record %s/%s: %v", user, signature, err)
-		return
-	}
-	// The model and its best-cost record are one commit (one WAL record, one
-	// replicated frame). The updater runs outside any request: the write is
-	// untraced.
+	// The model is one commit: one WAL record, one replicated frame. The
+	// updater runs outside any request, so the write is untraced.
 	commitStarted := s.clock().Now()
-	err = s.Store.Commit(context.Background(), []store.Entry{
-		{Path: store.ModelPath(user, signature), Data: blob},
-		{Path: bestCostPath(user, signature), Data: record},
-	})
+	err = s.Store.Commit(context.Background(), []store.Entry{{Path: store.ModelPath(user, signature), Data: blob}})
 	done := s.clock().Now()
 	commit, elapsed := done.Sub(commitStarted), done.Sub(started)
 	if err != nil {
 		// A retrain whose model is not durable is not done.
-		status = "error"
+		st.Status = "error"
 		s.logfCtx(j.trace, "backend: persist retrain %s/%s: %v", user, signature, err)
 		return
 	}
+	st.ModelBytes, st.BestMs, st.RetrainedUnixMs = len(blob), best, done.UnixMilli()
 	s.tele.retrains.Inc()
 	s.tele.retrainSeconds.Observe(elapsed.Seconds())
-	//rocklint:allow metriccardinality -- best-cost gauge is partitioned by the model store's own user/signature set; DESIGN.md §8 blesses these labels on model gauges
-	s.tele.bestCost.With(user, signature).Set(best)
 	s.logfCtx(j.trace, "backend: retrained %s/%s on %d traces", user, signature, len(traces))
-}
-
-// bestCostRecord is the durable form of one rockhopper_model_best_cost_ms
-// gauge sample, persisted so a restarted daemon re-registers the series
-// instead of showing a false improvement to zero. The identifying fields
-// live in the blob as well as the path, so restore never parses a key.
-type bestCostRecord struct {
-	User      string  `json:"user"`
-	Signature string  `json:"signature"`
-	BestMs    float64 `json:"best_ms"`
-}
-
-// bestCostPrefix is the store folder holding persisted best-cost records.
-// It is outside "events/", so the retention sweep never reaps it.
-const bestCostPrefix = "meta/bestcost/"
-
-func bestCostPath(user, signature string) string {
-	return bestCostPrefix + user + "/" + signature
 }
 
 func (s *Server) handleGetAppCache(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -62,35 +63,41 @@ func postDriftBatch(t *testing.T, srv *Server, hs string, jobID string, traces [
 	srv.Flush()
 }
 
-// driftGauges scrapes the signature's drift state and score series.
-func driftGauges(t *testing.T, url string) (state, score float64) {
+// explain reads GET /api/explain for user/signature: the status code and,
+// on 200, the decoded state.
+func explain(t *testing.T, url, user, signature string) (int, SignatureState) {
 	t.Helper()
-	fams := scrape(t, url)
-	for _, name := range []string{"rockhopper_signature_drift_state", "rockhopper_signature_drift_score"} {
-		fam, ok := telemetry.Find(fams, name)
-		if !ok {
-			t.Fatalf("%s missing from scrape", name)
-		}
-		for _, s := range fam.Series {
-			if s.Labels["user"] != "u" || s.Labels["signature"] != "s" {
-				continue
-			}
-			if name == "rockhopper_signature_drift_state" {
-				state = s.Value
-			} else {
-				score = s.Value
-			}
+	resp, err := http.Get(url + "/api/explain?user=" + user + "&signature=" + signature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st SignatureState
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("explain body: %v", err)
 		}
 	}
-	return state, score
+	return resp.StatusCode, st
 }
 
-// TestDriftGaugeFlipsOnCostShift is the end-to-end tuning-health drill: a
-// stationary signature must hold rockhopper_signature_drift_state at 0
-// through repeated retrains (zero false positives), and an injected
-// simulator cost shift — every run 60% slower than the serving model's
-// world — must flip the state gauge within 20 shifted runs.
-func TestDriftGaugeFlipsOnCostShift(t *testing.T) {
+// driftState reads u/s's drift fields through /api/explain.
+func driftState(t *testing.T, url string) (drifting bool, score float64) {
+	t.Helper()
+	code, st := explain(t, url, "u", "s")
+	if code != http.StatusOK {
+		t.Fatalf("explain u/s: status %d, want 200", code)
+	}
+	return st.Drifting, st.DriftScore
+}
+
+// TestDriftTripsOnCostShift is the end-to-end tuning-health drill: a
+// stationary signature must report drifting=false on /api/explain through
+// repeated retrains (zero false positives), and an injected simulator cost
+// shift — every run 60% slower than the serving model's world — must trip
+// it within 20 shifted runs, raising rockhopper_signature_drift_trips_total
+// by exactly one.
+func TestDriftTripsOnCostShift(t *testing.T) {
 	srv, hs := newServer(t)
 
 	// Batch A fits the first serving model; there is no model to score
@@ -100,11 +107,11 @@ func TestDriftGaugeFlipsOnCostShift(t *testing.T) {
 	// Batch B is drawn from the same stationary workload: its residuals
 	// against the batch-A model are the detector's baseline. No drift.
 	postDriftBatch(t, srv, hs.URL, "jb", recurringBatch(8, 2))
-	if drifting, score := srv.DriftState("u", "s"); drifting {
+	if drifting, score := driftState(t, hs.URL); drifting {
 		t.Fatalf("stationary signature reports drift (score %.3f) — false positive", score)
 	}
-	if state, _ := driftGauges(t, hs.URL); state != 0 {
-		t.Fatalf("stationary drift_state gauge = %v, want 0", state)
+	if got := srv.tele.driftTrips.Value(); got != 0 {
+		t.Fatalf("stationary drift trips = %v, want 0", got)
 	}
 
 	// Batch C injects the cost shift: the same configs now run 60% slower
@@ -118,19 +125,27 @@ func TestDriftGaugeFlipsOnCostShift(t *testing.T) {
 	}
 	postDriftBatch(t, srv, hs.URL, "jc", shifted)
 
-	drifting, score := srv.DriftState("u", "s")
+	drifting, score := driftState(t, hs.URL)
 	if !drifting {
 		t.Fatalf("injected 1.6x cost shift did not trip drift within %d runs (score %.3f)", len(shifted), score)
 	}
 	if score <= 0 {
 		t.Errorf("tripped detector exports score %.3f, want > 0", score)
 	}
-	state, gscore := driftGauges(t, hs.URL)
-	if state != 1 {
-		t.Errorf("drift_state gauge = %v, want 1 after the shift", state)
+	if got := srv.tele.driftTrips.Value(); got != 1 {
+		t.Errorf("drift trips = %v after the shift, want 1", got)
 	}
-	if gscore != score {
-		t.Errorf("drift_score gauge = %v, DriftState score = %v — must agree", gscore, score)
+
+	// The detector latches: a later batch back on the old costs leaves it
+	// tripped and does not count the incident again.
+	postDriftBatch(t, srv, hs.URL, "jd", recurringBatch(8, 4))
+	if drifting, _ := driftState(t, hs.URL); !drifting {
+		t.Error("drift state cleared without a Reset")
+	}
+	fams := scrape(t, hs.URL)
+	trips, ok := telemetry.Find(fams, "rockhopper_signature_drift_trips_total")
+	if !ok || len(trips.Series) != 1 || trips.Series[0].Value != 1 {
+		t.Errorf("scraped drift trips = %+v, want one unlabeled series at 1", trips)
 	}
 }
 
@@ -142,11 +157,14 @@ func TestDriftStationarySignaturesStayClean(t *testing.T) {
 	jobs := []string{"j0", "j1", "j2", "j3", "j4"}
 	for i, j := range jobs {
 		postDriftBatch(t, srv, hs.URL, j, recurringBatch(8, uint64(10+i)))
-		if drifting, score := srv.DriftState("u", "s"); drifting {
+		if drifting, score := driftState(t, hs.URL); drifting {
 			t.Fatalf("stationary retrain %d tripped drift (score %.3f)", i+1, score)
 		}
 	}
-	if state, _ := driftGauges(t, hs.URL); state != 0 {
-		t.Fatalf("stationary drift_state gauge = %v, want 0", state)
+	if _, st := explain(t, hs.URL, "u", "s"); st.DriftSamples == 0 {
+		t.Error("stationary drill scored no residuals; the detector was never fed")
+	}
+	if got := srv.tele.driftTrips.Value(); got != 0 {
+		t.Fatalf("stationary drift trips = %v, want 0", got)
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
 	"github.com/rockhopper-db/rockhopper/internal/resilience"
+	"github.com/rockhopper-db/rockhopper/internal/resilience/faultinject"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
 	"github.com/rockhopper-db/rockhopper/internal/store"
 )
@@ -102,6 +103,46 @@ func TestIngestSurfacesFailedCommit(t *testing.T) {
 	}
 	if h.Status != "down" || h.StoreError == "" {
 		t.Fatalf("health after durability failure = %q (store_error=%q); want down with a cause", h.Status, h.StoreError)
+	}
+}
+
+// TestHealthSeesLatchedStoreBehindWrapper: a durable store behind the
+// fault-injecting wrapper still reports its latched failure. /api/health
+// asks the store the backend holds, so the wrapper must pass Err through.
+func TestHealthSeesLatchedStoreBehindWrapper(t *testing.T) {
+	ds, err := store.OpenDurable(t.TempDir(), []byte("key"), store.DurableOptions{
+		NoSync: true,
+		Hooks: func(p store.CrashPoint) error {
+			if p == store.CrashPreWrite {
+				return errors.New("disk gone")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(sparksim.QuerySpace(), &faultinject.Store{Inner: ds}, secret, 1)
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+		_ = ds.Close() // already down; the latched error is expected
+	})
+	if resp := postEvents(t, srv, hs); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("ingest on a dying store: status = %d; want 500", resp.StatusCode)
+	}
+	hresp, err := http.Get(hs.URL + "/api/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hresp.Body.Close()
+	var h HealthReport
+	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Status != "down" || !strings.Contains(h.StoreError, "disk gone") {
+		t.Fatalf("health behind the wrapper = %q (store_error=%q); want down with the cause", h.Status, h.StoreError)
 	}
 }
 

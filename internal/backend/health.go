@@ -211,20 +211,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	pending := s.pending
 	s.mu.Unlock()
 	rep := s.healthReport(pending, s.clock().Now())
-	if err := s.storeErr(); err != nil {
+	if err := s.Store.Err(); err != nil {
 		rep.Status = "down"
 		rep.StoreError = err.Error()
 	}
 	writeJSON(w, rep)
-}
-
-// storeErr reports the store's latched failure, if the configured store
-// exposes one (DurableStore does: once a WAL write fails it refuses every
-// later Commit). Health reporting is its only consumer — a request learns of
-// the failure from Commit's own error.
-func (s *Server) storeErr() error {
-	if h, ok := s.Store.(interface{ Err() error }); ok {
-		return h.Err()
-	}
-	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
@@ -630,7 +629,7 @@ func TestIngestOneTail(t *testing.T) {
 }
 
 // TestRetrainIsOneCommit: one retrain is one WAL append — so one replicated
-// frame — carrying the model and its best-cost record.
+// frame — carrying the model and nothing else.
 func TestRetrainIsOneCommit(t *testing.T) {
 	srv, hs, appends := walAppendsServer(t)
 	if code := postTracedEvents(t, srv, hs.URL, nil, 8); code != http.StatusAccepted {
@@ -640,10 +639,14 @@ func TestRetrainIsOneCommit(t *testing.T) {
 	if got := appends(); got != 2 {
 		t.Errorf("one ingest and its retrain cost %v WAL appends, want 1 + 1", got)
 	}
-	for _, p := range []string{store.ModelPath("u", "s"), bestCostPath("u", "s")} {
-		if _, err := srv.Store.GetInternal(p); err != nil {
-			t.Errorf("retrain did not write %s: %v", p, err)
-		}
+	if _, err := srv.Store.GetInternal(store.ModelPath("u", "s")); err != nil {
+		t.Errorf("retrain did not write the model: %v", err)
+	}
+	if got := srv.Store.List("models/"); len(got) != 1 {
+		t.Errorf("models = %v, want the one model", got)
+	}
+	if got := srv.Store.Len(); got != 3 {
+		t.Errorf("store holds %d objects, want 3: the event file, its index entry and the model", got)
 	}
 }
 
@@ -836,47 +839,5 @@ func TestHostileTenantStress(t *testing.T) {
 			t.Errorf("tenant %s: recovered %d events, acknowledged %d — %s",
 				tenant, got, want, map[bool]string{true: "acknowledged loss", false: "phantom events"}[got < want])
 		}
-	}
-}
-
-// TestBestCostGaugeSurvivesRestart: the per-signature best-cost gauge is
-// persisted with the model and re-registered on boot, so a restarted
-// daemon's dashboards don't see a false improvement to zero.
-func TestBestCostGaugeSurvivesRestart(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "data")
-	st, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(sparksim.QuerySpace(), st, secret, 1)
-	hs := httptest.NewServer(srv.Handler())
-	if code := postTracedEvents(t, srv, hs.URL, nil, 8); code != http.StatusAccepted {
-		t.Fatalf("ingest status = %d", code)
-	}
-	srv.Flush()
-	want := srv.tele.bestCost.With("u", "s").Value()
-	if want <= 0 {
-		t.Fatalf("best cost after retrain = %v, want > 0", want)
-	}
-	hs.Close()
-	srv.Close()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: fresh store handle, fresh server, fresh registry.
-	st2, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := New(sparksim.QuerySpace(), st2, secret, 1)
-	t.Cleanup(func() { srv2.Close(); st2.Close() })
-	if got := srv2.tele.bestCost.With("u", "s").Value(); got != want {
-		t.Errorf("restarted best cost = %v, want %v (restored from the store)", got, want)
-	}
-	// Rebinding onto another registry restores again.
-	srv2.SetMetrics(telemetry.NewRegistry())
-	if got := srv2.tele.bestCost.With("u", "s").Value(); got != want {
-		t.Errorf("rebound best cost = %v, want %v", got, want)
 	}
 }

@@ -98,11 +98,11 @@ func TestRetrainSeqBeyondMillion(t *testing.T) {
 	}
 }
 
-// TestRetrainSurfacesFailedModelWrite: a retrain whose commit (the model and
-// its best-cost record, one write) fails is not done. It must finish its span
-// with status "error", log under the ingest's trace, leave neither object
-// behind, and stay out of rockhopper_updater_retrains_total — the old
-// PutInternal had no error slot and reported the retrain complete.
+// TestRetrainSurfacesFailedModelWrite: a retrain whose model commit fails is
+// not done. It must finish its span with status "error", log under the
+// ingest's trace, leave no model behind, report "error" on /api/explain,
+// and stay out of rockhopper_updater_retrains_total — the old PutInternal
+// had no error slot and reported the retrain complete.
 func TestRetrainSurfacesFailedModelWrite(t *testing.T) {
 	srv, _ := newServer(t)
 	var logs bytes.Buffer
@@ -128,10 +128,11 @@ func TestRetrainSurfacesFailedModelWrite(t *testing.T) {
 	if got := srv.tele.retrains.Value(); got != 0 {
 		t.Errorf("retrains_total = %v after a failed write, want 0", got)
 	}
-	for _, p := range []string{store.ModelPath("u", "s"), bestCostPath("u", "s")} {
-		if _, err := inner.GetInternal(p); !errors.Is(err, store.ErrNotFound) {
-			t.Errorf("%s after a failed retrain commit: err = %v, want not found", p, err)
-		}
+	if _, err := inner.GetInternal(store.ModelPath("u", "s")); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("model after a failed retrain commit: err = %v, want not found", err)
+	}
+	if st, ok := srv.Explain("u", "s"); !ok || st.Status != "error" || st.Rows != 8 || st.ModelBytes != 0 || st.RetrainedUnixMs != 0 {
+		t.Errorf("explain after a failed commit = %+v, %v; want status error over 8 rows and no model", st, ok)
 	}
 	if !strings.Contains(logs.String(), "[trace "+sc.String()+"] backend: persist retrain u/s") {
 		t.Errorf("failure not logged under the trace: %q", logs.String())
@@ -151,6 +152,9 @@ func TestRetrainSurfacesFailedModelWrite(t *testing.T) {
 	srv.retrain(updateJob{user: "u", signature: "s"})
 	if got := srv.tele.retrains.Value(); got != 1 {
 		t.Errorf("retrains_total = %v after the healed retrain, want 1", got)
+	}
+	if st, _ := srv.Explain("u", "s"); st.Status != "ok" || st.ModelBytes == 0 {
+		t.Errorf("explain after the healed retrain = %+v, want status ok with the model's size", st)
 	}
 }
 

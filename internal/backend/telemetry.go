@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -26,7 +25,6 @@ type backendTelemetry struct {
 
 	retrains       telemetry.Counter
 	retrainSeconds telemetry.Histogram
-	bestCost       *telemetry.GaugeVec   // {user, signature}
 	misrouted      *telemetry.CounterVec // {endpoint}: 421 bounces to the owning shard
 
 	// Per-tenant ingest series. The tenant label is bounded by
@@ -36,10 +34,9 @@ type backendTelemetry struct {
 	tenantShed          *telemetry.CounterVec   // {tenant, reason}
 	tenantIngestSeconds *telemetry.HistogramVec // {tenant}
 
-	// Tuning-health series: Page-Hinkley drift score and binary state per
-	// model, fed by the retrain loop's residual stream.
-	driftScore *telemetry.GaugeVec // {user, signature}
-	driftState *telemetry.GaugeVec // {user, signature}
+	// driftTrips counts signatures whose drift detector tripped. Which ones,
+	// and their scores, GET /api/explain says.
+	driftTrips telemetry.Counter
 
 	spans  *telemetry.SpanRing
 	tracer *telemetry.Tracer
@@ -76,14 +73,10 @@ func (s *Server) bindTelemetry(reg *telemetry.Registry) {
 			"Model Updater retrain passes that produced a model.").With(),
 		retrainSeconds: reg.Histogram("rockhopper_updater_retrain_seconds",
 			"Model retrain duration in seconds.", nil).With(),
-		bestCost: reg.Gauge("rockhopper_model_best_cost_ms",
-			"Best observed execution time (ms) across a signature's training traces.", "user", "signature"),
 		misrouted: reg.Counter("rockhopper_fleet_misrouted_total",
-			"Ingest requests bounced with 421 because another node owns the signature.", "endpoint"),
-		driftScore: reg.Gauge("rockhopper_signature_drift_score",
-			"Page-Hinkley drift score over a model's prediction residuals (0 = on-model).", "user", "signature"),
-		driftState: reg.Gauge("rockhopper_signature_drift_state",
-			"1 while a signature's drift detector has tripped, 0 while the model tracks reality.", "user", "signature"),
+			"Requests bounced with 421 because another node owns the signature.", "endpoint"),
+		driftTrips: reg.Counter("rockhopper_signature_drift_trips_total",
+			"Signatures whose Page-Hinkley drift detector tripped (it latches); GET /api/explain names them.").With(),
 	}
 	ringSize := s.TraceRingSpans
 	if ringSize <= 0 {
@@ -112,29 +105,11 @@ func (s *Server) bindTelemetry(reg *telemetry.Registry) {
 			defer s.mu.Unlock()
 			return float64(s.pending)
 		})
-	if lener, ok := s.Store.(interface{ Len() int }); ok {
-		reg.GaugeFunc("rockhopper_store_objects",
-			"Objects resident in the backend object store.", func() float64 {
-				return float64(lener.Len())
-			})
-	}
-	// Re-register persisted best-cost gauges (bestCostPrefix records) so a
-	// restarted daemon's dashboards keep their per-signature series instead
-	// of seeing a false improvement to zero after every deploy.
-	if s.Store != nil {
-		for _, p := range s.Store.List(bestCostPrefix) {
-			blob, err := s.Store.GetInternal(p)
-			if err != nil {
-				continue
-			}
-			var rec bestCostRecord
-			if json.Unmarshal(blob, &rec) != nil || rec.User == "" || rec.Signature == "" {
-				continue
-			}
-			//rocklint:allow metriccardinality -- boot-time restore: labels are exactly the persisted best-cost records already on disk (DESIGN.md §8 model-gauge blessing)
-			t.bestCost.With(rec.User, rec.Signature).Set(rec.BestMs)
-		}
-	}
+	st := s.Store
+	reg.GaugeFunc("rockhopper_store_objects",
+		"Objects resident in the backend object store.", func() float64 {
+			return float64(st.Len())
+		})
 	s.tele = t
 }
 

@@ -3,6 +3,8 @@ package backend
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -59,7 +61,8 @@ func scrape(t *testing.T, url string) []telemetry.Family {
 }
 
 // TestMetricsEndpoint drives one ingest + retrain and asserts the /metrics
-// scrape parses and carries the request, updater, queue, and model series.
+// scrape parses and carries the request, updater, queue, store and drift
+// series, none of them labelled by user or signature.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, hs := newServer(t)
 	if code := postTracedEvents(t, srv, hs.URL, nil, 8); code != http.StatusAccepted {
@@ -92,13 +95,18 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("retrains = %+v, want single series at 1", retrains)
 	}
 
-	best, ok := telemetry.Find(fams, "rockhopper_model_best_cost_ms")
-	if !ok || len(best.Series) != 1 {
-		t.Fatalf("best-cost gauge missing: %+v", best)
+	if trips, ok := telemetry.Find(fams, "rockhopper_signature_drift_trips_total"); !ok || len(trips.Series) != 1 || trips.Series[0].Value != 0 {
+		t.Errorf("drift trips = %+v, want one unlabeled series at 0", trips)
 	}
-	bs := best.Series[0]
-	if bs.Labels["user"] != "u" || bs.Labels["signature"] != "s" || bs.Value <= 0 {
-		t.Errorf("best-cost series = %+v, want u/s with positive ms", bs)
+	for _, f := range fams {
+		for _, s := range f.Series {
+			if _, ok := s.Labels["signature"]; ok {
+				t.Errorf("%s carries a signature label: %v", f.Name, s.Labels)
+			}
+			if _, ok := s.Labels["user"]; ok {
+				t.Errorf("%s carries a user label: %v", f.Name, s.Labels)
+			}
+		}
 	}
 
 	if depth, ok := telemetry.Find(fams, "rockhopper_updater_queue_depth"); !ok {
@@ -302,4 +310,41 @@ func TestLatencyExemplarLinksTraceToBucket(t *testing.T) {
 		}
 	}
 	t.Fatal("no latency bucket carries the traced request's exemplar")
+}
+
+// TestScrapeSizeIndependentOfSignatures: /metrics holds aggregates only, so
+// its size does not grow with the number of retrained signatures. One batch
+// of 4 traces per signature retrains every signature once; the scrape after
+// 1 000 signatures must be within 5 % of the scrape after 10.
+func TestScrapeSizeIndependentOfSignatures(t *testing.T) {
+	scrapeBytes := func(n int) int {
+		srv, hs := newServer(t)
+		srv.MaxPendingUpdates = n
+		sigs := make([]string, n)
+		for i := range sigs {
+			sigs[i] = fmt.Sprintf("sig%04d", i)
+		}
+		code, br, err := postBatch(srv, hs.URL, "u", "j", sigTraces(sigs, 4, 3))
+		if err != nil || code != http.StatusAccepted || br.Signatures != n {
+			t.Fatalf("%d-signature batch: status %d, %+v, %v", n, code, br, err)
+		}
+		srv.Flush()
+		if got := srv.tele.retrains.Value(); got != float64(n) {
+			t.Fatalf("retrains = %v, want %d", got, n)
+		}
+		resp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(body)
+	}
+	small, large := scrapeBytes(10), scrapeBytes(1000)
+	if ratio := float64(large) / float64(small); ratio < 0.95 || ratio > 1.05 {
+		t.Errorf("/metrics is %d B after 10 signatures and %d B after 1000 (ratio %.2f); want within 5 %%", small, large, ratio)
+	}
 }

@@ -78,9 +78,6 @@ type NodeOptions struct {
 	Logger  *log.Logger
 	// HTTPClient performs peer calls; nil means http.DefaultClient.
 	HTTPClient *http.Client
-	// PeerFactory overrides the peer transport (in-process tests); nil
-	// means HTTP against the peer's base URL.
-	PeerFactory func(followerID, baseURL string) Peer
 
 	// Store tuning, passed through to the primary store. Hooks is the
 	// crash-point injector the failover drills use to kill the owner at
@@ -236,16 +233,12 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		RetryDelay: opts.RetryDelay,
 	})
 	for _, f := range n.topo.FollowersOf(n.id) {
-		if opts.PeerFactory != nil {
-			n.repl.AddPeer(f, opts.PeerFactory(f, opts.Peers[f]))
-		} else {
-			n.repl.AddPeer(f, &httpPeer{
-				client: n.httpClient,
-				base:   opts.Peers[f],
-				from:   n.id,
-				secret: opts.ClusterSecret,
-			})
-		}
+		n.repl.AddPeer(f, &httpPeer{
+			client: n.httpClient,
+			base:   opts.Peers[f],
+			from:   n.id,
+			secret: opts.ClusterSecret,
+		})
 	}
 
 	b := backend.New(opts.Space, primary, opts.ClusterSecret, opts.Seed)

@@ -174,11 +174,13 @@ type ObjectStore interface {
 	GetInternal(p string) ([]byte, error)
 	List(prefix string) []string
 	Commit(ctx context.Context, entries []store.Entry) error
+	Len() int
+	Err() error
 }
 
 // Store wraps an ObjectStore with plan-driven faults on the fallible
 // operations, named "store.Commit", "store.Get" and "store.GetInternal".
-// Sign, Verify and List pass through untouched.
+// Sign, Verify, List, Len and Err pass through untouched.
 type Store struct {
 	Inner ObjectStore
 	Plan  Plan
@@ -232,3 +234,10 @@ func (s *Store) GetInternal(p string) ([]byte, error) {
 
 // List implements ObjectStore.
 func (s *Store) List(prefix string) []string { return s.Inner.List(prefix) }
+
+// Len implements ObjectStore.
+func (s *Store) Len() int { return s.Inner.Len() }
+
+// Err implements ObjectStore: the inner store's latched failure, so a
+// wrapped durable store that went down still reports it.
+func (s *Store) Err() error { return s.Inner.Err() }

@@ -256,6 +256,10 @@ func (s *Store) Delete(p string) { s.remove(p) }
 // Len returns the number of stored objects.
 func (s *Store) Len() int { return s.ix.len() }
 
+// Err is always nil: the in-memory store has no durability to lose, so it
+// never refuses a commit. It mirrors DurableStore.Err.
+func (s *Store) Err() error { return nil }
+
 // CleanupOlderThan removes event files older than the retention window, with
 // the signature index entries committed beside them, and returns how many
 // event files were deleted — the Storage Manager's GDPR cleanup. Only

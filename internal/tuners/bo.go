@@ -50,13 +50,6 @@ type BO struct {
 	// heavy-tailed, and the log transform is what keeps spikes from
 	// dominating the GP fit.
 	LogTime bool
-	// RefitEvery caps how many incremental O(n²) GP.Observe extensions run
-	// between full O(n³) refits (default 32). A full refit also triggers
-	// whenever the design has grown ≥50% since the last one, so the frozen
-	// feature scaler tracks the data while the model is small and refits
-	// become rare as it grows; 1 restores the legacy refit-every-iteration
-	// behavior.
-	RefitEvery int
 
 	hist History
 	name string
@@ -94,9 +87,15 @@ func NewCBO(space *sparksim.Space, rng *stats.RNG, context []float64, warm []Bas
 // Name implements Tuner.
 func (b *BO) Name() string { return b.name }
 
+// refitEvery caps how many incremental O(n²) GP.Observe extensions run
+// between full O(n³) refits. A full refit also triggers whenever the design
+// has grown ≥50% since the last one, so the frozen feature scaler tracks the
+// data while the model is small and refits become rare as it grows.
+const refitEvery = 32
+
 // Observe implements Tuner. When a surrogate is live and under its row cap,
 // the observation is folded in through the O(n²) incremental GP.Observe path
-// instead of scheduling an O(n³) refit; past the cap (or the RefitEvery
+// instead of scheduling an O(n³) refit; past the cap (or the refitEvery
 // staleness bound) the surrogate is dropped so the next Propose refits on
 // the capped window, exactly as before.
 func (b *BO) Observe(o sparksim.Observation) {
@@ -107,10 +106,6 @@ func (b *BO) Observe(o sparksim.Observation) {
 	maxRows := b.MaxRows
 	if maxRows <= 0 {
 		maxRows = 220
-	}
-	refitEvery := b.RefitEvery
-	if refitEvery <= 0 {
-		refitEvery = 32
 	}
 	grownHalf := b.sinceFit > 0 && 2*b.sinceFit >= b.gpRows-b.sinceFit
 	if b.gpRows >= maxRows || b.sinceFit >= refitEvery || grownHalf {

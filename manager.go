@@ -21,12 +21,10 @@ type Manager struct {
 	mu      sync.Mutex
 	tuners  map[string]*Tuner
 	seq     uint64
-	best    map[string]float64 // lowest observed time per signature
-	tripped map[string]bool    // guardrail edge detector per signature
+	tripped map[string]bool // guardrail edge detector per signature
 
-	iterations *telemetry.CounterVec // {algo, signature}
-	bestCost   *telemetry.GaugeVec   // {algo, signature}
-	trips      *telemetry.CounterVec // {signature}
+	iterations telemetry.Counter // {algo=managedAlgo}
+	trips      telemetry.Counter
 }
 
 // managedAlgo is the algorithm label the Manager publishes under: every
@@ -34,20 +32,19 @@ type Manager struct {
 const managedAlgo = "centroid"
 
 // bindMetrics registers the manager's instruments on reg. The Manager is the
-// only publisher of the tuner families.
+// only publisher of the tuner families. They are aggregates over every
+// managed signature: per-signature state is read through Tuner(sig).
 func (m *Manager) bindMetrics(reg *telemetry.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.iterations = reg.Counter("rockhopper_tuner_iterations_total",
-		"Observations fed to a tuning loop, by algorithm and query signature.", "algo", "signature")
-	m.bestCost = reg.Gauge("rockhopper_tuner_best_cost_ms",
-		"Lowest observed execution time (ms) so far, by algorithm and query signature.", "algo", "signature")
+		"Observations fed to a tuning loop, by algorithm.", "algo").With(managedAlgo)
 	m.trips = reg.Counter("rockhopper_guardrail_trips_total",
-		"Guardrail reversions to the default configuration, by query signature.", "signature")
+		"Guardrail reversions to the default configuration.").With()
 }
 
-// SetMetrics publishes the manager's convergence instruments — per-signature
-// iteration counts, best-cost gauges, and guardrail trips — to reg. Call it
+// SetMetrics publishes the manager's convergence instruments — iteration
+// and guardrail-trip counts over all managed signatures — to reg. Call it
 // before traffic; the default is a discarding registry.
 func (m *Manager) SetMetrics(reg *telemetry.Registry) { m.bindMetrics(reg) }
 
@@ -66,7 +63,6 @@ func NewManager(space *Space, opts ...Option) (*Manager, error) {
 		space:   space,
 		opts:    opts,
 		tuners:  make(map[string]*Tuner),
-		best:    make(map[string]float64),
 		tripped: make(map[string]bool),
 	}
 	m.bindMetrics(nil)
@@ -116,18 +112,11 @@ func (m *Manager) Observe(signature string, o Observation) error {
 	}
 	disabled := t.Disabled()
 	m.mu.Lock()
-	//rocklint:allow metriccardinality -- signature labels are the managed-signature set this Manager owns; DESIGN.md §8 blesses signature on tuning series
-	m.iterations.With(managedAlgo, signature).Inc()
-	if b, ok := m.best[signature]; !ok || o.Time < b {
-		m.best[signature] = o.Time
-		//rocklint:allow metriccardinality -- signature labels are the managed-signature set this Manager owns; DESIGN.md §8 blesses signature on tuning series
-		m.bestCost.With(managedAlgo, signature).Set(o.Time)
-	}
+	m.iterations.Inc()
 	// Count guardrail trips on the disable edge only: a long disabled
 	// stretch is one incident, not one per observation.
 	if disabled && !m.tripped[signature] {
-		//rocklint:allow metriccardinality -- signature labels are the managed-signature set this Manager owns; DESIGN.md §8 blesses signature on tuning series
-		m.trips.With(signature).Inc()
+		m.trips.Inc()
 	}
 	m.tripped[signature] = disabled
 	m.mu.Unlock()
@@ -185,6 +174,5 @@ func (m *Manager) Forget(signature string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.tuners, signature)
-	delete(m.best, signature)
 	delete(m.tripped, signature)
 }

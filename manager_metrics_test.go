@@ -1,14 +1,16 @@
 package rockhopper
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"github.com/rockhopper-db/rockhopper/internal/telemetry"
 )
 
 // TestManagerMetrics drives one signature into a guardrail trip and checks
-// the manager publishes iterations, best cost, and exactly one trip (the
-// disable edge, not one per disabled observation).
+// the manager publishes iterations and exactly one trip (the disable edge,
+// not one per disabled observation), with no series per signature.
 func TestManagerMetrics(t *testing.T) {
 	m, err := NewManager(QuerySpace(), WithGuardrail(5, 0.005, 2))
 	if err != nil {
@@ -36,17 +38,20 @@ func TestManagerMetrics(t *testing.T) {
 		t.Fatal("guardrail never tripped")
 	}
 
-	iterations := reg.Counter("rockhopper_tuner_iterations_total", "", "algo", "signature")
-	if got := iterations.With("centroid", sig).Value(); got != float64(iters) {
+	iterations := reg.Counter("rockhopper_tuner_iterations_total", "", "algo")
+	if got := iterations.With("centroid").Value(); got != float64(iters) {
 		t.Errorf("iterations = %v, want %d", got, iters)
 	}
-	best := reg.Gauge("rockhopper_tuner_best_cost_ms", "", "algo", "signature")
-	if got := best.With("centroid", sig).Value(); got != 1000 {
-		t.Errorf("best cost = %v, want 1000 (the first, cheapest run)", got)
-	}
-	trips := reg.Counter("rockhopper_guardrail_trips_total", "", "signature")
-	if got := trips.With(sig).Value(); got != 1 {
+	trips := reg.Counter("rockhopper_guardrail_trips_total", "").With()
+	if got := trips.Value(); got != 1 {
 		t.Errorf("guardrail trips = %v, want 1", got)
+	}
+	var scrape bytes.Buffer
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(scrape.String(), sig) || strings.Contains(scrape.String(), "best_cost") {
+		t.Errorf("manager scrape names a signature or a best-cost series:\n%s", scrape.String())
 	}
 
 	// Observations while disabled must not re-count the same incident.
@@ -56,7 +61,7 @@ func TestManagerMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := trips.With(sig).Value(); got != 1 {
+	if got := trips.Value(); got != 1 {
 		t.Errorf("trips after disabled stretch = %v, want still 1", got)
 	}
 }
