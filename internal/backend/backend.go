@@ -20,6 +20,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -238,9 +239,9 @@ type Server struct {
 	flightRec *flightrec.Recorder
 
 	// sigMu guards signatures, the one per-signature tuning table behind
-	// GET /api/explain, keyed user + "\x00" + signature. Only the updater
-	// (retrain) writes it; an entry appears after the signature's first
-	// retrain pass on this node and nothing of it is persisted.
+	// GET /api/explain, keyed user + "\x00" + signature. Only the updater's
+	// retrain passes write it; an entry appears after the signature's first
+	// pass on this node and nothing of it is persisted.
 	sigMu      sync.Mutex
 	signatures map[string]*signatureEntry
 
@@ -251,18 +252,20 @@ type Server struct {
 	seqs  map[string]int
 
 	// Model Updater scheduling. pending counts admitted-but-unprocessed
-	// updates (reserved at admission, released when the retrain finishes) so
-	// tests and shutdown can Flush deterministically; peakPending is its
-	// high-water mark, pinning the atomic-admission invariant in tests. The
-	// jobs themselves live in per-tenant sub-queues drained weighted
-	// round-robin — there is no channel, so enqueue cannot race Close into a
-	// send-on-closed panic. cond signals both "work available" (the updater
-	// waits on it) and "a job finished" (Flush waits on it).
+	// updates (reserved at admission, released once each job's work is
+	// over) so tests and shutdown can Flush deterministically; peakPending
+	// is its high-water mark, pinning the atomic-admission invariant in
+	// tests. The jobs themselves live in per-tenant sub-queues drained
+	// weighted round-robin — there is no channel, so enqueue cannot race
+	// Close into a send-on-closed panic; enqueued counts every job ever
+	// enqueued. cond signals both "work available" (the updater waits on
+	// it) and "a job finished" (Flush waits on it).
 	mu          sync.Mutex
 	cond        *sync.Cond
 	queue       fairQueue
 	pending     int
 	peakPending int
+	enqueued    uint64
 	closed      bool
 	wg          sync.WaitGroup
 
@@ -280,6 +283,9 @@ type updateJob struct {
 	// trace is the ingest request's identity, carried across the queue so
 	// the retrain it triggers logs under the same trace.
 	trace telemetry.SpanContext
+	// seq numbers the job in enqueue order, from 1; 0 for a job that never
+	// passed the queue.
+	seq uint64
 }
 
 // DefaultRequestTimeout is the per-request deadline New installs.
@@ -604,9 +610,11 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, endpoint string,
 		http.Error(w, fmt.Sprintf("store: ingest commit not persisted: %v", err), storeStatus(err))
 		return
 	}
-	for _, sig := range sigs {
-		s.enqueueReserved(updateJob{user: user, signature: sig, trace: telemetry.SpanFrom(r.Context())})
+	jobs := make([]updateJob, len(sigs))
+	for i, sig := range sigs {
+		jobs[i] = updateJob{user: user, signature: sig, trace: telemetry.SpanFrom(r.Context())}
 	}
+	s.enqueueReserved(jobs...)
 	if !s.awaitReplication(r.Context(), w) {
 		return
 	}
@@ -659,75 +667,176 @@ func parseIndexEntry(rest string) (jobID string, seq int, err error) {
 	return rest[:i], seq, nil
 }
 
-// enqueueReserved hands an admitted job to the fair queue. The caller has
-// already reserved its updater slot via tryAdmit; the push happens entirely
-// under s.mu, so a racing Close either sees the job (and drains it) or has
-// already flipped closed — in which case the job is dropped here and its
-// reservation released. The old implementation released the lock and then
-// sent on a channel Close could concurrently close; that panic window is
-// structurally gone.
-func (s *Server) enqueueReserved(j updateJob) {
+// enqueueReserved hands admitted jobs to the fair queue, all under one
+// acquisition of s.mu, so they are numbered together and the updater's
+// next round takes a whole request's signatures. The caller has already
+// reserved their updater slots via tryAdmit; a racing Close either sees the
+// jobs (and drains them) or has already flipped closed — in which case they
+// are dropped here and their reservations released. The old implementation
+// released the lock and then sent on a channel Close could concurrently
+// close; that panic window is structurally gone.
+func (s *Server) enqueueReserved(jobs ...updateJob) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		s.pending--
+		s.pending -= len(jobs)
 		s.cond.Broadcast()
 		return
 	}
-	s.queue.push(j.user, j)
+	for _, j := range jobs {
+		s.enqueued++
+		j.seq = s.enqueued
+		s.queue.push(j.user, j)
+	}
 	s.cond.Broadcast()
 }
 
-// modelUpdater is the streaming Model Updater: it retrains the signature's
-// surrogate from all of its event files and stores the serialized model.
-// Jobs come off the per-tenant fair queue, so one tenant's backlog cannot
-// starve another's retrains.
+// modelUpdater is the streaming Model Updater. It takes jobs off the
+// per-tenant fair queue one at a time, in its weighted round-robin order, so
+// one tenant's backlog cannot starve another's retrains, and runs each in
+// the current round. A job's updater slot is released as soon as its work is
+// over — coalesced into another pass, finished without a model, or its
+// model's commit returned — so a long round holds no slot it is done with.
 func (s *Server) modelUpdater() {
 	defer s.wg.Done()
+	r := round{s: s, release: s.releaseAdmit}
 	for {
 		s.mu.Lock()
-		for s.queue.size == 0 && !s.closed {
+		for s.queue.size == 0 && !s.closed && !r.open() {
 			s.cond.Wait()
 		}
 		j, ok := s.queue.pop()
+		more, enqueued := s.queue.size > 0, s.enqueued
 		s.mu.Unlock()
-		if !ok {
+		switch {
+		case ok:
+			r.run(j, enqueued)
+		case r.open():
+			r.commit() // nothing is queued: the round ends
+		default:
 			return // closed and drained
 		}
-		s.retrain(j)
-		s.mu.Lock()
-		s.pending--
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		// A round makes no syscall between passes, so while jobs wait the
+		// updater yields its P here: it is background work, and must not
+		// hold a P through a burst of passes while request handlers wait
+		// for one. A lone pass has no burst to break up.
+		if more {
+			runtime.Gosched()
+		}
 	}
 }
 
-func (s *Server) retrain(j updateJob) {
+// maxCommitBytes is the model bytes at which a round commits early, so one
+// WAL record, and the replicated frame that carries it, stays well under a
+// follower's shipping buffer (fleet.DefaultMaxBuffer, 4 MiB); past that
+// buffer the follower needs a snapshot catch-up.
+const maxCommitBytes = 1 << 20
+
+// round is the Model Updater's unit of group commit: consecutive passes of
+// one tenant's jobs, all enqueued before the round began, whose models
+// share ONE store commit — one WAL record, one fsync, one replicated frame.
+// Every pass reads, scores drift on and fits its signature as a lone
+// retrain would, so the models are the same. A job that is another
+// tenant's, or was enqueued after the round began, commits the round before
+// its own pass runs: the fair queue's pop order interleaves tenants, so a
+// tenant who floods the queue delays only their own models, and another
+// tenant's job that arrives mid-round waits for the pass in progress and at
+// most one more turn of the round's tenant, never for the whole round.
+// The round also commits once its models reach maxCommitBytes. A failed
+// commit fails every pass it carried.
+type round struct {
+	s *Server
+	// release, if set, returns the updater slots of n jobs whose work is
+	// over.
+	release func(n int)
+	user    string
+	horizon uint64          // jobs enqueued when the round began
+	keys    map[string]bool // signatures with a pass in the round; empty when none is open
+	passes  []*pass         // passes waiting for the commit
+	size    int             // their model bytes
+}
+
+func (r *round) open() bool { return len(r.keys) > 0 }
+
+// run runs j's pass in the round; enqueued is how many jobs had been
+// enqueued when j was popped. A job whose signature already has a pass in
+// the round is dropped: it was enqueued before the round began, after its
+// events were committed, so that pass read them.
+func (r *round) run(j updateJob, enqueued uint64) {
+	if r.open() && (j.user != r.user || j.seq > r.horizon) {
+		r.commit()
+	}
+	if !r.open() {
+		r.user, r.horizon = j.user, enqueued
+	}
+	key := signatureKey(j.user, j.signature)
+	if r.keys[key] {
+		r.finished(1)
+		return
+	}
+	if r.keys == nil {
+		r.keys = make(map[string]bool)
+	}
+	r.keys[key] = true
+	p := r.s.fitPass(j, key)
+	if p == nil {
+		r.finished(1)
+		return
+	}
+	r.passes, r.size = append(r.passes, p), r.size+len(p.blob)
+	if r.size >= maxCommitBytes {
+		r.commit()
+	}
+}
+
+// commit commits the round's models in one store commit and closes it.
+func (r *round) commit() {
+	r.s.commitPasses(r.passes)
+	r.finished(len(r.passes))
+	clear(r.passes) // let the committed models go
+	r.passes, r.size = r.passes[:0], 0
+	clear(r.keys)
+}
+
+func (r *round) finished(n int) {
+	if r.release != nil && n > 0 {
+		r.release(n)
+	}
+}
+
+// pass is one signature's retrain within a round: read its history, score
+// drift, fit, and wait for the commit that carries its model.
+type pass struct {
+	job updateJob
+	key string
+	e   *signatureEntry
+	st  SignatureState
+	sp  *telemetry.ActiveSpan
+
+	started   time.Time
+	read, fit time.Duration
+	commit    time.Duration
+	round     int // models that shared the commit; 0 before it
+	blob      []byte
+	best      float64
+}
+
+// fitPass runs one signature's pass up to its commit and returns it with
+// the model to commit, or finishes it and returns nil when it has none:
+// too little history (skipped) or a failed fit (error).
+func (s *Server) fitPass(j updateJob, key string) *pass {
 	user, signature := j.user, j.signature
-	started := s.clock().Now()
 	// The retrain span parents under the ingest request's server span
 	// (carried across the queue in j.trace), so a trace's causal tree shows
 	// the model update the ingest triggered, with its duration.
-	sp := s.tele.tracer.StartRemote(j.trace, "retrain", "tuner")
-	sp.Annotate("%s/%s", user, signature)
+	p := &pass{job: j, key: key, e: s.signatureEntry(key), started: s.clock().Now()}
+	p.sp = s.tele.tracer.StartRemote(j.trace, "retrain", "tuner")
+	p.sp.Annotate("%s/%s", user, signature)
 	// Every pass, skipped and failed ones too, is recorded in the signature
 	// table. The model fields carry over from the last pass that committed
 	// one: they describe the model being served.
-	key := signatureKey(user, signature)
-	e := s.signatureEntry(key)
-	st := e.state
-	st.Status = "ok"
-	// The span says which phase of a slow retrain was slow: reading the
-	// history back, fitting it, or committing the model. Phases an early
-	// return never reached read zero.
-	var read, fit, commit time.Duration
-	defer func() {
-		if st.Status != "skipped" {
-			sp.Annotate("rows=%d read=%.2fms fit=%.2fms commit=%.2fms", st.Rows, read.Seconds()*1e3, fit.Seconds()*1e3, commit.Seconds()*1e3)
-		}
-		sp.Finish(st.Status)
-		s.publishSignature(key, e, st)
-	}()
+	p.st = p.e.state
+	p.st.Status = "ok"
 	prefix := fmt.Sprintf("index/%s/%s/", user, signature)
 	entries := s.Store.List(prefix)
 	// An event file holds one run's traces, most often one: sized so the
@@ -754,56 +863,82 @@ func (s *Server) retrain(j updateJob) {
 		}
 		traces = append(traces, ts...)
 	}
-	st.Runs, st.Rows = len(entries), len(traces)
+	p.st.Runs, p.st.Rows = len(entries), len(traces)
 	if len(traces) < 4 {
-		st.Status = "skipped"
-		return // not enough data yet; the client keeps using the baseline
+		p.st.Status = "skipped"
+		s.finishPass(p) // not enough data yet; the client keeps using the baseline
+		return nil
 	}
-	read = s.clock().Now().Sub(started)
+	p.read = s.clock().Now().Sub(p.started)
 	// Score the serving model's residuals before replacing it.
-	s.observeDrift(j.trace, e, user, signature, traces)
+	s.observeDrift(j.trace, p.e, user, signature, traces)
 	fitStarted := s.clock().Now()
 	x := make([][]float64, len(traces))
 	y := make([]float64, len(traces))
+	p.best = math.Inf(1)
 	for i, t := range traces {
 		x[i] = tuners.ConfigFeatures(s.Space, nil, t.Config, t.DataSize)
 		y[i] = math.Log1p(t.TimeMs)
-	}
-	best := math.Inf(1)
-	for _, t := range traces {
-		best = math.Min(best, t.TimeMs)
+		p.best = math.Min(p.best, t.TimeMs)
 	}
 	kr := ml.NewKernelRidge()
 	kr.Alpha = 0.3
 	err := kr.Fit(x, y)
-	fit = s.clock().Now().Sub(fitStarted)
+	p.fit = s.clock().Now().Sub(fitStarted)
+	if err == nil {
+		p.blob, err = ml.Marshal(kr)
+	}
 	if err != nil {
-		st.Status = "error"
+		p.st.Status = "error"
 		s.logfCtx(j.trace, "backend: retrain %s/%s: %v", user, signature, err)
+		s.finishPass(p)
+		return nil
+	}
+	return p
+}
+
+// commitPasses commits the passes' models as one store commit and finishes
+// every pass: all of them succeed or all fail with it. The updater runs
+// outside any request, so the write is untraced.
+func (s *Server) commitPasses(ps []*pass) {
+	if len(ps) == 0 {
 		return
 	}
-	blob, err := ml.Marshal(kr)
-	if err != nil {
-		st.Status = "error"
-		s.logfCtx(j.trace, "backend: marshal %s/%s: %v", user, signature, err)
-		return
+	entries := make([]store.Entry, len(ps))
+	for i, p := range ps {
+		entries[i] = store.Entry{Path: store.ModelPath(p.job.user, p.job.signature), Data: p.blob}
 	}
-	// The model is one commit: one WAL record, one replicated frame. The
-	// updater runs outside any request, so the write is untraced.
-	commitStarted := s.clock().Now()
-	err = s.Store.Commit(context.Background(), []store.Entry{{Path: store.ModelPath(user, signature), Data: blob}})
+	started := s.clock().Now()
+	err := s.Store.Commit(context.Background(), entries)
 	done := s.clock().Now()
-	commit, elapsed := done.Sub(commitStarted), done.Sub(started)
-	if err != nil {
-		// A retrain whose model is not durable is not done.
-		st.Status = "error"
-		s.logfCtx(j.trace, "backend: persist retrain %s/%s: %v", user, signature, err)
-		return
+	for _, p := range ps {
+		p.commit, p.round = done.Sub(started), len(ps)
+		user, signature := p.job.user, p.job.signature
+		if err != nil {
+			// A retrain whose model is not durable is not done.
+			p.st.Status = "error"
+			s.logfCtx(p.job.trace, "backend: persist retrain %s/%s: %v", user, signature, err)
+		} else {
+			p.st.ModelBytes, p.st.BestMs, p.st.RetrainedUnixMs = len(p.blob), p.best, done.UnixMilli()
+			s.tele.retrains.Inc()
+			s.tele.retrainSeconds.Observe(done.Sub(p.started).Seconds())
+			s.logfCtx(p.job.trace, "backend: retrained %s/%s on %d traces", user, signature, p.st.Rows)
+		}
+		s.finishPass(p)
 	}
-	st.ModelBytes, st.BestMs, st.RetrainedUnixMs = len(blob), best, done.UnixMilli()
-	s.tele.retrains.Inc()
-	s.tele.retrainSeconds.Observe(elapsed.Seconds())
-	s.logfCtx(j.trace, "backend: retrained %s/%s on %d traces", user, signature, len(traces))
+}
+
+// finishPass ends a pass's span and publishes it. The span says which phase
+// of a slow retrain was slow — reading the history back, fitting it, or
+// committing the model — and how many models shared that commit; phases a
+// pass never reached read zero.
+func (s *Server) finishPass(p *pass) {
+	if p.st.Status != "skipped" {
+		p.sp.Annotate("rows=%d read=%.2fms fit=%.2fms commit=%.2fms round=%d",
+			p.st.Rows, p.read.Seconds()*1e3, p.fit.Seconds()*1e3, p.commit.Seconds()*1e3, p.round)
+	}
+	p.sp.Finish(p.st.Status)
+	s.publishSignature(p.key, p.e, p.st)
 }
 
 func (s *Server) handleGetAppCache(w http.ResponseWriter, r *http.Request) {

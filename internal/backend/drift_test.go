@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
@@ -166,5 +168,40 @@ func TestDriftStationarySignaturesStayClean(t *testing.T) {
 	}
 	if got := srv.tele.driftTrips.Value(); got != 0 {
 		t.Fatalf("stationary drift trips = %v, want 0", got)
+	}
+}
+
+// TestDriftCursorSkipsFittedRowsAfterRestart: the detector is not
+// persisted, so a restarted node's first pass must not score the rows the
+// serving model was fitted on as if they were new. 16 traces train the
+// model; after a restart one more trace arrives, and it is the only
+// out-of-sample residual.
+func TestDriftCursorSkipsFittedRowsAfterRestart(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	open := func() (*Server, *httptest.Server, *store.DurableStore) {
+		st, err := store.OpenDurable(dir, []byte("key"), store.DurableOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(sparksim.QuerySpace(), st, secret, 1)
+		return srv, httptest.NewServer(srv.Handler()), st
+	}
+	srv, hs, st := open()
+	postDriftBatch(t, srv, hs.URL, "j1", recurringBatch(16, 1))
+	if st, _ := srv.Explain("u", "s"); st.Status != "ok" || st.Rows != 16 {
+		t.Fatalf("before the restart: %+v, want a model over 16 rows", st)
+	}
+	hs.Close()
+	srv.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, hs, st = open()
+	t.Cleanup(func() { hs.Close(); srv.Close(); st.Close() })
+	postDriftBatch(t, srv, hs.URL, "j2", recurringBatch(1, 2))
+	got, ok := srv.Explain("u", "s")
+	if !ok || got.Rows != 17 || got.DriftSamples != 1 {
+		t.Fatalf("after the restart and one trace: %+v, %v; want 1 drift sample over 17 rows", got, ok)
 	}
 }

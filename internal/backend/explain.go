@@ -41,7 +41,8 @@ type SignatureState struct {
 type signatureEntry struct {
 	det monitor.DriftDetector
 	// fed counts the training traces det has consumed: a positional cursor
-	// into the signature's history as List returns it.
+	// into the signature's history as List returns it. It is 0 only before
+	// the signature's first drift check on this node.
 	fed   int
 	state SignatureState
 }
@@ -125,6 +126,14 @@ func (s *Server) observeDrift(sc telemetry.SpanContext, e *signatureEntry, user,
 	if err != nil {
 		s.logfCtx(sc, "backend: drift check %s/%s: stored model unreadable: %v", user, signature, err)
 		return
+	}
+	// On the first check since the node started (or took the signature
+	// over), the serving model was fitted here before: the rows it was
+	// fitted on are in-sample, not evidence of drift.
+	if kr, ok := model.(*ml.KernelRidge); ok && fed == 0 {
+		if fed = min(kr.Rows(), len(traces)); fed == len(traces) {
+			return
+		}
 	}
 	wasDrifting := e.det.Drifting()
 	for _, t := range traces[fed:] {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -102,59 +102,83 @@ func TestRetrainSeqBeyondMillion(t *testing.T) {
 // not done. It must finish its span with status "error", log under the
 // ingest's trace, leave no model behind, report "error" on /api/explain,
 // and stay out of rockhopper_updater_retrains_total — the old PutInternal
-// had no error slot and reported the retrain complete.
+// had no error slot and reported the retrain complete. A round's models
+// share one commit, so when it fails every pass it carried fails with it.
 func TestRetrainSurfacesFailedModelWrite(t *testing.T) {
-	srv, _ := newServer(t)
-	var logs bytes.Buffer
-	srv.Logger = log.New(&logs, "", 0)
-	var buf bytes.Buffer
-	if err := flighting.WriteTraces(&buf, traceBatch(8, 3)); err != nil {
-		t.Fatal(err)
-	}
-	inner := srv.Store
-	if err := inner.Commit(context.Background(), []store.Entry{
-		{Path: store.EventPath("j", 0), Data: buf.Bytes()},
-		{Path: signatureIndexPath("u", "s", "j", 0)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv.Store = &faultinject.Store{
-		Inner: inner,
-		Plan:  &faultinject.ForOps{Plan: &faultinject.Script{Fail: []bool{true}}, Ops: []string{"store.Commit"}},
-	}
-	sc := telemetry.SpanContext{TraceID: 0xfa11, SpanID: 0x1}
-	srv.retrain(updateJob{user: "u", signature: "s", trace: sc})
+	for _, tc := range []struct {
+		name string
+		sigs []string
+	}{
+		{"one signature", []string{"s"}},
+		{"round of three", []string{"s1", "s2", "s3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := newServer(t)
+			var logs bytes.Buffer
+			srv.Logger = log.New(&logs, "", 0)
+			var buf bytes.Buffer
+			if err := flighting.WriteTraces(&buf, traceBatch(8, 3)); err != nil {
+				t.Fatal(err)
+			}
+			inner := srv.Store
+			jobs := make([]updateJob, len(tc.sigs))
+			for i, sig := range tc.sigs {
+				if err := inner.Commit(context.Background(), []store.Entry{
+					{Path: store.EventPath("j", i), Data: buf.Bytes()},
+					{Path: signatureIndexPath("u", sig, "j", i)},
+				}); err != nil {
+					t.Fatal(err)
+				}
+				jobs[i] = updateJob{user: "u", signature: sig, trace: telemetry.SpanContext{TraceID: 0xfa11, SpanID: uint64(i + 1)}}
+			}
+			srv.Store = &faultinject.Store{
+				Inner: inner,
+				Plan:  &faultinject.ForOps{Plan: &faultinject.Script{Fail: []bool{true}}, Ops: []string{"store.Commit"}},
+			}
+			srv.retrain(jobs...)
 
-	if got := srv.tele.retrains.Value(); got != 0 {
-		t.Errorf("retrains_total = %v after a failed write, want 0", got)
-	}
-	if _, err := inner.GetInternal(store.ModelPath("u", "s")); !errors.Is(err, store.ErrNotFound) {
-		t.Errorf("model after a failed retrain commit: err = %v, want not found", err)
-	}
-	if st, ok := srv.Explain("u", "s"); !ok || st.Status != "error" || st.Rows != 8 || st.ModelBytes != 0 || st.RetrainedUnixMs != 0 {
-		t.Errorf("explain after a failed commit = %+v, %v; want status error over 8 rows and no model", st, ok)
-	}
-	if !strings.Contains(logs.String(), "[trace "+sc.String()+"] backend: persist retrain u/s") {
-		t.Errorf("failure not logged under the trace: %q", logs.String())
-	}
-	spans := srv.tele.spans.Snapshot()
-	if len(spans) != 1 || spans[0].Name != "retrain" || spans[0].Status != "error" {
-		t.Errorf("retrain span = %+v, want one with status error", spans)
-	}
-	// The span carries the retrain's phases, on the failure path too, so a
-	// slow or failed retrain says where its time went.
-	phases := regexp.MustCompile(`^rows=8 read=\d+\.\d\dms fit=\d+\.\d\dms commit=\d+\.\d\dms$`)
-	if notes := spans[0].Annotations; len(notes) != 2 || notes[0] != "u/s" || !phases.MatchString(notes[1]) {
-		t.Errorf("retrain span annotations = %q, want the signature and one rows/read/fit/commit note", notes)
-	}
+			if got := srv.tele.retrains.Value(); got != 0 {
+				t.Errorf("retrains_total = %v after a failed write, want 0", got)
+			}
+			if got := inner.List("models/"); len(got) != 0 {
+				t.Errorf("models after a failed retrain commit: %v, want none", got)
+			}
+			for _, j := range jobs {
+				if st, ok := srv.Explain("u", j.signature); !ok || st.Status != "error" || st.Rows != 8 || st.ModelBytes != 0 || st.RetrainedUnixMs != 0 {
+					t.Errorf("explain %s after a failed commit = %+v, %v; want status error over 8 rows and no model", j.signature, st, ok)
+				}
+				if !strings.Contains(logs.String(), "[trace "+j.trace.String()+"] backend: persist retrain u/"+j.signature) {
+					t.Errorf("%s: failure not logged under its trace: %q", j.signature, logs.String())
+				}
+			}
+			// Each span carries its retrain's phases, on the failure path
+			// too, so a slow or failed retrain says where its time went and
+			// how many models shared its commit.
+			spans := srv.tele.spans.Snapshot()
+			if len(spans) != len(jobs) {
+				t.Fatalf("%d retrain spans, want %d", len(spans), len(jobs))
+			}
+			phases := regexp.MustCompile(fmt.Sprintf(`^rows=8 read=\d+\.\d\dms fit=\d+\.\d\dms commit=\d+\.\d\dms round=%d$`, len(jobs)))
+			for i, sp := range spans {
+				if sp.Name != "retrain" || sp.Status != "error" {
+					t.Errorf("retrain span %d = %+v, want one with status error", i, sp)
+				}
+				if notes := sp.Annotations; len(notes) != 2 || notes[0] != "u/"+jobs[i].signature || !phases.MatchString(notes[1]) {
+					t.Errorf("retrain span annotations = %q, want the signature and one rows/read/fit/commit/round note", notes)
+				}
+			}
 
-	// The store heals: the next retrain completes and counts.
-	srv.retrain(updateJob{user: "u", signature: "s"})
-	if got := srv.tele.retrains.Value(); got != 1 {
-		t.Errorf("retrains_total = %v after the healed retrain, want 1", got)
-	}
-	if st, _ := srv.Explain("u", "s"); st.Status != "ok" || st.ModelBytes == 0 {
-		t.Errorf("explain after the healed retrain = %+v, want status ok with the model's size", st)
+			// The store heals: the next round completes and counts.
+			srv.retrain(jobs...)
+			if got := srv.tele.retrains.Value(); got != float64(len(jobs)) {
+				t.Errorf("retrains_total = %v after the healed round, want %d", got, len(jobs))
+			}
+			for _, j := range jobs {
+				if st, _ := srv.Explain("u", j.signature); st.Status != "ok" || st.ModelBytes == 0 {
+					t.Errorf("explain %s after the healed round = %+v, want status ok with the model's size", j.signature, st)
+				}
+			}
+		})
 	}
 }
 

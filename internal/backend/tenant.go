@@ -116,8 +116,8 @@ func (s *Server) tryAdmit(n int) bool {
 	return true
 }
 
-// releaseAdmit returns n reserved slots (failure path between admission and
-// enqueue).
+// releaseAdmit returns n reserved slots: a request's, on a failure between
+// admission and enqueue, or the updater's, for jobs whose work is over.
 func (s *Server) releaseAdmit(n int) {
 	s.mu.Lock()
 	s.pending -= n

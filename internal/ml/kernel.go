@@ -155,6 +155,9 @@ func (k *KernelRidge) Fit(x [][]float64, y []float64) error {
 	return nil
 }
 
+// Rows returns the number of training rows the model was fitted on.
+func (k *KernelRidge) Rows() int { return len(k.xTrain) }
+
 // Predict returns Σ aᵢ k(xᵢ, x) + ȳ.
 func (k *KernelRidge) Predict(x []float64) float64 {
 	if !k.fitted {

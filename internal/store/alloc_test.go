@@ -92,3 +92,20 @@ func TestLineBufNotPinnedByLargeCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLocateAllocatesNothing: every object a commit, replay or follower
+// apply indexes gets a locator whose CRC covers its payload and creation
+// time; computing it must not allocate.
+func TestLocateAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	data := []byte("a payload")
+	var sink uint32
+	if n := testing.AllocsPerRun(1000, func() { sink += locate(inWAL, 17, data, 171717).crc }); n != 0 {
+		t.Fatalf("locate allocates %v times per call; budget is 0", n)
+	}
+	if sink == 0 {
+		t.Fatal("locate produced no CRC")
+	}
+}

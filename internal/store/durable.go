@@ -5,11 +5,15 @@
 // object bytes and creation timestamps included — so an autotuned restart
 // keeps every trained model and every retention clock.
 //
-// Payloads stay in those two files. The in-memory index holds, per object,
-// its key, its creation time and a locator of its payload's raw bytes in
-// the WAL record or snapshot image that made it durable; a read preads
-// them straight into the slice it returns and checks them against the
-// locator's CRC32.
+// Payloads stay in those two files, and so do creation times. The
+// in-memory index holds, per object, its key and a locator of its payload's
+// raw bytes in the WAL record or snapshot image that made it durable; a
+// read preads them straight into the slice it returns and checks them
+// against the locator's CRC32. The creation time is the 8 bytes right after
+// the payload in every record that carries one, so the locator finds it
+// too, and its CRC covers both: every reader of a creation time —
+// compaction, Export, the retention sweep — reads it with the payload and
+// checks the two together.
 //
 // Durability contract: a mutation is acknowledged (returns nil) only after
 // its WAL record is on disk (fsync unless NoSync). Recovery after a crash
@@ -25,6 +29,7 @@ package store
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -102,10 +107,13 @@ type DurableOptions struct {
 	// time-based compaction schedule; nil means the wall clock.
 	Clock resilience.Clock
 	// SnapshotInterval is the cadence MaybeCompact honors; <= 0 disables
-	// time-based compaction (record-count compaction still applies).
+	// time-based compaction (record-count and size compaction still
+	// apply).
 	SnapshotInterval time.Duration
 	// CompactEvery snapshots after this many WAL records; 0 means
-	// DefaultCompactEvery, negative disables record-count compaction.
+	// DefaultCompactEvery. The store also snapshots once the WAL holds
+	// more bytes than compactWALBytes and the live snapshot (see
+	// maybeCompactLocked). Negative disables both.
 	CompactEvery int
 	// NoSync skips the per-record fsync. Tests use it; production should
 	// not (an OS crash may then lose acknowledged records).
@@ -138,6 +146,9 @@ type DurableOptions struct {
 // DefaultCompactEvery is the record-count compaction threshold.
 const DefaultCompactEvery = 4096
 
+// compactWALBytes is the fewest WAL bytes that compact by size.
+const compactWALBytes = 4 << 20
+
 // DurableStore is an object store with snapshot + WAL persistence. It
 // satisfies the backend's ObjectStore interface; reads are served from the
 // data directory's files through the in-memory index, mutations are logged
@@ -166,9 +177,9 @@ type DurableStore struct {
 	fsyncSeconds    telemetry.Histogram
 	snapshotSeconds telemetry.Histogram
 
-	// ix is the index: every live object's key, creation time and payload
-	// locator. A mutation holds mu and then ix.mu; a reader holds ix.mu's
-	// read lock from the lookup through the pread, so a compaction or
+	// ix is the index: every live object's key and payload locator. A
+	// mutation holds mu and then ix.mu; a reader holds ix.mu's read lock
+	// from the lookup through the pread, so a compaction or
 	// InstallSnapshot re-pointing entries under the write lock never races a
 	// read of a truncated WAL or a replaced snapshot. ix.mu also guards
 	// snap; mu alone excludes every index mutation, so a holder of mu may
@@ -182,6 +193,7 @@ type DurableStore struct {
 	seq      atomic.Uint64 // last sequence number durably assigned; stored under mu, loaded anywhere
 	snapSeq  uint64        // sequence number the on-disk snapshot covers
 	walCount int           // records appended since the last snapshot
+	snapSize int64         // bytes in the live snapshot
 	lastSnap time.Time
 	down     error  // non-nil once the store refuses mutations (crash/close)
 	lineBuf  []byte // reusable WAL record buffer (guarded by mu)
@@ -189,12 +201,14 @@ type DurableStore struct {
 	locs     []loc  // reusable locators of one record's payloads (guarded by mu)
 }
 
-// loc locates one payload: its raw bytes in the WAL or the snapshot image,
-// and their CRC32. 16 bytes, so an index entry is 40.
+// loc locates one object on disk: its payload's raw bytes in the WAL or the
+// snapshot image, and the object's creation time, 8 bytes little-endian,
+// right after them (wal.go: str(data) created). It is the whole index
+// entry, 16 bytes.
 type loc struct {
 	at  uint64 // the file in the top two bits (inWAL, inSnap), the payload's byte offset below
 	n   uint32 // payload length in bytes
-	crc uint32 // IEEE CRC32 of the payload
+	crc uint32 // IEEE CRC32 of the payload and the creation time after it
 }
 
 // The files a locator can name.
@@ -207,10 +221,25 @@ const (
 func (l loc) file() uint64 { return l.at & fileMask }
 func (l loc) off() int64   { return int64(l.at &^ fileMask) }
 
-// locate returns the locator of data lying at offset off of file.
-func locate(file uint64, off int64, data []byte) loc {
-	return loc{at: file | uint64(off), n: uint32(len(data)), crc: crc32.ChecksumIEEE(data)}
+// span is how many bytes a locator covers: the payload and the creation
+// time after it.
+func (l loc) span() int { return int(l.n) + 8 }
+
+// locate returns the locator of data lying at offset off of file, followed
+// there by its creation time.
+func locate(file uint64, off int64, data []byte, created int64) loc {
+	// The CRC runs on over the creation time's 8 little-endian bytes, a
+	// byte at a time: handing them to crc32.Update would put them on the
+	// heap, once per object applied.
+	crc := ^crc32.ChecksumIEEE(data)
+	for i := 0; i < 64; i += 8 {
+		crc = crc32.IEEETable[byte(crc)^byte(created>>i)] ^ crc>>8
+	}
+	return loc{at: file | uint64(off), n: uint32(len(data)), crc: ^crc}
 }
+
+// checkLocated reports whether b, the span() bytes l locates, match its CRC.
+func checkLocated(l loc, b []byte) bool { return crc32.ChecksumIEEE(b) == l.crc }
 
 // OpenDurable opens (creating if needed) the durable store rooted at dir,
 // replaying snapshot and WAL back to the last acknowledged state.
@@ -283,7 +312,7 @@ func (d *DurableStore) replay() error {
 		}
 		d.resetLocked(es, f)
 		d.seq.Store(walSeq)
-		d.snapSeq = walSeq
+		d.snapSeq, d.snapSize = walSeq, int64(len(image))
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: read snapshot: %w", err)
 	}
@@ -466,7 +495,7 @@ func (d *DurableStore) commitLocked(rec walRecord, sc telemetry.SpanContext) err
 		return err
 	}
 	d.applyLocked(rec, d.locsLocked(rec, base, d.spans))
-	d.maybeCompactCountLocked()
+	d.maybeCompactLocked()
 	return nil
 }
 
@@ -475,7 +504,8 @@ func (d *DurableStore) commitLocked(rec walRecord, sc telemetry.SpanContext) err
 func (d *DurableStore) locsLocked(rec walRecord, base int64, spans []int) []loc {
 	d.locs = d.locs[:0]
 	for i, off := range spans {
-		d.locs = append(d.locs, locate(inWAL, base+int64(off), recordPayload(rec, i)))
+		data, created := recordPayload(rec, i)
+		d.locs = append(d.locs, locate(inWAL, base+int64(off), data, created))
 	}
 	return d.locs
 }
@@ -488,14 +518,14 @@ func (d *DurableStore) applyLocked(rec walRecord, locs []loc) {
 	defer d.ix.mu.Unlock()
 	switch rec.Op {
 	case opPut:
-		d.ix.putLocked(rec.Path, locs[0], rec.Created)
+		d.ix.putLocked(rec.Path, locs[0])
 	case opDel:
 		d.ix.removeLocked(rec.Path)
 	case opSweep:
 		d.ix.removeLocked(rec.Paths...)
 	case opBatch:
 		for i, e := range rec.Entries {
-			d.ix.putLocked(e.Path, locs[i], e.Created)
+			d.ix.putLocked(e.Path, locs[i])
 		}
 	}
 }
@@ -559,41 +589,96 @@ func (d *DurableStore) PutInternal(p string, data []byte) {
 	}
 }
 
-// GetInternal reads without a token: one pread of the payload into the
-// slice it returns, checked against its CRC. A payload damaged on disk is
-// ErrCorrupt, never other bytes.
+// GetInternal reads without a token: one pread of the payload, and the
+// creation time after it, into the slice it returns, checked against their
+// CRC. A payload damaged on disk is ErrCorrupt, never other bytes.
 func (d *DurableStore) GetInternal(p string) ([]byte, error) {
 	d.ix.mu.RLock()
 	defer d.ix.mu.RUnlock()
-	e := d.ix.findLocked(p)
-	if e == nil {
+	l := d.ix.findLocked(p)
+	if l == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
 	}
-	return d.readLocked(p, e)
-}
-
-// readLocked returns a fresh copy of the payload of e, stored under key.
-// Callers hold d.ix.mu.
-func (d *DurableStore) readLocked(key string, e *entry[loc]) ([]byte, error) {
-	l := e.val
 	if l.n == 0 {
 		return nil, nil
 	}
-	f := d.wal
-	if l.file() == inSnap {
-		f = d.snap
+	b, err := d.readLocked(p, *l)
+	if err != nil {
+		return nil, err
 	}
+	return b[:l.n:l.n], nil
+}
+
+// readLocked returns a fresh copy of the span l locates, stored under key:
+// the payload and the creation time after it, checked against their CRC.
+// Callers hold d.ix.mu, or d.mu.
+func (d *DurableStore) readLocked(key string, l loc) ([]byte, error) {
+	f := d.fileLocked(l.at)
 	if f == nil {
 		return nil, fmt.Errorf("store: read %s: %w", key, ErrClosed)
 	}
-	data := make([]byte, l.n)
-	if _, err := f.ReadAt(data, l.off()); err != nil {
+	b := make([]byte, l.span())
+	if _, err := f.ReadAt(b, l.off()); err != nil {
 		return nil, fmt.Errorf("store: read %s: %w", key, err)
 	}
-	if crc32.ChecksumIEEE(data) != l.crc {
+	if !checkLocated(l, b) {
 		return nil, fmt.Errorf("%w: %s", ErrCorrupt, key)
 	}
-	return data, nil
+	return b, nil
+}
+
+// fileLocked returns the file a locator's at names. Callers hold d.ix.mu,
+// or d.mu.
+func (d *DurableStore) fileLocked(at uint64) *os.File {
+	if at&fileMask == inSnap {
+		return d.snap
+	}
+	return d.wal
+}
+
+// extent is n bytes of one of the store's files: at names the file and the
+// offset as a locator's at does. ord is the caller's, to tell extents apart
+// once they are sorted.
+type extent struct {
+	at  uint64
+	n   int
+	ord int
+}
+
+// readExtentsLocked reads every extent and calls fn on its bytes, which are
+// valid only for the call. It sorts xs and reads the files in offset order,
+// coalescing extents that lie close together into one pread: it reads
+// through gaps of up to a page, and at most 1 MiB at a time unless one
+// extent is longer. Callers hold d.mu.
+func (d *DurableStore) readExtentsLocked(xs []extent, fn func(x extent, b []byte) error) error {
+	const maxGap, maxRead = 4 << 10, 1 << 20
+	slices.SortFunc(xs, func(a, b extent) int { return cmp.Compare(a.at, b.at) })
+	var block []byte
+	for i := 0; i < len(xs); {
+		start, end := xs[i].at, xs[i].at+uint64(xs[i].n)
+		j := i + 1
+		for ; j < len(xs) && xs[j].at&fileMask == start&fileMask; j++ {
+			if xs[j].at > end+maxGap || xs[j].at+uint64(xs[j].n)-start > maxRead {
+				break
+			}
+			end = max(end, xs[j].at+uint64(xs[j].n))
+		}
+		f := d.fileLocked(start)
+		if f == nil {
+			return ErrClosed
+		}
+		block = slices.Grow(block[:0], int(end-start))[:end-start]
+		if _, err := f.ReadAt(block, int64(start&^fileMask)); err != nil {
+			return err
+		}
+		for _, x := range xs[i:j] {
+			if err := fn(x, block[x.at-start:][:x.n]); err != nil {
+				return err
+			}
+		}
+		i = j
+	}
+	return nil
 }
 
 // PutBatch is Commit without a context.
@@ -622,10 +707,41 @@ func (d *DurableStore) Delete(p string) error {
 // fsync no matter how many objects expired, so a large sweep does not stall
 // commits behind a per-file fsync loop — logged before any removal is
 // applied, so the sweep is all-or-nothing across a crash.
+//
+// Creation times are not in the index: the sweep preads each swept object
+// with its creation time, coalesced in offset order as compaction reads
+// them, and checks both against the locator's CRC before it judges any
+// object. A damaged span reaps nothing.
 func (d *DurableStore) CleanupOlderThan(retention time.Duration) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	reaped, events := d.ix.expired(d.clock.Now().Add(-retention).UnixNano())
+	// d.mu excludes every index mutation, so the two walks see the same
+	// entries in the same order.
+	var (
+		xs   []extent
+		locs []loc
+	)
+	d.ix.sweptLocked(func(_ []byte, l *loc) {
+		xs = append(xs, extent{at: l.at, n: l.span(), ord: len(xs)})
+		locs = append(locs, *l)
+	})
+	created := make([]int64, len(xs))
+	if err := d.readExtentsLocked(xs, func(x extent, b []byte) error {
+		l := locs[x.ord]
+		if !checkLocated(l, b) {
+			return fmt.Errorf("%w: object at byte %d", ErrCorrupt, l.off())
+		}
+		created[x.ord] = int64(binary.LittleEndian.Uint64(b[l.n:]))
+		return nil
+	}); err != nil {
+		d.logf("store: retention sweep: read creation times: %v", err)
+		return 0
+	}
+	next := 0
+	reaped, events := d.ix.expiredLocked(d.clock.Now().Add(-retention).UnixNano(), func(*loc) int64 {
+		next++
+		return created[next-1]
+	})
 	if len(reaped) == 0 {
 		return 0
 	}
@@ -637,10 +753,14 @@ func (d *DurableStore) CleanupOlderThan(retention time.Duration) int {
 	return events
 }
 
-// maybeCompactCountLocked compacts when the WAL has grown past the
-// record-count threshold.
-func (d *DurableStore) maybeCompactCountLocked() {
-	if d.compactEvery <= 0 || d.walCount < d.compactEvery {
+// maybeCompactLocked compacts when the WAL has grown past the record-count
+// threshold, or past both compactWALBytes and the live snapshot's size. A
+// group commit folds many objects into one record, so a record count alone
+// does not bound the log, nor the replay a restart pays for it; the size
+// rule does, and rewrites the snapshot at most once per its own size in
+// logged bytes.
+func (d *DurableStore) maybeCompactLocked() {
+	if d.compactEvery <= 0 || (d.walCount < d.compactEvery && d.walSize < max(compactWALBytes, d.snapSize)) {
 		return
 	}
 	if err := d.compactLocked(); err != nil {
@@ -693,7 +813,7 @@ func (d *DurableStore) compactLocked() error {
 	}
 	// The snapshot is committed from here on: state-tracking updates must
 	// happen even if truncation fails, because replay trusts the rename.
-	d.snapSeq = seq
+	d.snapSeq, d.snapSize = seq, int64(len(image))
 	d.lastSnap = d.clock.Now()
 	d.walCount = 0
 	d.snapshotSeconds.Observe(d.lastSnap.Sub(started).Seconds())
@@ -707,63 +827,36 @@ func (d *DurableStore) compactLocked() error {
 
 // imageLocked renders the whole store as a snapshot image covering walSeq
 // and returns it with the locators of every payload in it, in index order.
-// Each payload is copied out of the file that holds it — the files read in
-// offset order, coalescing nearby payloads into one pread — and checked
-// against its CRC on the way, so a damaged payload fails the image instead
-// of being sealed into a fresh snapshot under a valid checksum. Callers
-// hold d.mu.
+// Each payload and the creation time after it are copied out of the file
+// that holds them in one span — the files read in offset order, coalescing
+// nearby spans into one pread — and the span is checked against its CRC on
+// the way, so a damaged payload or creation time fails the image instead of
+// being sealed into a fresh snapshot under a valid checksum. Callers hold d.mu.
 func (d *DurableStore) imageLocked(walSeq uint64) ([]byte, []loc, error) {
-	type span struct {
-		src       loc
-		dst, head int // where the payload and its record start in the image
-		ord       int // the entry's position in key order, to name it in an error
-	}
-	locs := make([]loc, 0, d.ix.lenLocked())
-	var spans []span
-	image, _ := appendWALRecord(nil, walRecord{Seq: walSeq, Op: opHead, Count: uint64(d.ix.lenLocked())}, nil)
-	d.ix.eachLocked(func(key []byte, e *entry[loc]) {
-		head := len(image)
+	n := d.ix.lenLocked()
+	locs := make([]loc, 0, n)
+	heads := make([]int, 0, n) // where each entry's record starts in the image
+	xs := make([]extent, 0, n)
+	image, _ := appendWALRecord(nil, walRecord{Seq: walSeq, Op: opHead, Count: uint64(n)}, nil)
+	d.ix.eachLocked(func(key []byte, l *loc) {
+		heads = append(heads, len(image))
 		var at int
-		image, at = appendPut(image, 0, key, int(e.val.n), e.created)
-		if e.val.n == 0 {
-			sealRecord(image, head)
-		} else {
-			spans = append(spans, span{src: e.val, dst: at, head: head, ord: len(locs)})
-		}
-		locs = append(locs, loc{at: inSnap | uint64(at), n: e.val.n, crc: e.val.crc})
+		// The creation time is written with the payload, below.
+		image, at = appendPut(image, 0, key, int(l.n), 0)
+		xs = append(xs, extent{at: l.at, n: l.span(), ord: len(locs)})
+		locs = append(locs, loc{at: inSnap | uint64(at), n: l.n, crc: l.crc})
 	})
-	// Read through gaps up to a page; cap one read at 1 MiB.
-	const maxGap, maxRead = 4 << 10, 1 << 20
-	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.src.at, b.src.at) })
-	var block []byte
-	for i := 0; i < len(spans); {
-		first := spans[i].src
-		start, end := first.off(), first.off()+int64(first.n)
-		j := i + 1
-		for ; j < len(spans) && spans[j].src.file() == first.file(); j++ {
-			s := spans[j].src
-			if s.off() > end+maxGap || s.off()+int64(s.n)-start > maxRead {
-				break
-			}
-			end = max(end, s.off()+int64(s.n))
+	err := d.readExtentsLocked(xs, func(x extent, b []byte) error {
+		dst := locs[x.ord]
+		if !checkLocated(dst, b) {
+			return fmt.Errorf("%w: %s", ErrCorrupt, d.ix.keyAtLocked(x.ord))
 		}
-		f := d.wal
-		if first.file() == inSnap {
-			f = d.snap
-		}
-		block = slices.Grow(block[:0], int(end-start))[:end-start]
-		if _, err := f.ReadAt(block, start); err != nil {
-			return nil, nil, fmt.Errorf("store: read payloads for snapshot: %w", err)
-		}
-		for _, s := range spans[i:j] {
-			payload := block[s.src.off()-start:][:s.src.n]
-			if crc32.ChecksumIEEE(payload) != s.src.crc {
-				return nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, d.ix.keyAtLocked(s.ord))
-			}
-			copy(image[s.dst:], payload)
-			sealRecord(image, s.head)
-		}
-		i = j
+		copy(image[dst.off():], b)
+		sealRecord(image, heads[x.ord])
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: read payloads for snapshot: %w", err)
 	}
 	return image, locs, nil
 }
@@ -775,8 +868,8 @@ func (d *DurableStore) repointLocked(f *os.File, locs []loc) {
 	old := d.snap
 	d.snap = f
 	i := 0
-	d.ix.eachLocked(func(_ []byte, e *entry[loc]) {
-		e.val = locs[i]
+	d.ix.eachLocked(func(_ []byte, l *loc) {
+		*l = locs[i]
 		i++
 	})
 	d.ix.mu.Unlock()

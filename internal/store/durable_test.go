@@ -335,3 +335,51 @@ func wantGapUntouched(t *testing.T, dir string, line []byte) {
 		t.Fatalf("refusing to open must not modify the WAL (err=%v)", err)
 	}
 }
+
+// TestDurableCompactsOnWALBytes: a group commit folds many objects into one
+// record, so the log is also compacted by size — once it holds more than
+// compactWALBytes and more than the live snapshot — long before the record
+// count would fire.
+func TestDurableCompactsOnWALBytes(t *testing.T) {
+	t.Parallel()
+	d := mustOpen(t, t.TempDir(), DurableOptions{})
+	defer d.Close()
+	blob := bytes.Repeat([]byte("m"), 256<<10)
+	put := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := commit1(d, fmt.Sprintf("models/u/s%02d.model", i), blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// 15 quarter-MiB records stay under 4 MiB; the 16th reaches it.
+	put(0, 15)
+	if d.snapSeq != 0 || d.walCount != 15 {
+		t.Fatalf("compacted early: snapshot at seq %d, %d WAL records", d.snapSeq, d.walCount)
+	}
+	put(15, 16)
+	if d.snapSeq != 16 || d.walSize != 0 {
+		t.Fatalf("4 MiB of WAL did not compact: snapshot at seq %d, WAL %d bytes", d.snapSeq, d.walSize)
+	}
+	// Against a 6 MiB snapshot, 5 MiB of WAL is past the floor but not past
+	// the snapshot,
+	put(16, 24)
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	put(0, 20)
+	if d.snapSeq != 24 {
+		t.Fatalf("%d WAL bytes compacted before they outgrew the %d-byte snapshot", d.walSize, d.snapSize)
+	}
+	// and 7 MiB is.
+	put(20, 28)
+	if d.snapSeq <= 24 {
+		t.Fatalf("%d WAL bytes did not compact past the %d-byte snapshot", d.walSize, d.snapSize)
+	}
+	for i := 0; i < 28; i++ {
+		if got, err := d.GetInternal(fmt.Sprintf("models/u/s%02d.model", i)); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("model %d after size compactions: %d bytes, %v", i, len(got), err)
+		}
+	}
+}

@@ -12,11 +12,12 @@ import (
 // TestDurableHeapPerObject pins what a durable store costs per live object
 // on the Go heap: 100k event files (116 B payloads, the size of a small run
 // record) and their empty index entries, committed in batches the way the
-// ingest path does, may add at most 48 B each. Each batch's keys are built
+// ingest path does, may add at most 36 B each. Each batch's keys are built
 // for its Commit and dropped after it, as the ingest path's are, so the
 // store's own copy of a key counts; payloads count too, because they belong
 // on disk, not on the heap — the index holds a locator into the WAL or
-// snapshot instead.
+// snapshot instead, and the creation time stays on disk right after the
+// payload.
 func TestDurableHeapPerObject(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("heap budgets are not meaningful under -race")
@@ -44,8 +45,8 @@ func TestDurableHeapPerObject(t *testing.T) {
 	}
 	perObject := (float64(after) - float64(before)) / (2 * pairs)
 	t.Logf("durable store: %.1f B of live heap per object, keys and payloads included", perObject)
-	if perObject > 48 {
-		t.Fatalf("durable store costs %.1f B per live object; budget is 48", perObject)
+	if perObject > 36 {
+		t.Fatalf("durable store costs %.1f B per live object; budget is 36", perObject)
 	}
 	runtime.KeepAlive(entries)
 }

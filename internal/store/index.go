@@ -9,9 +9,9 @@ import (
 )
 
 // index is the one ordered index both stores keep, generic over what an
-// entry holds beside its key and creation time: the in-memory Store keeps
-// the payload itself, the durable store a 16-byte locator of the payload's
-// bytes in its own files.
+// entry holds beside its key: the in-memory Store keeps the payload and its
+// creation time, the durable store a 16-byte locator of the payload's bytes
+// in its own files, where the creation time lies right after them.
 //
 // run and recent are the index: every live object is an entry in exactly
 // one of them, and both are ordered by key. run holds almost every key,
@@ -36,30 +36,25 @@ const recentMergeAt = 512
 // decodes at most this many keys after its binary search.
 const restartEvery = 16
 
-// entry is what the index keeps per object beside its key: 24 bytes in the
-// durable store (a locator), 32 in the in-memory one (a []byte header).
-type entry[V any] struct {
-	created int64 // Unix nanoseconds
-	val     V
-}
-
 // slot is an entry with its key as a string: the recent run's element, and
-// the unit a whole index is rebuilt from.
+// the unit a whole index is rebuilt from. The entry, V, is what the index
+// keeps per object beside its key: 16 bytes in the durable store (a
+// locator), 32 in the in-memory one (a []byte header and the creation time).
 type slot[V any] struct {
 	key string
-	entry[V]
+	val V
 }
 
 // run is a key-ordered, front-coded sequence of entries. keys holds, per
 // entry, uvarint(shared) uvarint(len(suffix)) suffix, where the key is the
 // first shared bytes of the previous entry's key followed by suffix. The
 // first entry of each block is a restart: shared is 0 and the whole key is
-// spelled out, so a block decodes on its own. ents[i] is entry i's value.
-// Nothing in a run is a pointer unless V holds one.
+// spelled out, so a block decodes on its own. ents[i] is entry i. Nothing
+// in a run is a pointer unless V holds one.
 type run[V any] struct {
 	keys   []byte
 	blocks []block
-	ents   []entry[V]
+	ents   []V
 }
 
 // block locates one restart: the byte offset of its entry in keys and its
@@ -203,7 +198,7 @@ func encodeSlots[V any](es []slot[V]) run[V] {
 	r := run[V]{
 		keys:   make([]byte, 0, size),
 		blocks: make([]block, 0, (len(es)+restartEvery-1)/restartEvery),
-		ents:   make([]entry[V], len(es)),
+		ents:   make([]V, len(es)),
 	}
 	for i, e := range es {
 		prev := ""
@@ -213,7 +208,7 @@ func encodeSlots[V any](es []slot[V]) run[V] {
 			prev = es[i-1].key
 		}
 		r.keys = appendKey(r.keys, prev, e.key)
-		r.ents[i] = e.entry
+		r.ents[i] = e.val
 	}
 	return r
 }
@@ -235,10 +230,10 @@ func (r *run[V]) appendBlocks(src *run[V], b0, b1 int) {
 }
 
 // pending is one entry of a block being re-encoded: its key's span in a
-// scratch buffer, and its value.
+// scratch buffer, and the entry.
 type pending[V any] struct {
 	lo, hi int
-	entry[V]
+	val    V
 }
 
 // gather appends block b's entries to items, their keys to kbuf, with adds
@@ -254,7 +249,7 @@ func (r *run[V]) gather(items []pending[V], kbuf []byte, b int, adds []slot[V], 
 		for len(adds) > 0 && adds[0].key < string(k) {
 			lo := len(kbuf)
 			kbuf = append(kbuf, adds[0].key...)
-			items = append(items, pending[V]{lo: lo, hi: len(kbuf), entry: adds[0].entry})
+			items = append(items, pending[V]{lo: lo, hi: len(kbuf), val: adds[0].val})
 			adds = adds[1:]
 		}
 		if len(dels) > 0 && dels[0] == i {
@@ -263,12 +258,12 @@ func (r *run[V]) gather(items []pending[V], kbuf []byte, b int, adds []slot[V], 
 		}
 		lo := len(kbuf)
 		kbuf = append(kbuf, k...)
-		items = append(items, pending[V]{lo: lo, hi: len(kbuf), entry: r.ents[i]})
+		items = append(items, pending[V]{lo: lo, hi: len(kbuf), val: r.ents[i]})
 	}
 	for _, a := range adds {
 		lo := len(kbuf)
 		kbuf = append(kbuf, a.key...)
-		items = append(items, pending[V]{lo: lo, hi: len(kbuf), entry: a.entry})
+		items = append(items, pending[V]{lo: lo, hi: len(kbuf), val: a.val})
 	}
 	return items, kbuf
 }
@@ -288,7 +283,7 @@ func encodeItems[V any](r *run[V], items []pending[V], kbuf []byte) (size, block
 			key := kbuf[it.lo:it.hi]
 			if r != nil {
 				r.keys = appendKey(r.keys, prev, key)
-				r.ents = append(r.ents, it.entry)
+				r.ents = append(r.ents, it.val)
 			}
 			size += keySize(prev, key)
 			prev = key
@@ -345,7 +340,7 @@ func (r *run[V]) splice(adds []slot[V], dels []int) run[V] {
 		bytes, blocks := encodeItems[V](nil, items, kbuf)
 		size, nb = size-(k1-k0)+bytes, nb-1+blocks
 	}
-	out := run[V]{keys: make([]byte, 0, size), blocks: make([]block, 0, nb), ents: make([]entry[V], 0, n)}
+	out := run[V]{keys: make([]byte, 0, size), blocks: make([]block, 0, nb), ents: make([]V, 0, n)}
 	b := 0
 	for _, ed := range edits {
 		out.appendBlocks(r, b, ed.b)
@@ -381,7 +376,7 @@ type cursor[V any] struct {
 	rest []slot[V] // recent entries not yet passed
 	kb   []byte    // rest[0]'s key, copied, when it is the current entry
 	// e is the current entry, nil at the end; inRecent says whose it is.
-	e        *entry[V]
+	e        *V
 	inRecent bool
 }
 
@@ -401,7 +396,7 @@ func (c *cursor[V]) settle() {
 	switch {
 	case len(c.rest) > 0 && (!inRun || c.rest[0].key < string(c.rk)):
 		c.kb = append(c.kb[:0], c.rest[0].key...)
-		c.e, c.inRecent = &c.rest[0].entry, true
+		c.e, c.inRecent = &c.rest[0].val, true
 	case inRun:
 		c.e, c.inRecent = &c.run.ents[c.i], false
 	default:
@@ -433,25 +428,25 @@ func hasPrefix(key []byte, prefix string) bool {
 }
 
 // findLocked returns the entry stored under key, or nil.
-func (x *index[V]) findLocked(key string) *entry[V] {
+func (x *index[V]) findLocked(key string) *V {
 	if i, ok := x.run.find(key); ok {
 		return &x.run.ents[i]
 	}
 	if i, ok := search(x.recent, key); ok {
-		return &x.recent[i].entry
+		return &x.recent[i].val
 	}
 	return nil
 }
 
 // putLocked installs or overwrites the entry under key; an overwrite
 // updates the entry in place, wherever it is.
-func (x *index[V]) putLocked(key string, val V, created int64) {
+func (x *index[V]) putLocked(key string, val V) {
 	if e := x.findLocked(key); e != nil {
-		e.val, e.created = val, created
+		*e = val
 		return
 	}
 	i, _ := search(x.recent, key)
-	x.recent = slices.Insert(x.recent, i, slot[V]{key: key, entry: entry[V]{created: created, val: val}})
+	x.recent = slices.Insert(x.recent, i, slot[V]{key: key, val: val})
 	if len(x.recent) >= recentMergeAt {
 		x.mergeLocked()
 	}
@@ -509,7 +504,7 @@ func removeKeys[V any](es []slot[V], keys []string) []slot[V] {
 
 // eachLocked calls fn on every entry, in key order. key is valid only for
 // the call.
-func (x *index[V]) eachLocked(fn func(key []byte, e *entry[V])) {
+func (x *index[V]) eachLocked(fn func(key []byte, e *V)) {
 	for c := x.seek(""); c.e != nil; c.step() {
 		fn(c.key(), c.e)
 	}
@@ -598,22 +593,30 @@ func (x *index[V]) len() int {
 	return x.lenLocked()
 }
 
-// expired returns, sorted, the paths the retention sweep reaps at cutoff
-// (Unix nanoseconds): the event files and signature index entries created
-// before it, each found by one range scan. events counts the event files.
-func (x *index[V]) expired(cutoff int64) (reaped []string, events int) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
+// sweptLocked calls fn, in key order, on every entry the retention sweep
+// judges: the event files and the signature index entries, each range
+// found by one seek. key is valid only for the call.
+func (x *index[V]) sweptLocked(fn func(key []byte, e *V)) {
 	for _, prefix := range [...]string{"events/", "index/"} {
 		for c := x.seek(prefix); c.e != nil && hasPrefix(c.key(), prefix); c.step() {
-			if c.e.created < cutoff {
-				reaped = append(reaped, string(c.key()))
-			}
-		}
-		if prefix == "events/" {
-			events = len(reaped)
+			fn(c.key(), c.e)
 		}
 	}
+}
+
+// expiredLocked returns, sorted, the paths the retention sweep reaps at
+// cutoff (Unix nanoseconds): the swept entries created before it. created
+// reports an entry's creation time; it is called once per swept entry, in
+// the order sweptLocked visits them. events counts the event files.
+func (x *index[V]) expiredLocked(cutoff int64, created func(*V) int64) (reaped []string, events int) {
+	x.sweptLocked(func(key []byte, e *V) {
+		if created(e) < cutoff {
+			reaped = append(reaped, string(key))
+			if hasPrefix(key, "events/") {
+				events++
+			}
+		}
+	})
 	return reaped, events
 }
 

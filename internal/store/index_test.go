@@ -31,7 +31,7 @@ func fuzzKey(i int) string {
 // checkIndex compares x with the oracle — Len, every entry in order, a
 // lookup of every live key — and checks the run's own shape: blocks of 1 to
 // restartEvery entries, each starting with a restart.
-func checkIndex(t *testing.T, step int, x *index[int64], oracle map[string]entry[int64]) {
+func checkIndex(t *testing.T, step int, x *index[stamped], oracle map[string]stamped) {
 	t.Helper()
 	if x.lenLocked() != len(oracle) {
 		t.Fatalf("step %d: len = %d, oracle %d", step, x.lenLocked(), len(oracle))
@@ -42,7 +42,7 @@ func checkIndex(t *testing.T, step int, x *index[int64], oracle map[string]entry
 	}
 	slices.Sort(keys)
 	n := 0
-	x.eachLocked(func(key []byte, e *entry[int64]) {
+	x.eachLocked(func(key []byte, e *stamped) {
 		if n >= len(keys) || string(key) != keys[n] || *e != oracle[keys[n]] {
 			t.Fatalf("step %d: entry %d = (%q, %+v); oracle %q", step, n, key, *e, keys[min(n, len(keys)-1)])
 		}
@@ -63,6 +63,10 @@ func checkIndex(t *testing.T, step int, x *index[int64], oracle map[string]entry
 	}
 }
 
+// stamped is the fuzzer's index entry: a value and a creation time, as the
+// in-memory store's object carries one.
+type stamped struct{ created, val int64 }
+
 // FuzzIndex drives the index through a byte-chosen sequence of puts,
 // overwrites, bulk inserts across merges, removals, retention sweeps,
 // wholesale resets, lookups and lists, and compares it with a map after
@@ -78,8 +82,8 @@ func FuzzIndex(f *testing.F) {
 // arguments, a byte at a time.
 func fuzzIndex(t *testing.T, ops []byte) {
 	ops = ops[:min(len(ops), 512)] // every step checks the whole index
-	var x index[int64]
-	oracle := map[string]entry[int64]{}
+	var x index[stamped]
+	oracle := map[string]stamped{}
 	next := func() int {
 		if len(ops) == 0 {
 			return 0
@@ -89,8 +93,8 @@ func fuzzIndex(t *testing.T, ops []byte) {
 		return int(b)
 	}
 	nextKey := func() string { return fuzzKey(next()<<4 | next()>>4) }
-	put := func(k string, e entry[int64]) {
-		x.putLocked(k, e.val, e.created)
+	put := func(k string, e stamped) {
+		x.putLocked(k, e)
 		oracle[k] = e
 	}
 	live := func() []string {
@@ -104,15 +108,15 @@ func fuzzIndex(t *testing.T, ops []byte) {
 	for step := int64(1); len(ops) > 0; step++ {
 		switch next() % 8 {
 		case 0, 1: // put
-			put(nextKey(), entry[int64]{created: step, val: step})
+			put(nextKey(), stamped{created: step, val: step})
 		case 2: // bulk put of consecutive keys, across merges
 			from, n := next()<<4, 1+4*next()
 			for i := from; i < from+n; i++ {
-				put(fuzzKey(i), entry[int64]{created: step, val: int64(i)})
+				put(fuzzKey(i), stamped{created: step, val: int64(i)})
 			}
 		case 3: // overwrite a live key
 			if keys := live(); len(keys) > 0 {
-				put(keys[next()*len(keys)/256], entry[int64]{created: step, val: -step})
+				put(keys[next()*len(keys)/256], stamped{created: step, val: -step})
 			}
 		case 4: // remove some keys, live, dead and named twice
 			var gone []string
@@ -129,7 +133,7 @@ func fuzzIndex(t *testing.T, ops []byte) {
 			}
 		case 5: // retention sweep
 			cutoff := step - int64(next())
-			reaped, events := x.expired(cutoff)
+			reaped, events := x.expiredLocked(cutoff, func(e *stamped) int64 { return e.created })
 			var want []string
 			wantEvents := 0
 			for _, k := range live() {
@@ -149,21 +153,21 @@ func fuzzIndex(t *testing.T, ops []byte) {
 			}
 		case 6: // reset from the live entries, rotated, one named twice
 			keys := live()
-			es := make([]slot[int64], 0, len(keys)+1)
+			es := make([]slot[stamped], 0, len(keys)+1)
 			for _, k := range keys {
-				es = append(es, slot[int64]{key: k, entry: oracle[k]})
+				es = append(es, slot[stamped]{key: k, val: oracle[k]})
 			}
 			if len(es) > 0 {
 				r := next() % len(es)
 				es = append(es[r:], es[:r]...)
-				dup := slot[int64]{key: es[0].key, entry: entry[int64]{created: step, val: 7}}
+				dup := slot[stamped]{key: es[0].key, val: stamped{created: step, val: 7}}
 				es = append(es, dup)
-				oracle[dup.key] = dup.entry
+				oracle[dup.key] = dup.val
 			}
 			x.resetLocked(es)
 		default: // get and list
 			k := nextKey()
-			if e, want := x.findLocked(k), oracle[k]; (e != nil) != (want != entry[int64]{}) || e != nil && *e != want {
+			if e, want := x.findLocked(k), oracle[k]; (e != nil) != (want != stamped{}) || e != nil && *e != want {
 				t.Fatalf("step %d: find(%q) = %v; oracle %+v", step, k, e, want)
 			}
 			prefix := k[:next()%(len(k)+1)]
@@ -189,7 +193,7 @@ func TestIndexReadsAllocate(t *testing.T) {
 	}
 	var x index[loc]
 	for i := 0; i < 5000; i++ {
-		x.putLocked(benchKey(i), loc{at: uint64(i)}, int64(i))
+		x.putLocked(benchKey(i), loc{at: uint64(i)})
 	}
 	probe := benchKey(1234)
 	if n := testing.AllocsPerRun(100, func() {
@@ -238,7 +242,7 @@ func BenchmarkIndexPut(b *testing.B) {
 					x = new(index[loc])
 					b.StartTimer()
 				}
-				x.putLocked(keys[i%n], loc{at: uint64(i)}, int64(i))
+				x.putLocked(keys[i%n], loc{at: uint64(i)})
 			}
 		})
 	}
@@ -252,7 +256,7 @@ func BenchmarkIndexGet(b *testing.B) {
 			keys := make([]string, n)
 			for i := range keys {
 				keys[i] = benchKey(i)
-				x.putLocked(keys[i], loc{at: uint64(i)}, int64(i))
+				x.putLocked(keys[i], loc{at: uint64(i)})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -272,7 +276,7 @@ func BenchmarkIndexList(b *testing.B) {
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
 			x := new(index[loc])
 			for i := 0; i < n; i++ {
-				x.putLocked(benchKey(i), loc{at: uint64(i)}, int64(i))
+				x.putLocked(benchKey(i), loc{at: uint64(i)})
 			}
 			prefixes := make([]string, 64)
 			for i := range prefixes {

@@ -23,8 +23,8 @@ func (s *Store) export() []snapEntry {
 	s.ix.mu.RLock()
 	defer s.ix.mu.RUnlock()
 	out := make([]snapEntry, 0, s.ix.lenLocked())
-	s.ix.eachLocked(func(key []byte, e *entry[[]byte]) {
-		out = append(out, snapEntry{Path: string(key), Data: append([]byte(nil), e.val...), Created: e.created})
+	s.ix.eachLocked(func(key []byte, o *object) {
+		out = append(out, snapEntry{Path: string(key), Data: append([]byte(nil), o.data...), Created: o.created})
 	})
 	return out
 }
@@ -33,9 +33,9 @@ func (s *Store) export() []snapEntry {
 // taking ownership of their payloads, as the durable store's replay and
 // InstallSnapshot do with theirs.
 func (s *Store) resetTo(entries []snapEntry) {
-	es := make([]slot[[]byte], len(entries))
+	es := make([]slot[object], len(entries))
 	for i, e := range entries {
-		es[i] = slot[[]byte]{key: e.Path, entry: entry[[]byte]{created: e.Created, val: e.Data}}
+		es[i] = slot[object]{key: e.Path, val: object{data: e.Data, created: e.Created}}
 	}
 	s.ix.mu.Lock()
 	defer s.ix.mu.Unlock()

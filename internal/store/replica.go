@@ -19,6 +19,7 @@ package store
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -52,21 +53,26 @@ func (d *DurableStore) Export() []Entry {
 	return out
 }
 
-// export reads every object, in path order. It returns every readable entry,
-// and the first read error.
+// export reads every object, in path order, with one pread of its payload
+// and the creation time after it. It returns every readable entry, and the
+// first read error.
 func (d *DurableStore) export() ([]snapEntry, error) {
 	d.ix.mu.RLock()
 	defer d.ix.mu.RUnlock()
 	out := make([]snapEntry, 0, d.ix.lenLocked())
 	var first error
-	d.ix.eachLocked(func(key []byte, e *entry[loc]) {
+	d.ix.eachLocked(func(key []byte, l *loc) {
 		p := string(key)
-		data, err := d.readLocked(p, e)
+		b, err := d.readLocked(p, *l)
 		if err != nil {
 			first = cmp.Or(first, err)
 			return
 		}
-		out = append(out, snapEntry{Path: p, Data: data, Created: e.created})
+		e := snapEntry{Path: p, Created: int64(binary.LittleEndian.Uint64(b[l.n:]))}
+		if l.n > 0 {
+			e.Data = b[:l.n:l.n]
+		}
+		out = append(out, e)
 	})
 	return out, first
 }
@@ -154,7 +160,7 @@ func (d *DurableStore) ApplyReplicated(ctx context.Context, frames []byte) (uint
 	d.walCount += len(accepted)
 	d.walAppends.Add(float64(len(accepted)))
 	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	d.maybeCompactCountLocked()
+	d.maybeCompactLocked()
 	return last, nil
 }
 
@@ -202,7 +208,7 @@ func (d *DurableStore) InstallSnapshot(image []byte) (uint64, error) {
 	}
 	d.resetLocked(es, f)
 	d.seq.Store(walSeq)
-	d.snapSeq = walSeq
+	d.snapSeq, d.snapSize = walSeq, int64(len(image))
 	d.walCount = 0
 	d.lastSnap = d.clock.Now()
 	d.truncateWALLocked()

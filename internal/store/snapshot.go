@@ -50,7 +50,7 @@ func decodeImage(image []byte) ([]slot[loc], uint64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("store: snapshot entry %d: %w", i, err)
 		}
-		es = append(es, slot[loc]{key: rec.Path, entry: entry[loc]{created: rec.Created, val: locate(inSnap, int64(off+sp[0]), rec.Data)}})
+		es = append(es, slot[loc]{key: rec.Path, val: locate(inSnap, int64(off+sp[0]), rec.Data, rec.Created)})
 		off += n
 		spans = sp
 	}

@@ -106,7 +106,14 @@ type signer struct {
 // are safe for concurrent use. The clock is injectable for tests.
 type Store struct {
 	signer
-	ix index[[]byte]
+	ix index[object]
+}
+
+// object is one in-memory object: its payload and its creation time (Unix
+// nanoseconds).
+type object struct {
+	data    []byte
+	created int64
 }
 
 // New returns a store signing tokens with the given secret.
@@ -174,14 +181,7 @@ func (s *Store) putAt(p string, data []byte, created int64) {
 	data = append([]byte(nil), data...)
 	s.ix.mu.Lock()
 	defer s.ix.mu.Unlock()
-	s.ix.putLocked(p, data, created)
-}
-
-// remove deletes the named objects; a path that is not stored is a no-op.
-func (s *Store) remove(paths ...string) {
-	s.ix.mu.Lock()
-	defer s.ix.mu.Unlock()
-	s.ix.removeLocked(paths...)
+	s.ix.putLocked(p, object{data: data, created: created})
 }
 
 // GetInternal reads without a token; for backend-internal readers.
@@ -192,7 +192,7 @@ func (s *Store) GetInternal(p string) ([]byte, error) {
 	if e == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
 	}
-	return append([]byte(nil), e.val...), nil
+	return append([]byte(nil), e.data...), nil
 }
 
 // Entry is one object write: the unit of Commit, and the public shape of a
@@ -251,7 +251,11 @@ func (s *Store) Commit(_ context.Context, entries []Entry) error {
 func (s *Store) List(prefix string) []string { return s.ix.list(prefix) }
 
 // Delete removes an object; deleting a missing object is a no-op.
-func (s *Store) Delete(p string) { s.remove(p) }
+func (s *Store) Delete(p string) {
+	s.ix.mu.Lock()
+	defer s.ix.mu.Unlock()
+	s.ix.removeLocked(p)
+}
 
 // Len returns the number of stored objects.
 func (s *Store) Len() int { return s.ix.len() }
@@ -266,7 +270,10 @@ func (s *Store) Err() error { return nil }
 // objects under "events/" and "index/" are subject to retention; models and
 // caches are derived artifacts.
 func (s *Store) CleanupOlderThan(retention time.Duration) int {
-	reaped, events := s.ix.expired(s.now().Add(-retention).UnixNano())
-	s.remove(reaped...)
+	cutoff := s.now().Add(-retention).UnixNano()
+	s.ix.mu.Lock()
+	defer s.ix.mu.Unlock()
+	reaped, events := s.ix.expiredLocked(cutoff, func(o *object) int64 { return o.created })
+	s.ix.removeLocked(reaped...)
 	return events
 }

@@ -215,12 +215,12 @@ func appendWALRecord(dst []byte, rec walRecord, spans []int) ([]byte, []int) {
 }
 
 // recordPayload returns the i-th payload of a put or batch record, in the
-// order appendWALRecord reports their spans.
-func recordPayload(rec walRecord, i int) []byte {
+// order appendWALRecord reports their spans, and its creation time.
+func recordPayload(rec walRecord, i int) ([]byte, int64) {
 	if rec.Op == opPut {
-		return rec.Data
+		return rec.Data, rec.Created
 	}
-	return rec.Entries[i].Data
+	return rec.Entries[i].Data, rec.Entries[i].Created
 }
 
 // fields reads a record's body. The first malformed field makes it bad,

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"slices"
 	"strings"
@@ -47,7 +48,7 @@ func wantRoundTrip(t *testing.T, label string, rec walRecord) {
 		t.Fatalf("%s: round trip drifted:\n got %+v\nwant %+v", label, got, rec)
 	}
 	for i, off := range spans {
-		if data := recordPayload(rec, i); !bytes.Equal(b[off:off+len(data)], data) {
+		if data, _ := recordPayload(rec, i); !bytes.Equal(b[off:off+len(data)], data) {
 			t.Fatalf("%s payload %d: span at %d does not hold it", label, i, off)
 		}
 	}
@@ -137,7 +138,7 @@ func FuzzRecord(f *testing.F) {
 				t.Fatalf("decode reports spans %v; the encoder %v", spans, want)
 			}
 			for i, off := range spans {
-				if data := recordPayload(rec, i); !bytes.Equal(b[off:off+len(data)], data) {
+				if data, _ := recordPayload(rec, i); !bytes.Equal(b[off:off+len(data)], data) {
 					t.Fatalf("payload %d: span at %d does not hold it", i, off)
 				}
 			}
@@ -152,8 +153,9 @@ func FuzzRecord(f *testing.F) {
 			if l.file() != inSnap {
 				t.Fatalf("entry %s located outside the snapshot: %+v", e.key, l)
 			}
-			again, _ = appendWALRecord(again, walRecord{Op: opPut, Path: e.key, Data: b[l.off():][:l.n], Created: e.created}, nil)
-			if got := locate(inSnap, l.off(), b[l.off():][:l.n]); got != l {
+			created := int64(binary.LittleEndian.Uint64(b[l.off()+int64(l.n):]))
+			again, _ = appendWALRecord(again, walRecord{Op: opPut, Path: e.key, Data: b[l.off():][:l.n], Created: created}, nil)
+			if got := locate(inSnap, l.off(), b[l.off():][:l.n], created); got != l {
 				t.Fatalf("entry %s: locator %+v; its payload gives %+v", e.key, l, got)
 			}
 		}
