@@ -7,14 +7,15 @@
 //
 //	autotuned [-addr :8080] [-secret cluster-secret] [-space query|full]
 //	          [-retention 720h] [-request-timeout 15s]
-//	          [-data-dir /var/lib/autotuned] [-snapshot-interval 10m]
+//	          [-data-dir /var/lib/autotuned]
 //
 // With -data-dir the object store is durable: every mutation is written to
 // a CRC-framed write-ahead log before it is acknowledged, the log is
-// compacted into an atomic snapshot on the -snapshot-interval cadence, and
-// a restart with the same directory replays snapshot + WAL so previously
-// trained models survive without retraining. Without it the store is
-// memory-only and state dies with the process.
+// compacted into an atomic snapshot once it has grown and after every
+// retention sweep (so reaped event files leave the disk, on every replica),
+// and a restart with the same directory replays snapshot + WAL so
+// previously trained models survive without retraining. Without it the
+// store is memory-only and state dies with the process.
 //
 // Fleet mode shards the backend across several daemons:
 //
@@ -83,8 +84,6 @@ func main() {
 		"per-request handler deadline (0 disables)")
 	dataDir := flag.String("data-dir", "",
 		"durable store directory (snapshot + WAL); empty keeps the store in memory only")
-	snapInterval := flag.Duration("snapshot-interval", 10*time.Minute,
-		"WAL compaction cadence for -data-dir stores (0 disables time-based compaction)")
 	tenantRate := flag.Float64("tenant-rate", 0,
 		"per-tenant ingest rate limit in events/second (0 disables rate limiting)")
 	tenantBurst := flag.Float64("tenant-burst", 0,
@@ -169,7 +168,6 @@ func main() {
 			ClusterSecret:     *secret,
 			Metrics:           telemetry.Default(),
 			Logger:            logger,
-			SnapshotInterval:  *snapInterval,
 			HeartbeatInterval: *heartbeat,
 			TraceRingSpans:    *traceRing,
 			SLOLatency:        *sloLatency,
@@ -186,15 +184,13 @@ func main() {
 	} else {
 		if *dataDir != "" {
 			ds, err := store.OpenDurable(*dataDir, []byte(*signingKey), store.DurableOptions{
-				SnapshotInterval: *snapInterval,
-				Logger:           logger,
-				Metrics:          telemetry.Default(),
+				Logger:  logger,
+				Metrics: telemetry.Default(),
 			})
 			if err != nil {
 				logger.Fatal(err)
 			}
-			logger.Printf("durable store open at %s (%d objects recovered, snapshot-interval=%v)",
-				*dataDir, ds.Len(), *snapInterval)
+			logger.Printf("durable store open at %s (%d objects recovered)", *dataDir, ds.Len())
 			st, durable = ds, ds
 		} else {
 			st = store.New([]byte(*signingKey))
@@ -256,7 +252,8 @@ func main() {
 		node.Start(ctx)
 	}
 
-	// Storage Manager housekeeping: retention sweep plus WAL compaction.
+	// Storage Manager housekeeping: the retention sweep, which compacts the
+	// durable store itself.
 	go func() {
 		//rocklint:allow wallclock -- housekeeping cadence is operational wall time, not tuning state
 		tick := time.NewTicker(time.Hour)
@@ -277,11 +274,6 @@ func main() {
 				}
 				if n := st.CleanupOlderThan(*retention); n > 0 {
 					logger.Printf("retention cleanup removed %d event files", n)
-				}
-				if durable != nil {
-					if err := durable.MaybeCompact(); err != nil {
-						logger.Printf("snapshot compaction: %v", err)
-					}
 				}
 			}
 		}

@@ -44,8 +44,8 @@ import (
 // shared secret).
 const ClusterTokenHeader = "X-Cluster-Token"
 
-// MaxObjectBytes is the largest object PUT /api/object accepts, and so the
-// largest GET /api/object can return to a client.
+// MaxObjectBytes is the largest object GET /api/object returns to a
+// client.
 const MaxObjectBytes = 64 << 20
 
 // SASTokenHeader carries a store-scoped access token on object requests.
@@ -400,7 +400,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/token", s.instrument("token", s.handleToken))
 	mux.HandleFunc("GET /api/object", s.instrument("get_object", s.handleGetObject))
-	mux.HandleFunc("PUT /api/object", s.instrument("put_object", s.handlePutObject))
 	mux.HandleFunc("POST /api/events", s.instrument("events", s.handleEvents))
 	mux.HandleFunc("POST /api/events/batch", s.instrument("events_batch", s.handleEventBatch))
 	mux.HandleFunc("GET /api/appcache", s.instrument("get_appcache", s.handleGetAppCache))
@@ -450,28 +449,11 @@ func (s *Server) handleGetObject(w http.ResponseWriter, r *http.Request) {
 	w.Write(blob)
 }
 
-func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
-	p := r.URL.Query().Get("path")
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxObjectBytes))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.Store.Verify(r.Header.Get(SASTokenHeader), p, store.PermWrite); err != nil {
-		http.Error(w, err.Error(), storeStatus(err))
-		return
-	}
-	if err := s.Store.Commit(r.Context(), []store.Entry{{Path: p, Data: blob}}); err != nil {
-		http.Error(w, err.Error(), storeStatus(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // validSegment reports whether v may stand as one segment of a store key.
-// Users and signatures are spliced into index/<user>/<sig>/… and
-// models/<user>/<sig>.model: a '/' would alias another tenant's keys, and
-// "." or ".." would be cleaned away by path.Join and escape the folder.
+// Users, signatures and job IDs are spliced into index/<user>/<sig>/…,
+// models/<user>/<sig>.model and events/<job>/…: a '/' would alias another
+// tenant's keys, and "." or ".." would be cleaned away by path.Join and
+// escape the folder, out of the retention sweep's reach.
 func validSegment(v string) bool {
 	return v != "" && v != "." && v != ".." && !strings.Contains(v, "/")
 }
@@ -541,8 +523,8 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, endpoint string,
 	decode func(q url.Values, body []byte) (bySig map[string][]flighting.Trace, events int, err error)) {
 	q := r.URL.Query()
 	user, jobID := q.Get("user"), q.Get("job_id")
-	if !validSegment(user) || jobID == "" {
-		http.Error(w, "user (one path segment) and job_id required", http.StatusBadRequest)
+	if !validSegment(user) || !validSegment(jobID) {
+		http.Error(w, "user and job_id (one path segment each) required", http.StatusBadRequest)
 		return
 	}
 	start := s.clock().Now()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -178,6 +179,35 @@ func TestEventsValidation(t *testing.T) {
 	}
 	if n := len(srv.Store.List("events/")); n != 0 {
 		t.Fatalf("corrupt payload persisted %d files", n)
+	}
+}
+
+// TestIngestRejectsJobIDOutsideEvents: a job ID is spliced into
+// events/<job>/run-<seq>.jsonl, so one that is not a single path segment
+// would store the run outside events/ ("../artifacts/x"), where the
+// retention sweep never looks, or alias another job's folder. Both ingest
+// endpoints answer 400 under an ordinary events/ write token, and nothing
+// is stored.
+func TestIngestRejectsJobIDOutsideEvents(t *testing.T) {
+	srv, hs := newServer(t)
+	tok := srv.Store.Sign("events/", store.PermWrite, srv.TokenTTL)
+	var body bytes.Buffer
+	if err := flighting.WriteTraces(&body, []flighting.Trace{{
+		QueryID: "s", Config: sparksim.QuerySpace().Default(), DataSize: 1, TimeMs: 1,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []string{"../artifacts/x", "..", ".", "a/b", "/"} {
+		for _, path := range []string{"/api/events?user=u&signature=s&", "/api/events/batch?user=u&"} {
+			q := path + url.Values{"job_id": {job}}.Encode()
+			if code, _ := postIngest(t, hs.URL, q, tok, body.Bytes()); code != http.StatusBadRequest {
+				t.Errorf("%s: status = %d, want 400", q, code)
+			}
+		}
+	}
+	srv.Flush()
+	if keys := srv.Store.List(""); len(keys) != 0 {
+		t.Fatalf("rejected job IDs stored %v", keys)
 	}
 }
 

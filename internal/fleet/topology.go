@@ -72,19 +72,28 @@ func (t *Topology) HomeOwner(signature string) string {
 func (t *Topology) Owner(signature string) string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.liveFromLocked(t.ring.Lookup(signature))
+	return t.liveFromLocked(t.ring.Lookup(signature), "")
+}
+
+// successor returns the node that node's keys route to once node is marked
+// dead: the promotion walk from node, passing over node itself. Promote
+// reads it before MarkDead, to absorb the replica before keys move.
+func (t *Topology) successor(node string) string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.liveFromLocked(node, node)
 }
 
 // liveFromLocked walks the cyclic successor chain starting at node until a
-// live member is found.
-func (t *Topology) liveFromLocked(node string) string {
+// live member other than skip is found.
+func (t *Topology) liveFromLocked(node, skip string) string {
 	if node == "" {
 		return ""
 	}
 	i := sort.SearchStrings(t.order, node)
 	for k := 0; k < len(t.order); k++ {
 		n := t.order[(i+k)%len(t.order)]
-		if !t.down[n] {
+		if n != skip && !t.down[n] {
 			return n
 		}
 	}
@@ -136,10 +145,10 @@ func (t *Topology) MarkDead(node string) (promoted string, changed bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.down[node] {
-		return t.liveFromLocked(node), false
+		return t.liveFromLocked(node, ""), false
 	}
 	t.down[node] = true
-	return t.liveFromLocked(node), true
+	return t.liveFromLocked(node, ""), true
 }
 
 // MarkLive clears a node's down mark; its keys route home again. Reports

@@ -1,6 +1,7 @@
 // DurableStore persists the object store to disk: every mutation is
 // appended to a CRC-framed write-ahead log before it is acknowledged, and
-// the log is periodically compacted into an atomic snapshot. Opening a
+// the log is compacted into an atomic snapshot once it has grown, once it
+// holds a retention sweep, and on Close. Opening a
 // directory replays snapshot + WAL suffix back to byte-identical state —
 // object bytes and creation timestamps included — so an autotuned restart
 // keeps every trained model and every retention clock.
@@ -103,17 +104,15 @@ var (
 // defaults: real clock, fsync on every append, compaction every
 // DefaultCompactEvery records.
 type DurableOptions struct {
-	// Clock drives creation timestamps, retention sweeps, and the
-	// time-based compaction schedule; nil means the wall clock.
+	// Clock drives creation timestamps and retention sweeps; nil means the
+	// wall clock.
 	Clock resilience.Clock
-	// SnapshotInterval is the cadence MaybeCompact honors; <= 0 disables
-	// time-based compaction (record-count and size compaction still
-	// apply).
-	SnapshotInterval time.Duration
 	// CompactEvery snapshots after this many WAL records; 0 means
 	// DefaultCompactEvery. The store also snapshots once the WAL holds
-	// more bytes than compactWALBytes and the live snapshot (see
-	// maybeCompactLocked). Negative disables both.
+	// more bytes than compactWALBytes and the live snapshot, and once it
+	// holds a retention sweep (see maybeCompactLocked). Negative disables
+	// all three, so tests can keep records in the WAL; Close still
+	// compacts.
 	CompactEvery int
 	// NoSync skips the per-record fsync. Tests use it; production should
 	// not (an OS crash may then lose acknowledged records).
@@ -168,7 +167,6 @@ type DurableStore struct {
 	// causal tree at /api/trace.
 	tracer *telemetry.Tracer
 
-	interval     time.Duration
 	compactEvery int
 	noSync       bool
 
@@ -194,11 +192,13 @@ type DurableStore struct {
 	snapSeq  uint64        // sequence number the on-disk snapshot covers
 	walCount int           // records appended since the last snapshot
 	snapSize int64         // bytes in the live snapshot
-	lastSnap time.Time
-	down     error  // non-nil once the store refuses mutations (crash/close)
-	lineBuf  []byte // reusable WAL record buffer (guarded by mu)
-	spans    []int  // reusable span offsets of lineBuf's payloads (guarded by mu)
-	locs     []loc  // reusable locators of one record's payloads (guarded by mu)
+	// swept is set while the WAL holds a retention sweep: the bytes it
+	// reaped stay in the WAL or the snapshot until the next compaction.
+	swept   bool
+	down    error  // non-nil once the store refuses mutations (crash/close)
+	lineBuf []byte // reusable WAL record buffer (guarded by mu)
+	spans   []int  // reusable span offsets of lineBuf's payloads (guarded by mu)
+	locs    []loc  // reusable locators of one record's payloads (guarded by mu)
 }
 
 // loc locates one object on disk: its payload's raw bytes in the WAL or the
@@ -259,7 +259,6 @@ func OpenDurable(dir string, secret []byte, opts DurableOptions) (*DurableStore,
 		hooks:        opts.Hooks,
 		onAppend:     opts.OnAppend,
 		onDown:       opts.OnDown,
-		interval:     opts.SnapshotInterval,
 		compactEvery: opts.CompactEvery,
 		noSync:       opts.NoSync,
 	}
@@ -287,7 +286,6 @@ func OpenDurable(dir string, secret []byte, opts DurableOptions) (*DurableStore,
 		d.closeFiles()
 		return nil, err
 	}
-	d.lastSnap = clock.Now()
 	return d, nil
 }
 
@@ -327,7 +325,14 @@ func (d *DurableStore) replay() error {
 			return err
 		}
 	}
-	lines, lastSeq, validLen, err := scanWAL(image, d.snapSeq, decodeRecord)
+	// A sweep the snapshot already covers counts too: a crash between a
+	// compaction's rename and its WAL truncation leaves the reaped bytes in
+	// the WAL's stale records.
+	lines, lastSeq, validLen, err := scanWAL(image, d.snapSeq, func(b []byte, spans []int) (walRecord, int, []int, error) {
+		rec, n, sp, err := decodeRecord(b, spans)
+		d.swept = d.swept || (err == nil && rec.Op == opSweep)
+		return rec, n, sp, err
+	})
 	if err != nil {
 		return err
 	}
@@ -523,6 +528,7 @@ func (d *DurableStore) applyLocked(rec walRecord, locs []loc) {
 		d.ix.removeLocked(rec.Path)
 	case opSweep:
 		d.ix.removeLocked(rec.Paths...)
+		d.swept = true
 	case opBatch:
 		for i, e := range rec.Entries {
 			d.ix.putLocked(e.Path, locs[i])
@@ -753,35 +759,21 @@ func (d *DurableStore) CleanupOlderThan(retention time.Duration) int {
 	return events
 }
 
-// maybeCompactLocked compacts when the WAL has grown past the record-count
-// threshold, or past both compactWALBytes and the live snapshot's size. A
-// group commit folds many objects into one record, so a record count alone
-// does not bound the log, nor the replay a restart pays for it; the size
-// rule does, and rewrites the snapshot at most once per its own size in
-// logged bytes.
+// maybeCompactLocked compacts when the WAL holds a retention sweep, or has
+// grown past the record-count threshold, or past both compactWALBytes and
+// the live snapshot's size. A sweep compacts at once, so the bytes it
+// reaped leave the disk in the same operation, on the owner and on every
+// follower that applies its record. A group commit folds many objects into
+// one record, so a record count alone does not bound the log, nor the
+// replay a restart pays for it; the size rule does, and rewrites the
+// snapshot at most once per its own size in logged bytes.
 func (d *DurableStore) maybeCompactLocked() {
-	if d.compactEvery <= 0 || (d.walCount < d.compactEvery && d.walSize < max(compactWALBytes, d.snapSize)) {
+	if d.compactEvery <= 0 || (!d.swept && d.walCount < d.compactEvery && d.walSize < max(compactWALBytes, d.snapSize)) {
 		return
 	}
 	if err := d.compactLocked(); err != nil {
 		d.logf("store: compaction failed (WAL keeps growing): %v", err)
 	}
-}
-
-// MaybeCompact takes a snapshot when SnapshotInterval has elapsed since
-// the last one and there is anything to fold in. The daemon calls it from
-// its housekeeping ticker.
-func (d *DurableStore) MaybeCompact() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down != nil {
-		return d.down
-	}
-	if d.interval <= 0 || d.walCount == 0 || d.clock.Now().Sub(d.lastSnap) < d.interval {
-		return nil
-	}
-	//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
-	return d.compactLocked()
 }
 
 // Compact forces a snapshot now.
@@ -814,9 +806,8 @@ func (d *DurableStore) compactLocked() error {
 	// The snapshot is committed from here on: state-tracking updates must
 	// happen even if truncation fails, because replay trusts the rename.
 	d.snapSeq, d.snapSize = seq, int64(len(image))
-	d.lastSnap = d.clock.Now()
-	d.walCount = 0
-	d.snapshotSeconds.Observe(d.lastSnap.Sub(started).Seconds())
+	d.walCount, d.swept = 0, false
+	d.snapshotSeconds.Observe(d.clock.Now().Sub(started).Seconds())
 	d.repointLocked(f, locs)
 	if err := d.crashLocked(CrashPostRename); err != nil {
 		return err
@@ -896,7 +887,7 @@ func (d *DurableStore) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var first error
-	if d.down == nil && d.walCount > 0 {
+	if d.down == nil && (d.walCount > 0 || d.swept) {
 		//rocklint:allow deadlockcycle -- fsync-before-ack under d.mu IS the §7 WAL serialization point: the ack may not outrun the disk, so the write path blocks by design
 		first = d.compactLocked()
 	}

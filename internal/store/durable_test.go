@@ -79,12 +79,11 @@ func randomCommit(r *stats.RNG, paths []string, now time.Time, i int) []Entry {
 func mustOpen(t *testing.T, dir string, opts DurableOptions) *DurableStore {
 	t.Helper()
 	d, err := OpenDurable(dir, []byte("k"), DurableOptions{
-		Clock:            opts.Clock,
-		SnapshotInterval: opts.SnapshotInterval,
-		CompactEvery:     opts.CompactEvery,
-		NoSync:           true,
-		Hooks:            opts.Hooks,
-		OnAppend:         opts.OnAppend,
+		Clock:        opts.Clock,
+		CompactEvery: opts.CompactEvery,
+		NoSync:       true,
+		Hooks:        opts.Hooks,
+		OnAppend:     opts.OnAppend,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -209,8 +209,7 @@ func (d *DurableStore) InstallSnapshot(image []byte) (uint64, error) {
 	d.resetLocked(es, f)
 	d.seq.Store(walSeq)
 	d.snapSeq, d.snapSize = walSeq, int64(len(image))
-	d.walCount = 0
-	d.lastSnap = d.clock.Now()
+	d.walCount, d.swept = 0, false
 	d.truncateWALLocked()
 	return walSeq, nil
 }
