@@ -822,8 +822,9 @@ func (s *Server) fitPass(j updateJob, key string) *pass {
 	prefix := fmt.Sprintf("index/%s/%s/", user, signature)
 	entries := s.Store.List(prefix)
 	// An event file holds one run's traces, most often one: sized so the
-	// history is not regrown as it is read.
-	traces := make([]flighting.Trace, 0, len(entries))
+	// history is not regrown as it is read. The retrain reads of each trace
+	// only what it fits (flighting.Row), never its embedding.
+	rows := make([]flighting.Row, 0, len(entries))
 	for _, idx := range entries {
 		// index/<user>/<sig>/<jobID>-<seq>. jobID may itself contain '-',
 		// and seq outgrows its %06d zero-padding after 999999 event files,
@@ -838,27 +839,24 @@ func (s *Server) fitPass(j updateJob, key string) *pass {
 			s.logf("backend: index entry %q points at unreadable event file: %v", idx, err)
 			continue
 		}
-		ts, err := flighting.ParseTraces(blob)
-		if err != nil {
+		if rows, err = flighting.AppendRows(rows, blob); err != nil {
 			s.logf("backend: corrupt event file for index entry %q: %v", idx, err)
-			continue
 		}
-		traces = append(traces, ts...)
 	}
-	p.st.Runs, p.st.Rows = len(entries), len(traces)
-	if len(traces) < 4 {
+	p.st.Runs, p.st.Rows = len(entries), len(rows)
+	if len(rows) < 4 {
 		p.st.Status = "skipped"
 		s.finishPass(p) // not enough data yet; the client keeps using the baseline
 		return nil
 	}
 	p.read = s.clock().Now().Sub(p.started)
 	// Score the serving model's residuals before replacing it.
-	s.observeDrift(j.trace, p.e, user, signature, traces)
+	s.observeDrift(j.trace, p.e, user, signature, rows)
 	fitStarted := s.clock().Now()
-	x := make([][]float64, len(traces))
-	y := make([]float64, len(traces))
+	x := make([][]float64, len(rows))
+	y := make([]float64, len(rows))
 	p.best = math.Inf(1)
-	for i, t := range traces {
+	for i, t := range rows {
 		x[i] = tuners.ConfigFeatures(s.Space, nil, t.Config, t.DataSize)
 		y[i] = math.Log1p(t.TimeMs)
 		p.best = math.Min(p.best, t.TimeMs)

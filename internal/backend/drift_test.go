@@ -3,11 +3,13 @@ package backend
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
+	"github.com/rockhopper-db/rockhopper/internal/embedding"
 	"github.com/rockhopper-db/rockhopper/internal/flighting"
 	"github.com/rockhopper-db/rockhopper/internal/noise"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
@@ -203,5 +205,52 @@ func TestDriftCursorSkipsFittedRowsAfterRestart(t *testing.T) {
 	got, ok := srv.Explain("u", "s")
 	if !ok || got.Rows != 17 || got.DriftSamples != 1 {
 		t.Fatalf("after the restart and one trace: %+v, %v; want 1 drift sample over 17 rows", got, ok)
+	}
+}
+
+// TestEmbeddingNeverChangesTheModel: the retrain fits on configuration,
+// input size and time only. The same runs posted with and without their
+// plan's virtual-operator embedding must give byte-identical models and the
+// same drift state, pass after pass, through a cost shift that trips the
+// detector.
+func TestEmbeddingNeverChangesTheModel(t *testing.T) {
+	plain, plainHS := newServer(t)
+	embedded, embeddedHS := newServer(t)
+	emb := embedding.NewVirtual().Embed(workloads.NewGenerator(7).Query(workloads.TPCDS, 2).Plan)
+	if len(emb) != 101 {
+		t.Fatalf("virtual embedding has %d floats, want 101", len(emb))
+	}
+	shifted := recurringBatch(16, 3)
+	for i := range shifted {
+		shifted[i].TimeMs *= 1.6
+	}
+	for i, batch := range [][]flighting.Trace{recurringBatch(8, 1), recurringBatch(8, 2), shifted} {
+		withEmb := append([]flighting.Trace(nil), batch...)
+		for j := range withEmb {
+			withEmb[j].Embedding = emb
+		}
+		job := fmt.Sprintf("j%d", i)
+		postDriftBatch(t, plain, plainHS.URL, job, batch)
+		postDriftBatch(t, embedded, embeddedHS.URL, job, withEmb)
+
+		want, err := plain.Store.GetInternal(store.ModelPath("u", "s"))
+		if err != nil {
+			t.Fatalf("batch %d: plain model: %v", i, err)
+		}
+		got, err := embedded.Store.GetInternal(store.ModelPath("u", "s"))
+		if err != nil {
+			t.Fatalf("batch %d: embedded model: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("batch %d: model fitted on embedded runs differs (%d vs %d bytes)", i, len(got), len(want))
+		}
+		_, ws := explain(t, plainHS.URL, "u", "s")
+		_, gs := explain(t, embeddedHS.URL, "u", "s")
+		if gs.DriftScore != ws.DriftScore || gs.Drifting != ws.Drifting || gs.DriftSamples != ws.DriftSamples || gs.Rows != ws.Rows {
+			t.Fatalf("batch %d: explain with embeddings %+v, without %+v", i, gs, ws)
+		}
+	}
+	if _, st := explain(t, plainHS.URL, "u", "s"); !st.Drifting {
+		t.Fatalf("the shifted batch did not trip drift (%+v): the drift fields were not exercised", st)
 	}
 }

@@ -109,10 +109,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // residual stream measures how far reality moved away from the model that
 // was actually serving predictions — retraining afterwards does not erase
 // the evidence. Updater only: e.det and e.fed are its own.
-func (s *Server) observeDrift(sc telemetry.SpanContext, e *signatureEntry, user, signature string, traces []flighting.Trace) {
+func (s *Server) observeDrift(sc telemetry.SpanContext, e *signatureEntry, user, signature string, rows []flighting.Row) {
 	fed := e.fed
-	e.fed = len(traces)
-	if fed >= len(traces) {
+	e.fed = len(rows)
+	if fed >= len(rows) {
 		return
 	}
 	// Residuals only make sense against a model that was serving; before the
@@ -131,12 +131,12 @@ func (s *Server) observeDrift(sc telemetry.SpanContext, e *signatureEntry, user,
 	// over), the serving model was fitted here before: the rows it was
 	// fitted on are in-sample, not evidence of drift.
 	if kr, ok := model.(*ml.KernelRidge); ok && fed == 0 {
-		if fed = min(kr.Rows(), len(traces)); fed == len(traces) {
+		if fed = min(kr.Rows(), len(rows)); fed == len(rows) {
 			return
 		}
 	}
 	wasDrifting := e.det.Drifting()
-	for _, t := range traces[fed:] {
+	for _, t := range rows[fed:] {
 		pred := model.Predict(tuners.ConfigFeatures(s.Space, nil, t.Config, t.DataSize))
 		e.det.Observe(math.Log1p(t.TimeMs) - pred)
 	}

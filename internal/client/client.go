@@ -484,6 +484,22 @@ func (c *Client) FetchAppCache(ctx context.Context, artifactID string) (applevel
 	return e, true, nil
 }
 
+// Explain reads a signature's tuning state from the node that owns it
+// (GET /api/explain, no credential): its last retrain pass and its drift
+// detector. The backend answers 404 before the signature's first pass on
+// that node.
+func (c *Client) Explain(ctx context.Context, user, signature string) (backend.SignatureState, error) {
+	var st backend.SignatureState
+	err := c.do(ctx, "explain", "explain "+signature, http.StatusOK,
+		func(ctx context.Context) (*http.Request, error) {
+			return http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/explain?"+url.Values{"user": {user}, "signature": {signature}}.Encode(), nil)
+		},
+		func(resp *http.Response) error {
+			return json.NewDecoder(resp.Body).Decode(&st)
+		})
+	return st, err
+}
+
 // ComputeAppCache asks the backend's App Cache Generator to recompute the
 // artifact's app-level configuration after an application run.
 func (c *Client) ComputeAppCache(ctx context.Context, reqBody backend.AppCacheRequest) (applevel.CacheEntry, error) {

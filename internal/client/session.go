@@ -26,9 +26,10 @@ type Session struct {
 	Signature string
 
 	learner *core.CentroidLearner
+	// dash reads the runs from the learner's history and keeps only their
+	// stage metrics: a session keeps each run once.
 	dash    *monitor.Dashboard
 	embed   []float64
-	iter    int
 	tripped bool
 }
 
@@ -47,14 +48,15 @@ func NewSession(cli *Client, space *sparksim.Space, user, jobID string, plan *sp
 		Client: cli, Space: space, User: user, Signature: sig,
 		Fallback: core.NewSurrogateSelector(space, nil, nil, root.Split()),
 	}
+	learner := core.New(space, sel, root.Split())
 	return &Session{
 		Client:    cli,
 		Space:     space,
 		User:      user,
 		JobID:     jobID,
 		Signature: sig,
-		learner:   core.New(space, sel, root.Split()),
-		dash:      monitor.New(space, sig),
+		learner:   learner,
+		dash:      monitor.Over(space, sig, learner.History()),
 		embed:     embedding.NewVirtual().Embed(plan),
 	}, nil
 }
@@ -62,7 +64,7 @@ func NewSession(cli *Client, space *sparksim.Space, user, jobID string, plan *sp
 // Recommend returns the configuration for the next run of this query —
 // the Autotune Config Inference step "before the physical planning stage".
 func (s *Session) Recommend(expectedInputBytes float64) sparksim.Config {
-	return s.learner.Propose(s.iter, expectedInputBytes)
+	return s.learner.Propose(s.learner.Iterations(), expectedInputBytes)
 }
 
 // Complete reports one execution: it updates local tuning state, records
@@ -70,21 +72,12 @@ func (s *Session) Recommend(expectedInputBytes float64) sparksim.Config {
 // streaming Model Updater can retrain. ctx bounds the event upload; the
 // local state updates always happen.
 func (s *Session) Complete(ctx context.Context, o sparksim.Observation, stages []sparksim.StageStat) error {
-	o.Iteration = s.iter
-	s.iter++
+	o.Iteration = s.learner.Iterations()
 	s.learner.Observe(o)
-	s.dash.Record(o, stages)
-	// Guardrail-trip attribution: on the revert edge, record whether the
-	// signature's drift detector had already flagged the model — a tripped
-	// guardrail under drift is the model's fault, one without is workload
-	// variance the tuner mis-stepped into.
+	s.dash.RecordStages(stages)
 	if !s.tripped && s.learner.Disabled() {
 		s.tripped = true
-		cause := "stationary"
-		if s.dash.Drifting() {
-			cause = "drift"
-		}
-		s.Client.tele().trips.With(cause).Inc()
+		s.Client.tele().trips.With(s.tripCause(ctx)).Inc()
 	}
 	return s.Client.PostEvents(ctx, s.User, s.Signature, s.JobID, []flighting.Trace{{
 		QueryID:   s.Signature,
@@ -95,13 +88,31 @@ func (s *Session) Complete(ctx context.Context, o sparksim.Observation, stages [
 	}})
 }
 
+// tripCause attributes a guardrail revert, asked once on the revert edge:
+// "drift" when the backend's detector for the signature has tripped (the
+// model had drifted off the observed costs: the model's fault),
+// "stationary" when it has not (workload variance the tuner mis-stepped
+// into), and "unknown" when the backend cannot say.
+func (s *Session) tripCause(ctx context.Context) string {
+	st, err := s.Client.Explain(ctx, s.User, s.Signature)
+	switch {
+	case err != nil:
+		return "unknown"
+	case st.Drifting:
+		return "drift"
+	default:
+		return "stationary"
+	}
+}
+
 // Disabled reports whether the guardrail reverted this query to defaults.
 func (s *Session) Disabled() bool { return s.learner.Disabled() }
 
 // Iterations returns the number of completed runs.
-func (s *Session) Iterations() int { return s.iter }
+func (s *Session) Iterations() int { return s.learner.Iterations() }
 
-// Dashboard exposes the session's monitoring state.
+// Dashboard exposes the session's monitoring state: the learner's runs with
+// their stage metrics.
 func (s *Session) Dashboard() *monitor.Dashboard { return s.dash }
 
 // History returns the query's observation log (for app-level optimization).

@@ -46,7 +46,7 @@ func (c *Client) tele() *clientTelemetry {
 			fallbacks: reg.Counter("rockhopper_client_fallbacks_total",
 				"RemoteSelector falls back to the local selector, by reason.", "reason"),
 			trips: reg.Counter("rockhopper_guardrail_trips_attributed_total",
-				"Guardrail reverts by attributed cause: drift (the signature's model had drifted off observed costs when the guardrail fired) or stationary.", "cause"),
+				"Guardrail reverts by attributed cause: drift (the backend's detector for the signature had tripped when the guardrail fired), stationary, or unknown (the backend could not say).", "cause"),
 		}
 		// Count breaker transitions unless the caller claimed the hook.
 		if c.Breaker != nil && c.Breaker.OnTransition == nil {

@@ -144,6 +144,10 @@ func (c *CentroidLearner) startConfig() sparksim.Config {
 	return c.Space.Default()
 }
 
+// History returns the learner's observation log, one record per observed
+// run. It is the learner's own: read it, never add to it.
+func (c *CentroidLearner) History() *tuners.History { return &c.hist }
+
 // Propose implements tuners.Tuner: generate the candidate set in the
 // β-neighbourhood of the centroid and let the surrogate pick (Steps 1–2 of
 // Figure 5).
@@ -176,7 +180,7 @@ func (c *CentroidLearner) Observe(o sparksim.Observation) {
 	c.hist.Add(o)
 	c.lastSize = o.DataSize
 	if c.Guardrail != nil && !c.disabled {
-		if c.Guardrail.Observe(c.hist.Len()-1, o) {
+		if c.Guardrail.Observe(&c.hist) {
 			c.disabled = true
 			return
 		}

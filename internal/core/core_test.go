@@ -274,10 +274,11 @@ func TestSurrogateSelectorUsesWarmStart(t *testing.T) {
 
 func TestGuardrailDisablesOnRegression(t *testing.T) {
 	g := NewGuardrail()
+	var h tuners.History
 	disabled := false
 	for i := 0; i < 60 && !disabled; i++ {
-		o := sparksim.Observation{DataSize: 1e9, Time: 1000 * math.Pow(1.1, float64(i))}
-		disabled = g.Observe(i, o)
+		h.Add(sparksim.Observation{DataSize: 1e9, Time: 1000 * math.Pow(1.1, float64(i))})
+		disabled = g.Observe(&h)
 	}
 	if !disabled {
 		t.Fatal("steep sustained regression should disable autotuning")
@@ -286,11 +287,12 @@ func TestGuardrailDisablesOnRegression(t *testing.T) {
 
 func TestGuardrailKeepsImprovingQuery(t *testing.T) {
 	g := NewGuardrail()
+	var h tuners.History
 	r := stats.NewRNG(19)
 	for i := 0; i < 100; i++ {
 		base := 2000 - 10*float64(i) // improving
-		o := sparksim.Observation{DataSize: 1e9, Time: noise.Low.Inject(r, base)}
-		if g.Observe(i, o) {
+		h.Add(sparksim.Observation{DataSize: 1e9, Time: noise.Low.Inject(r, base)})
+		if g.Observe(&h) {
 			t.Fatalf("guardrail fired on an improving query at iteration %d", i)
 		}
 	}
@@ -298,9 +300,10 @@ func TestGuardrailKeepsImprovingQuery(t *testing.T) {
 
 func TestGuardrailRespectsMinIterations(t *testing.T) {
 	g := NewGuardrail()
+	var h tuners.History
 	for i := 0; i < g.MinIterations; i++ {
-		o := sparksim.Observation{DataSize: 1e9, Time: 1000 * math.Pow(1.3, float64(i))}
-		if g.Observe(i, o) {
+		h.Add(sparksim.Observation{DataSize: 1e9, Time: 1000 * math.Pow(1.3, float64(i))})
+		if g.Observe(&h) {
 			t.Fatalf("guardrail fired before the minimum budget at iteration %d", i)
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"math"
 
 	"github.com/rockhopper-db/rockhopper/internal/ml"
-	"github.com/rockhopper-db/rockhopper/internal/sparksim"
+	"github.com/rockhopper-db/rockhopper/internal/tuners"
 )
 
 // Guardrail is the production safety mechanism of Section 4.3: a regression
@@ -27,10 +27,7 @@ type Guardrail struct {
 	// Window caps how much history feeds the trend fit (0 = all).
 	Window int
 
-	iters []float64
-	sizes []float64
-	times []float64
-	run   int
+	run int
 }
 
 // NewGuardrail returns the production-default guardrail: monitor from
@@ -44,18 +41,15 @@ func NewGuardrail() *Guardrail {
 	return &Guardrail{MinIterations: 30, Threshold: 0.01, Consecutive: 3, Window: 40}
 }
 
-// Observe records iteration t's outcome and returns true when autotuning
-// should be disabled.
-func (g *Guardrail) Observe(t int, o sparksim.Observation) bool {
-	g.iters = append(g.iters, float64(t))
-	g.sizes = append(g.sizes, math.Log1p(o.DataSize))
-	g.times = append(g.times, o.Time)
-	if g.Window > 0 && len(g.iters) > g.Window {
-		g.iters = g.iters[1:]
-		g.sizes = g.sizes[1:]
-		g.times = g.times[1:]
-	}
-	if t < g.MinIterations || len(g.iters) < 5 {
+// Observe checks the query after its latest run, the last of h, and
+// returns true when autotuning should be disabled. The trend is fitted over
+// h's last Window runs, each at its position in h as its iteration: the
+// guardrail keeps no copy of the runs, only its count of consecutive
+// breaches, so it must see every run h records.
+func (g *Guardrail) Observe(h *tuners.History) bool {
+	t := h.Len() - 1
+	w := h.Window(g.Window)
+	if t < g.MinIterations || len(w) < 5 {
 		return false
 	}
 	// Compare the model's prediction for the next iteration against its
@@ -63,13 +57,20 @@ func (g *Guardrail) Observe(t int, o sparksim.Observation) bool {
 	// Using the fitted previous value instead of the raw observation
 	// de-noises the comparison: a lucky fast run or an unlucky spike in the
 	// last observation would otherwise flip the verdict.
-	size := g.sizes[len(g.sizes)-1]
-	next, ok := g.predictAt(float64(t+1), size)
-	if !ok {
+	x := make([][]float64, len(w))
+	y := make([]float64, len(w))
+	first := t + 1 - len(w)
+	for i, o := range w {
+		x[i] = []float64{float64(first + i), math.Log1p(o.DataSize)}
+		y[i] = o.Time
+	}
+	lin := ml.NewLinear(1e-6)
+	if err := lin.Fit(x, y); err != nil {
 		return false
 	}
-	prev, ok := g.predictAt(float64(t), size)
-	if !ok || prev <= 0 {
+	size := x[len(x)-1][1]
+	next, prev := lin.Predict([]float64{float64(t + 1), size}), lin.Predict([]float64{float64(t), size})
+	if !finite(next) || !finite(prev) || prev <= 0 {
 		return false
 	}
 	if next > prev*(1+g.Threshold) {
@@ -80,22 +81,4 @@ func (g *Guardrail) Observe(t int, o sparksim.Observation) bool {
 	return g.run >= g.Consecutive
 }
 
-// predictAt fits the (iteration, log size) → time regression and evaluates
-// it at the given iteration.
-func (g *Guardrail) predictAt(iter, logSize float64) (float64, bool) {
-	x := make([][]float64, len(g.iters))
-	y := make([]float64, len(g.iters))
-	for i := range g.iters {
-		x[i] = []float64{g.iters[i], g.sizes[i]}
-		y[i] = g.times[i]
-	}
-	lin := ml.NewLinear(1e-6)
-	if err := lin.Fit(x, y); err != nil {
-		return 0, false
-	}
-	p := lin.Predict([]float64{iter, logSize})
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		return 0, false
-	}
-	return p, true
-}
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -21,10 +21,8 @@ type Snapshot struct {
 	Start    sparksim.Config
 	History  []sparksim.Observation
 	Disabled bool
-	// Guardrail trend state.
-	GuardIters  []float64
-	GuardSizes  []float64
-	GuardTimes  []float64
+	// GuardBreach is the guardrail's count of consecutive breaches; its
+	// trend is refitted from History.
 	GuardBreach int
 }
 
@@ -44,17 +42,14 @@ func (c *CentroidLearner) Snapshot() Snapshot {
 		s.History[i] = o
 	}
 	if c.Guardrail != nil {
-		s.GuardIters = append([]float64(nil), c.Guardrail.iters...)
-		s.GuardSizes = append([]float64(nil), c.Guardrail.sizes...)
-		s.GuardTimes = append([]float64(nil), c.Guardrail.times...)
 		s.GuardBreach = c.Guardrail.run
 	}
 	return s
 }
 
 // Restore replaces the learner's state with the snapshot's. The learner's
-// Selector and RNG are kept; guardrail trend state is restored only when
-// the learner has a guardrail configured.
+// Selector and RNG are kept; the guardrail's breach count is restored only
+// when the learner has a guardrail configured.
 func (c *CentroidLearner) Restore(s Snapshot) {
 	c.Params = s.Params
 	c.centroid = append([]float64(nil), s.Centroid...)
@@ -73,9 +68,6 @@ func (c *CentroidLearner) Restore(s Snapshot) {
 		c.hist.Obs[i] = o
 	}
 	if c.Guardrail != nil {
-		c.Guardrail.iters = append([]float64(nil), s.GuardIters...)
-		c.Guardrail.sizes = append([]float64(nil), s.GuardSizes...)
-		c.Guardrail.times = append([]float64(nil), s.GuardTimes...)
 		c.Guardrail.run = s.GuardBreach
 	}
 }

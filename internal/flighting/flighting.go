@@ -153,19 +153,7 @@ func WriteTraces(w io.Writer, traces []Trace) error {
 }
 
 // ReadTraces parses a JSON-lines trace stream.
-func ReadTraces(r io.Reader) ([]Trace, error) {
-	dec := json.NewDecoder(r)
-	var out []Trace
-	for {
-		var t Trace
-		if err := dec.Decode(&t); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("flighting: read trace %d: %w", len(out), err)
-		}
-		out = append(out, t)
-	}
-}
+func ReadTraces(r io.Reader) ([]Trace, error) { return readLines[Trace](nil, r) }
 
 // ParseTraces is ReadTraces over a stream already in memory, at a fraction
 // of the garbage: a canonical WriteTraces stream — one trace per line — is
@@ -174,21 +162,56 @@ func ReadTraces(r io.Reader) ([]Trace, error) {
 // spanning lines, several on one line, a decode error) is handed to
 // ReadTraces whole, so both accept the same streams and report the same
 // errors.
-func ParseTraces(b []byte) ([]Trace, error) {
-	var out []Trace
+func ParseTraces(b []byte) ([]Trace, error) { return appendLines[Trace](nil, b) }
+
+// Row is the part of a trace a surrogate is fitted on: the configuration,
+// the input size and the observed time. The embedding and the query ID are
+// not part of it.
+type Row struct {
+	Config   sparksim.Config `json:"config"`
+	DataSize float64         `json:"data_size"`
+	TimeMs   float64         `json:"time_ms"`
+}
+
+// AppendRows appends the rows of a trace stream to dst, decoded as
+// ParseTraces decodes the stream: it accepts every stream ParseTraces
+// accepts, with the same configuration, size and time. The other keys of a
+// trace (the 101-float embedding above all) are skipped by the JSON scanner,
+// never parsed into numbers. On error dst is returned unchanged.
+func AppendRows(dst []Row, b []byte) ([]Row, error) { return appendLines(dst, b) }
+
+// appendLines decodes a JSON-lines stream of T onto dst, each canonical line
+// straight into its slot; any other layout is decoded whole by readLines.
+func appendLines[T any](dst []T, b []byte) ([]T, error) {
+	n := len(dst)
+	var zero T
 	for rest := b; len(rest) > 0; {
 		var line []byte
 		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var t Trace
-		if json.Unmarshal(line, &t) != nil {
-			return ReadTraces(bytes.NewReader(b))
+		dst = append(dst, zero)
+		if json.Unmarshal(line, &dst[len(dst)-1]) != nil {
+			return readLines(dst[:n], bytes.NewReader(b))
 		}
-		out = append(out, t)
 	}
-	return out, nil
+	return dst, nil
+}
+
+// readLines decodes a stream of JSON values of T onto dst.
+func readLines[T any](dst []T, r io.Reader) ([]T, error) {
+	n := len(dst)
+	dec := json.NewDecoder(r)
+	for {
+		var v T
+		if err := dec.Decode(&v); err == io.EOF {
+			return dst, nil
+		} else if err != nil {
+			return dst[:n], fmt.Errorf("flighting: read trace %d: %w", len(dst)-n, err)
+		}
+		dst = append(dst, v)
+	}
 }
 
 // ToBaseline converts traces into surrogate warm-start points.

@@ -3,6 +3,7 @@ package flighting
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -274,4 +275,118 @@ func TestParseTracesMatchesReadTraces(t *testing.T) {
 			t.Fatalf("ParseTraces(%q) = (%+v, %v); ReadTraces = (%+v, %v)", in, got, gerr, want, werr)
 		}
 	}
+}
+
+// sameRowFields reports whether a row holds bit for bit the configuration,
+// size and time of a trace (a nil and an empty configuration differ).
+func sameRowFields(r Row, t Trace) bool {
+	if (r.Config == nil) != (t.Config == nil) || len(r.Config) != len(t.Config) {
+		return false
+	}
+	for i := range r.Config {
+		if math.Float64bits(r.Config[i]) != math.Float64bits(t.Config[i]) {
+			return false
+		}
+	}
+	return math.Float64bits(r.DataSize) == math.Float64bits(t.DataSize) &&
+		math.Float64bits(r.TimeMs) == math.Float64bits(t.TimeMs)
+}
+
+// checkRowsMatchTraces holds AppendRows to ParseTraces on one stream: every
+// stream ParseTraces accepts, AppendRows accepts with the same number of
+// rows, each carrying its trace's configuration, size and time bit for bit;
+// AppendRows rejects only streams ParseTraces rejects too (it may accept a
+// stream whose skipped keys ParseTraces refuses, such as an embedding that
+// is not a list of numbers). dst's prefix is never touched.
+func checkRowsMatchTraces(t *testing.T, in []byte) {
+	t.Helper()
+	traces, terr := ParseTraces(in)
+	prefix := []Row{{Config: sparksim.Config{7}, DataSize: 8, TimeMs: 9}}
+	rows, rerr := AppendRows(prefix, in)
+	if len(rows) < 1 || !reflect.DeepEqual(rows[0], prefix[0]) {
+		t.Fatalf("AppendRows(%q) changed dst's prefix: %+v", in, rows)
+	}
+	rows = rows[1:]
+	switch {
+	case rerr != nil && terr == nil:
+		t.Fatalf("AppendRows(%q) rejects a stream ParseTraces accepts: %v", in, rerr)
+	case rerr != nil && len(rows) != 0:
+		t.Fatalf("AppendRows(%q) failed with %v but appended %d rows", in, rerr, len(rows))
+	case terr != nil:
+		return
+	case len(rows) != len(traces):
+		t.Fatalf("AppendRows(%q) = %d rows, ParseTraces = %d traces", in, len(rows), len(traces))
+	}
+	for i := range rows {
+		if !sameRowFields(rows[i], traces[i]) {
+			t.Fatalf("AppendRows(%q) row %d = %+v, trace = %+v", in, i, rows[i], traces[i])
+		}
+	}
+}
+
+// rowSeeds are WriteTraces renderings with and without a 101-wide
+// embedding, plus the spellings of numbers and strings the JSON grammar
+// allows beyond them: exponents, -0, escapes in query_id, and the layouts
+// that send both decoders down their stream path.
+func rowSeeds(t testing.TB) [][]byte {
+	emb := make([]float64, 101)
+	for i := range emb {
+		emb[i] = float64(i)/7 - 3
+	}
+	traces := []Trace{
+		{QueryID: "q1", Embedding: emb, Config: sparksim.Config{134217728, 10485760, 200}, DataSize: 1e9, TimeMs: 1234.5},
+		{QueryID: "q\"2\\", Config: sparksim.Config{1.5e-300, -0.0, 3}, DataSize: 0, TimeMs: 5e-324},
+	}
+	var with, without bytes.Buffer
+	if err := WriteTraces(&with, traces[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTraces(&without, traces[1:]); err != nil {
+		t.Fatal(err)
+	}
+	both := with.String() + without.String()
+	seeds := []string{
+		with.String(),
+		without.String(),
+		both,
+		"",
+		"\n\n",
+		strings.ReplaceAll(both, ",", ",\n "),
+		`{"query_id":"aé\n\"","config":[1E+2,-0,0.5e-3],"data_size":-0,"time_ms":1e308}` + "\n",
+		`{"embedding":"not numbers","config":[1],"time_ms":2}` + "\n",
+		`{"embedding":[1e400],"config":[1],"time_ms":2}` + "\n",
+		`{"CONFIG":[1],"Time_Ms":3,"config":[2,3]}` + "\n",
+		"null\n" + with.String(),
+		with.String() + "{broken\n",
+		with.String() + "[1]\n",
+		`{"config":[1],"time_ms":1} {"config":[2],"time_ms":2}` + "\n",
+	}
+	out := make([][]byte, len(seeds))
+	for i, s := range seeds {
+		out[i] = []byte(s)
+	}
+	return out
+}
+
+// TestAppendRowsMatchesParseTraces runs the fuzz target's check over its
+// seeds, so tier-1 holds the decoder to ParseTraces without -fuzz.
+func TestAppendRowsMatchesParseTraces(t *testing.T) {
+	t.Parallel()
+	for _, in := range rowSeeds(t) {
+		checkRowsMatchTraces(t, in)
+	}
+	// A row is decoded from the canonical rendering of its trace.
+	rows, err := AppendRows(nil, rowSeeds(t)[0])
+	if err != nil || len(rows) != 1 || rows[0].TimeMs != 1234.5 || len(rows[0].Config) != 3 {
+		t.Fatalf("AppendRows(canonical) = %+v, %v", rows, err)
+	}
+}
+
+// FuzzAppendRows: the retrain's row decoder against ParseTraces, the
+// decoder ingest runs, on arbitrary streams.
+func FuzzAppendRows(f *testing.F) {
+	for _, s := range rowSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(checkRowsMatchTraces)
 }

@@ -1,9 +1,6 @@
 package monitor
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // residualNoise is a deterministic pseudo-noise stream (xorshift64*) scaled
 // to ±amp — run-to-run simulator jitter in log space without touching the
@@ -123,37 +120,5 @@ func TestDriftMinSamplesGuard(t *testing.T) {
 	}
 	if !det.Observe(5.0) {
 		t.Fatal("did not trip at MinSamples with a huge sustained excursion")
-	}
-}
-
-// TestDriftDashboardWiring: the Dashboard front-end — ms-space residuals in,
-// log-space detection inside, and the drift line in the rendered report.
-func TestDriftDashboardWiring(t *testing.T) {
-	// Report only renders once executions exist; one recorded run is enough.
-	d, _, _ := recordedDashboard(t, 1, nil)
-	for i := 0; i < 16; i++ {
-		if d.ObserveResidual(1000, 1000) {
-			t.Fatalf("on-model residual tripped at sample %d", i+1)
-		}
-	}
-	var report strings.Builder
-	d.Report(&report)
-	if !strings.Contains(report.String(), "model drift: stable") {
-		t.Errorf("report missing stable drift line:\n%s", report.String())
-	}
-	tripped := false
-	for i := 0; i < 20 && !tripped; i++ {
-		tripped = d.ObserveResidual(1400, 1000) // 40% slower than predicted
-	}
-	if !tripped || !d.Drifting() {
-		t.Fatalf("40%% cost shift did not trip within 20 runs (score %.3f)", d.DriftScore())
-	}
-	if d.DriftScore() <= 0 {
-		t.Errorf("tripped detector reports score %.3f, want > 0", d.DriftScore())
-	}
-	report.Reset()
-	d.Report(&report)
-	if !strings.Contains(report.String(), "model drift: DRIFTING") {
-		t.Errorf("report missing DRIFTING line:\n%s", report.String())
 	}
 }

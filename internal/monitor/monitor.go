@@ -30,81 +30,103 @@ type Event struct {
 	Config     sparksim.Config
 	ObservedMs float64
 	DataSize   float64
-	// Metrics derived from the execution's stage breakdown.
+	Metrics
+}
+
+// Metrics are the configuration-sensitive metrics derived from one
+// execution's stage breakdown.
+type Metrics struct {
 	Tasks          int
 	SpillBytes     float64
 	BroadcastJoins int
 }
 
-// Dashboard accumulates events for one query signature.
+// Dashboard analyses the executions of one query signature. It reads each
+// run's iteration, configuration, time and input size from a history of
+// observations, and keeps of its own only the stage-derived metrics.
 type Dashboard struct {
 	Space     *sparksim.Space
 	Signature string
-	events    []Event
-	drift     DriftDetector
+	runs      *tuners.History
+	// metrics[i] belongs to runs.Obs[i]; runs past its end, and runs
+	// recorded without a stage breakdown, read zero metrics.
+	metrics []Metrics
 }
 
-// New returns an empty dashboard.
+// New returns an empty dashboard that records its executions itself.
 func New(space *sparksim.Space, signature string) *Dashboard {
-	return &Dashboard{Space: space, Signature: signature}
+	return Over(space, signature, new(tuners.History))
 }
 
-// ObserveResidual feeds the signature's drift detector one
-// observed-vs-predicted cost pair (both in ms; compared in log space, the
-// surrogate's native scale) and reports the drift state after it. Callers
-// with no model prediction simply don't feed the detector.
-func (d *Dashboard) ObserveResidual(observedMs, predictedMs float64) bool {
-	return d.drift.Observe(math.Log1p(observedMs) - math.Log1p(predictedMs))
+// Over returns a dashboard over runs another component records — a tuning
+// session's learner history — so that no run is kept twice. Such a
+// dashboard takes only RecordStages: Record would add the run to runs.
+func Over(space *sparksim.Space, signature string, runs *tuners.History) *Dashboard {
+	return &Dashboard{Space: space, Signature: signature, runs: runs}
 }
-
-// Drifting reports whether the signature's model has drifted off the
-// observed costs (Page-Hinkley detector tripped).
-func (d *Dashboard) Drifting() bool { return d.drift.Drifting() }
-
-// DriftScore is the detector's current cumulative excursion.
-func (d *Dashboard) DriftScore() float64 { return d.drift.Score() }
 
 // Record adds an execution; stages may be nil when the stage breakdown is
 // unavailable (e.g. real clusters exposing only aggregate metrics).
 func (d *Dashboard) Record(o sparksim.Observation, stages []sparksim.StageStat) {
-	ev := Event{
-		Iteration:  o.Iteration,
-		Config:     o.Config.Clone(),
-		ObservedMs: o.Time,
-		DataSize:   o.DataSize,
+	o.Config = o.Config.Clone()
+	d.runs.Add(o)
+	d.RecordStages(stages)
+}
+
+// RecordStages attaches a stage breakdown to the latest run. nil stages
+// record nothing, and the run reads zero metrics.
+func (d *Dashboard) RecordStages(stages []sparksim.StageStat) {
+	i := d.runs.Len() - 1
+	if stages == nil || i < 0 {
+		return
 	}
-	if stages != nil {
-		ev.Tasks = sparksim.TotalTasks(stages)
-		ev.SpillBytes = sparksim.TotalSpill(stages)
-		ev.BroadcastJoins = sparksim.BroadcastJoins(stages)
-	}
-	if len(d.events) == cap(d.events) {
+	if i >= cap(d.metrics) {
 		// Grown like tuners.History: by an eighth, not doubled.
-		grown := make([]Event, len(d.events), len(d.events)+max(len(d.events)/8, 4))
-		copy(grown, d.events)
-		d.events = grown
+		grown := make([]Metrics, len(d.metrics), i+1+max(i/8, 4))
+		copy(grown, d.metrics)
+		d.metrics = grown
 	}
-	d.events = append(d.events, ev)
+	// Slots between the old length and i were never written: zero.
+	d.metrics = d.metrics[:max(len(d.metrics), i+1)]
+	d.metrics[i] = Metrics{
+		Tasks:          sparksim.TotalTasks(stages),
+		SpillBytes:     sparksim.TotalSpill(stages),
+		BroadcastJoins: sparksim.BroadcastJoins(stages),
+	}
 }
 
 // Len returns the number of recorded events.
-func (d *Dashboard) Len() int { return len(d.events) }
+func (d *Dashboard) Len() int { return d.runs.Len() }
 
-// Events returns a copy of the recorded events.
-func (d *Dashboard) Events() []Event { return append([]Event(nil), d.events...) }
+// Events returns the recorded events, configurations copied.
+func (d *Dashboard) Events() []Event {
+	out := make([]Event, d.runs.Len())
+	for i, o := range d.runs.Obs {
+		out[i] = Event{Iteration: o.Iteration, Config: o.Config.Clone(), ObservedMs: o.Time, DataSize: o.DataSize, Metrics: d.metricsAt(i)}
+	}
+	return out
+}
+
+func (d *Dashboard) metricsAt(i int) Metrics {
+	if i < len(d.metrics) {
+		return d.metrics[i]
+	}
+	return Metrics{}
+}
 
 // PerformanceTrend fits observed time against iteration number and input
 // size and returns the per-iteration relative slope (positive = regressing).
 // ok is false with fewer than 5 events.
 func (d *Dashboard) PerformanceTrend() (relSlope float64, ok bool) {
-	if len(d.events) < 5 {
+	runs := d.runs.Obs
+	if len(runs) < 5 {
 		return 0, false
 	}
-	x := make([][]float64, len(d.events))
-	y := make([]float64, len(d.events))
-	for i, e := range d.events {
-		x[i] = []float64{float64(e.Iteration), math.Log1p(e.DataSize)}
-		y[i] = e.ObservedMs
+	x := make([][]float64, len(runs))
+	y := make([]float64, len(runs))
+	for i, o := range runs {
+		x[i] = []float64{float64(o.Iteration), math.Log1p(o.DataSize)}
+		y[i] = o.Time
 	}
 	lin := ml.NewLinear(1e-6)
 	if err := lin.Fit(x, y); err != nil {
@@ -136,28 +158,29 @@ type Attribution struct {
 // config-attributable changes is reported as dataContribution — the "changes
 // in data size" bucket the paper's analysis filters out.
 func (d *Dashboard) RootCause(baseline, recent int) (attrs []Attribution, dataContributionMs float64, err error) {
-	if baseline < 2 || recent < 2 || baseline+recent > len(d.events) {
-		return nil, 0, fmt.Errorf("monitor: need ≥2 baseline and ≥2 recent events within %d recorded", len(d.events))
+	runs := d.runs.Obs
+	if baseline < 2 || recent < 2 || baseline+recent > len(runs) {
+		return nil, 0, fmt.Errorf("monitor: need ≥2 baseline and ≥2 recent events within %d recorded", len(runs))
 	}
-	x := make([][]float64, len(d.events))
-	y := make([]float64, len(d.events))
-	for i, e := range d.events {
-		x[i] = tuners.ConfigFeatures(d.Space, nil, e.Config, e.DataSize)
-		y[i] = e.ObservedMs
+	x := make([][]float64, len(runs))
+	y := make([]float64, len(runs))
+	for i, o := range runs {
+		x[i] = tuners.ConfigFeatures(d.Space, nil, o.Config, o.DataSize)
+		y[i] = o.Time
 	}
 	lin := ml.NewLinear(1e-4)
 	if err := lin.Fit(x, y); err != nil {
 		return nil, 0, fmt.Errorf("monitor: RCA fit: %w", err)
 	}
-	before := d.events[:baseline]
-	after := d.events[len(d.events)-recent:]
+	before := runs[:baseline]
+	after := runs[len(runs)-recent:]
 	dim := d.Space.Dim()
-	meanU := func(evs []Event, j int) float64 {
+	meanU := func(w []sparksim.Observation, j int) float64 {
 		var s float64
-		for _, e := range evs {
-			s += d.Space.Normalize(e.Config)[j]
+		for _, o := range w {
+			s += d.Space.Normalize(o.Config)[j]
 		}
-		return s / float64(len(evs))
+		return s / float64(len(w))
 	}
 	for j := 0; j < dim; j++ {
 		delta := meanU(after, j) - meanU(before, j)
@@ -167,12 +190,12 @@ func (d *Dashboard) RootCause(baseline, recent int) (attrs []Attribution, dataCo
 			ContributionMs:  lin.RawSlope(j) * delta,
 		})
 	}
-	meanSize := func(evs []Event) float64 {
+	meanSize := func(w []sparksim.Observation) float64 {
 		var s float64
-		for _, e := range evs {
-			s += math.Log1p(e.DataSize)
+		for _, o := range w {
+			s += math.Log1p(o.DataSize)
 		}
-		return s / float64(len(evs))
+		return s / float64(len(w))
 	}
 	dataContributionMs = lin.RawSlope(dim) * (meanSize(after) - meanSize(before))
 	sort.Slice(attrs, func(a, b int) bool {
@@ -193,11 +216,11 @@ func (d *Dashboard) ConfigTrace(w io.Writer, every int) {
 		fmt.Fprintf(w, " %18s", shortName(p.Name))
 	}
 	fmt.Fprintln(w)
-	for i := 0; i < len(d.events); i += every {
-		e := d.events[i]
-		fmt.Fprintf(w, "%6d", e.Iteration)
+	for i := 0; i < d.runs.Len(); i += every {
+		o := d.runs.Obs[i]
+		fmt.Fprintf(w, "%6d", o.Iteration)
 		for j := range d.Space.Params {
-			fmt.Fprintf(w, " %18.4g", e.Config[j])
+			fmt.Fprintf(w, " %18.4g", o.Config[j])
 		}
 		fmt.Fprintln(w)
 	}
@@ -206,18 +229,19 @@ func (d *Dashboard) ConfigTrace(w io.Writer, every int) {
 // Report renders the full dashboard: performance trend, metric summary, and
 // RCA when enough data is available.
 func (d *Dashboard) Report(w io.Writer) {
-	fmt.Fprintf(w, "== dashboard: %s (%d executions) ==\n", d.Signature, len(d.events))
-	if len(d.events) == 0 {
+	runs := d.runs.Obs
+	fmt.Fprintf(w, "== dashboard: %s (%d executions) ==\n", d.Signature, len(runs))
+	if len(runs) == 0 {
 		fmt.Fprintln(w, "no executions recorded")
 		return
 	}
-	times := make([]float64, len(d.events))
-	sizes := make([]float64, len(d.events))
-	tasks := make([]float64, len(d.events))
-	for i, e := range d.events {
-		times[i] = e.ObservedMs
-		sizes[i] = e.DataSize
-		tasks[i] = float64(e.Tasks)
+	times := make([]float64, len(runs))
+	sizes := make([]float64, len(runs))
+	tasks := make([]float64, len(runs))
+	for i, o := range runs {
+		times[i] = o.Time
+		sizes[i] = o.DataSize
+		tasks[i] = float64(d.metricsAt(i).Tasks)
 	}
 	fmt.Fprintf(w, "observed time: %v\n", stats.Summarize(times))
 	fmt.Fprintf(w, "input size:    %v\n", stats.Summarize(sizes))
@@ -232,14 +256,7 @@ func (d *Dashboard) Report(w io.Writer) {
 		}
 		fmt.Fprintf(w, "trend: %+.3f%%/iteration (%s)\n", slope*100, verdict)
 	}
-	if d.drift.Samples() > 0 {
-		state := "stable"
-		if d.drift.Drifting() {
-			state = "DRIFTING"
-		}
-		fmt.Fprintf(w, "model drift: %s (score %.3f over %d residuals)\n", state, d.drift.Score(), d.drift.Samples())
-	}
-	n := len(d.events) / 4
+	n := len(runs) / 4
 	if n >= 2 {
 		attrs, dataMs, err := d.RootCause(n, n)
 		if err == nil {

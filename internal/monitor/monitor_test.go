@@ -9,6 +9,7 @@ import (
 	"github.com/rockhopper-db/rockhopper/internal/noise"
 	"github.com/rockhopper-db/rockhopper/internal/sparksim"
 	"github.com/rockhopper-db/rockhopper/internal/stats"
+	"github.com/rockhopper-db/rockhopper/internal/tuners"
 	"github.com/rockhopper-db/rockhopper/internal/workloads"
 )
 
@@ -56,22 +57,62 @@ func TestRecordCopiesConfig(t *testing.T) {
 	}
 }
 
-// A dashboard's event log grows like tuners.History, by an eighth: past the
-// first few dozen events its spare capacity stays near an eighth of its
-// length, and every event keeps its place.
+// A dashboard's runs and stage metrics grow like tuners.History, by an
+// eighth: past the first few dozen events their spare capacity stays near an
+// eighth of their length, and every event keeps its place.
 func TestRecordGrowsByAnEighth(t *testing.T) {
 	e := sparksim.NewEngine(sparksim.QuerySpace())
 	d := New(e.Space, "sig")
+	stages := []sparksim.StageStat{{Tasks: 3}}
 	for i := 0; i < 4096; i++ {
-		d.Record(sparksim.Observation{Iteration: i, Config: e.Space.Default(), Time: 1, DataSize: 1}, nil)
-		if n := d.Len(); n >= 64 && cap(d.events)-n > n/4+8 {
-			t.Fatalf("len %d: cap %d leaves more than a quarter spare", n, cap(d.events))
+		d.Record(sparksim.Observation{Iteration: i, Config: e.Space.Default(), Time: 1, DataSize: 1}, stages)
+		n := d.Len()
+		if n >= 64 && (cap(d.runs.Obs)-n > n/4+8 || cap(d.metrics)-n > n/4+8) {
+			t.Fatalf("len %d: caps %d (runs), %d (metrics) leave more than a quarter spare", n, cap(d.runs.Obs), cap(d.metrics))
 		}
 	}
 	for i, ev := range d.Events() {
-		if ev.Iteration != i {
-			t.Fatalf("event %d has iteration %d", i, ev.Iteration)
+		if ev.Iteration != i || ev.Tasks != 3 {
+			t.Fatalf("event %d has iteration %d and %d tasks", i, ev.Iteration, ev.Tasks)
 		}
+	}
+}
+
+// TestOverReadsTheRunsItIsGiven: a dashboard over another component's
+// history keeps no copy of its runs. It sees every run the history records,
+// and attaches stage metrics to the latest one only; runs recorded without
+// a stage breakdown read zero metrics and cost the dashboard nothing.
+func TestOverReadsTheRunsItIsGiven(t *testing.T) {
+	e := sparksim.NewEngine(sparksim.QuerySpace())
+	var h tuners.History
+	d := Over(e.Space, "sig", &h)
+	for i := 0; i < 6; i++ {
+		h.Add(sparksim.Observation{Iteration: i, Config: e.Space.Default(), Time: float64(100 + i), DataSize: 1})
+		if i == 4 {
+			d.RecordStages([]sparksim.StageStat{{Tasks: 7, SpillBytes: 2}})
+		} else {
+			d.RecordStages(nil)
+		}
+	}
+	if d.Len() != 6 || h.Len() != 6 {
+		t.Fatalf("dashboard len %d, history len %d, want 6 and 6", d.Len(), h.Len())
+	}
+	if len(d.metrics) != 5 {
+		t.Fatalf("metrics hold %d runs, want 5 (through the last run with stages)", len(d.metrics))
+	}
+	for i, ev := range d.Events() {
+		want := Metrics{}
+		if i == 4 {
+			want = Metrics{Tasks: 7, SpillBytes: 2}
+		}
+		if ev.Iteration != i || ev.ObservedMs != float64(100+i) || ev.Metrics != want {
+			t.Fatalf("event %d = %+v", i, ev)
+		}
+	}
+	evs := d.Events()
+	evs[0].Config[0] = -1
+	if h.Obs[0].Config[0] == -1 {
+		t.Fatal("Events must not hand out the history's configurations")
 	}
 }
 
